@@ -35,7 +35,7 @@ import warnings
 
 import numpy as np
 
-from . import fourier, montecarlo, quadrature
+from . import __version__, fourier, montecarlo, quadrature
 from .kernels import (
     CircleModel,
     CosineSeries,
@@ -52,7 +52,6 @@ from .kernels import (
     validate,
 )
 
-TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = "1"
 
 EXIT_OK = 0
@@ -159,11 +158,28 @@ def _config_digest(config) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _positive_int(config, section, key):
-    value = config[section].get(key)
-    if not isinstance(value, int) or value < 1:
+def _is_count(value, least):
+    # JSON true/false arrive as bool, a subclass of int; they are not counts
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _is_real(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _positive_int(config, section, key, default=None):
+    value = config[section].get(key, default)
+    if not _is_count(value, 1):
         raise ConfigError(f"{section}.{key} must be a positive integer")
     return value
+
+
+def _chain_orders(computation, default, least):
+    orders = computation.get("k_list", default)
+    if not isinstance(orders, list) or not all(_is_count(k, least) for k in orders):
+        kind = "positive" if least else "non-negative"
+        raise ConfigError(f"computation.k_list must be a list of {kind} integers")
+    return orders
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +187,7 @@ def _positive_int(config, section, key):
 # ---------------------------------------------------------------------------
 
 def _csv_text(config, schema_name, columns, rows):
-    lines = [f"# tool: ringnet {TOOL_VERSION}",
+    lines = [f"# tool: ringnet {__version__}",
              f"# schema: {schema_name} v{SCHEMA_VERSION}",
              f"# config-digest: sha256:{_config_digest(config)}",
              ",".join(columns)]
@@ -188,7 +204,7 @@ def _cell(value):
 
 def _json_text(config, schema_name, records):
     document = {
-        "tool": f"ringnet {TOOL_VERSION}",
+        "tool": f"ringnet {__version__}",
         "schema": f"{schema_name} v{SCHEMA_VERSION}",
         "config_digest": f"sha256:{_config_digest(config)}",
         "records": records,
@@ -249,7 +265,7 @@ def cmd_clustering(config):
     computation = config["computation"]
     modes = computation.get("modes", ["closed", "leading", "quadrature"])
     terms = computation.get("terms", fourier.DEFAULT_TERMS)
-    tail_terms = computation.get("tail_terms", 1_000_000)
+    tail_terms = _positive_int(config, "computation", "tail_terms", 1_000_000)
     correction_order = computation.get("correction_order",
                                        fourier.DEFAULT_CORRECTION_ORDER)
     with warnings.catch_warnings():
@@ -378,9 +394,7 @@ def cmd_separation(config):
         raise ConfigError("separation curves are defined on circle models")
     computation = config["computation"]
     modes = computation.get("modes", ["leading"])
-    orders = computation.get("k_list", [1, 2])
-    if any(not isinstance(k, int) or k < 0 for k in orders):
-        raise ConfigError("chain orders must be non-negative integers")
+    orders = _chain_orders(computation, [1, 2], least=0)
     terms = computation.get("terms", fourier.DEFAULT_TERMS)
     correction_order = computation.get("correction_order",
                                        fourier.DEFAULT_CORRECTION_ORDER)
@@ -464,14 +478,19 @@ def _separation_mc(config, model, orders, grid):
 def cmd_sweep_phi(config):
     computation = config["computation"]
     height = computation.get("p", 0.1)
-    orders = computation.get("k_list", [1, 2, 4, 6, 10, 20])
-    tail_terms = computation.get("tail_terms", 200_000)
+    if not _is_real(height) or not 0.0 <= height <= 1.0:
+        raise ConfigError("computation.p must be a number in [0, 1]")
+    orders = _chain_orders(computation, [1, 2, 4, 6, 10, 20], least=1)
+    # sets the clustering column only: the antipodal counts are exact sums
+    tail_terms = _positive_int(config, "computation", "tail_terms", 200_000)
     grid = computation.get("phi_grid")
     if grid is None:
-        count = computation.get("phi_points", 64)
+        count = _positive_int(config, "computation", "phi_points", 64)
         grid = np.linspace(math.pi / count, math.pi, count).tolist()
+    if not isinstance(grid, list) or not all(_is_real(v) for v in grid):
+        raise ConfigError("computation.phi_grid must be a list of numbers")
     grid = [float(v) for v in grid]
-    if not grid or any(v <= 0.0 or v > math.pi for v in grid):
+    if not grid or not all(0.0 < v <= math.pi for v in grid):
         raise ConfigError("phi grid values must lie in (0, pi]")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("phi grid must be strictly increasing")
@@ -686,7 +705,7 @@ def _battery_checks(config):
 
 def cmd_mc_validate(config):
     checks = _battery_checks(config)
-    lines = [f"# tool: ringnet {TOOL_VERSION}",
+    lines = [f"# tool: ringnet {__version__}",
              f"# schema: mc-validate v{SCHEMA_VERSION}",
              f"# config-digest: sha256:{_config_digest(config)}",
              "status,check,left,right,difference,allowed"]

@@ -8,6 +8,17 @@ clustering formulas (with and without the non-link factors that mark a
 chain as shortest), and carries explicit truncation bounds for the closed
 forms of the sharp-window kernel where the infinite tail is known.
 
+The chain count to the antipode of a sharp window is summed exactly
+instead: it is p N^k times the density of k+1 uniform steps on [-w, w]
+wrapped onto the circle and read at pi, a finite sum of cardinal B-spline
+values (the Irwin-Hall density) over the few images within reach, and
+exactly 0 beyond reach, (k+1) w < pi.  The B-spline comes from the Cox-de
+Boor recurrence (de Boor, J. Approx. Theory 6, 1972), whose terms are all
+non-negative, so its error bound is a floating-point rounding bound.  The
+work is capped by ``MAX_SPLINE_OPS``.  The truncated series for the same
+count, ``chain_count_uniform`` at a gap of pi, is the independent
+cross-check.
+
 Everything here is pure arithmetic on coefficient arrays; the quadrature
 module computes the same quantities by direct integration and serves as the
 independent cross-check.
@@ -23,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .kernels import TWO_PI, DimensionError, UniformWindow
+from .kernels import TWO_PI, CostBudgetError, DimensionError, UniformWindow
 from .quadrature import integrate_periodic
 
 DEFAULT_TERMS = 4096
@@ -31,6 +42,9 @@ DEFAULT_CORRECTION_ORDER = 128
 DEFAULT_TAIL_TERMS = 500_000
 # triples touched by the cubic correction sums before a cost warning fires
 CORRECTION_COST_BUDGET = 40_000_000
+# Cox-de Boor work (images times (k+1)^2) allowed for one antipodal count
+MAX_SPLINE_OPS = 1 << 21
+UNIT_ROUNDOFF = 2.0 ** -53
 
 CURVE_MODES = ("leading", "full", "quadrature", "mc")
 
@@ -370,42 +384,109 @@ def chain_count_uniform(p: float, half_width: float, mean_degree: float,
 
     Evaluates (p/pi) (N/w)^k * (w^(k+1) + 2 sum sin(n w)^(k+1) cos(n gap)
     / n^(k+1)) with an explicit tail bound of 2 / (k tail_terms^k) on the
-    bracket.  Equals the generic power-sum route on the same kernel.
+    bracket, plus a bound on the floating-point rounding of the sines,
+    cosines and the sum, which dominates where the true count is 0.
+    Equals the generic power-sum route on the same kernel.
     """
     if k < 1:
         raise ValueError("chain counts need at least one intermediary")
     if not 0.0 < half_width <= np.pi:
         raise ValueError("window half-width must lie in (0, pi]")
     n = np.arange(1, tail_terms + 1)
-    terms = (np.sin(n * half_width) / n) ** (k + 1) * np.cos(n * gap)
-    bracket = half_width ** (k + 1) + 2.0 * float(np.sum(terms))
+    sines = np.sin(n * half_width)
+    terms = (sines / n) ** (k + 1) * np.cos(n * gap)
+    head = half_width ** (k + 1)
+    bracket = head + 2.0 * float(np.sum(terms))
     prefactor = (p / np.pi) * (mean_degree / half_width) ** k
-    bound = prefactor * 2.0 / (k * float(tail_terms) ** k)
-    return UncertainValue(float(prefactor * bracket), float(bound))
+    tail = 2.0 / (k * float(tail_terms) ** k)
+    # rounding: the sine and cosine of the rounded arguments n*w and n*gap
+    # are each off by at most (n*x + 8) units of roundoff; every term then
+    # compounds a few roundings, and the sum gamma_N of its absolute terms
+    sine_slack = (n * half_width + 8.0) * UNIT_ROUNDOFF
+    cosine_slack = (n * abs(gap) + 8.0) * UNIT_ROUNDOFF
+    reach = (np.abs(sines) + sine_slack) / n
+    arguments = reach ** k * ((k + 1) * sine_slack / n + reach * cosine_slack)
+    rounding = (_gamma(tail_terms + 12) * (head + 2.0 * float(np.sum(np.abs(terms))))
+                + 2.0 * float(np.sum(arguments)))
+    return UncertainValue(float(prefactor * bracket),
+                          float(prefactor * (tail + rounding)))
+
+
+def _gamma(count: int) -> float:
+    # Higham's gamma_n = n u / (1 - n u): the relative error of n compounded
+    # roundings
+    return count * UNIT_ROUNDOFF / (1.0 - count * UNIT_ROUNDOFF)
+
+
+def _cardinal_bspline(order: int, x):
+    """Cardinal B-spline N_order at the points ``x`` (array friendly).
+
+    N_order is the density of a sum of ``order`` independent U(0, 1)
+    variables, a piecewise polynomial on [0, order].  It is evaluated by
+    the Cox-de Boor recurrence N_r(y) = (y N_{r-1}(y) + (r - y)
+    N_{r-1}(y - 1)) / (r - 1), carried for every shift y = x - i at once.
+    Every term is non-negative, so each level adds at most four roundings:
+    the result is N_order(x) (1 + theta) with |theta| <= gamma_{4 order},
+    as long as no intermediate value underflows.
+    The alternating binomial sum for the same polynomial cancels
+    catastrophically at high orders; this recurrence does not.
+    """
+    x = np.asarray(x, dtype=float)[..., None]
+    shifts = np.arange(order)
+    y = x - shifts
+    values = ((y >= 0.0) & (y < 1.0)).astype(float)
+    for r in range(2, order + 1):
+        live = order - r + 1
+        values = (y[..., :live] * values[..., :live]
+                  + ((r + shifts[:live]) - x) * values[..., 1:live + 1]) / (r - 1)
+    return values[..., 0]
 
 
 def antipodal_chain_count_uniform(p: float, half_width: float, mean_degree: float,
                                   k: int,
                                   tail_terms: int = DEFAULT_TAIL_TERMS) -> AntipodalChainCount:
-    """Chain count to the diametrically opposite point, sharp window.
+    """Chain count to the diametrically opposite point, sharp window, exact.
 
-    At a gap of pi the cosine factors collapse to alternating signs, which
-    are applied exactly instead of through the cosine (the rounding in
-    n * pi would otherwise pollute high harmonics).  Also returns the count
-    divided by pi times the k-th power of the mean degree, the normalization
-    used for threshold plots.
+    The count is p N^k times the density of a walk of k+1 uniform steps on
+    [-w, w], wrapped onto the circle and read at pi.  With m = k + 1 that
+    is p N^k sum_j N_m(t_j), N_m the cardinal B-spline and
+    t_j = (pi + 2 pi j + m w) / (2 w), over the images with
+    |pi + 2 pi j| <= m w; beyond reach, (k+1) w < pi, the sum is empty and
+    the count is exactly 0.  Also returns the count divided by pi times
+    the k-th power of the mean degree, (p / pi) sum_j N_m(t_j), the
+    normalization used for threshold plots.
+
+    The error bounds cover floating-point rounding in the recurrence, the
+    image sum and the arguments t_j.  ``tail_terms`` is accepted for
+    compatibility with the truncated series and ignored: no tail is
+    dropped.  The work, images times m^2, must stay within
+    ``MAX_SPLINE_OPS`` (every k up to 127 at every width); larger requests
+    raise ``CostBudgetError`` before any work.
     """
     if k < 1:
         raise ValueError("chain counts need at least one intermediary")
     if not 0.0 < half_width <= np.pi:
         raise ValueError("window half-width must lie in (0, pi]")
-    n = np.arange(1, tail_terms + 1)
-    signs = np.where(n % 2 == 0, 1.0, -1.0)
-    terms = (np.sin(n * half_width) / n) ** (k + 1) * signs
-    bracket = half_width ** (k + 1) + 2.0 * float(np.sum(terms))
-    prefactor = (p / np.pi) * (mean_degree / half_width) ** k
-    bound = prefactor * 2.0 / (k * float(tail_terms) ** k)
-    value = UncertainValue(float(prefactor * bracket), float(bound))
-    scale = np.pi * mean_degree ** k
-    normalized = UncertainValue(value.value / scale, value.error_bound / scale)
-    return AntipodalChainCount(value, normalized)
+    order = k + 1
+    # largest odd multiple of pi within reach; the margin keeps every image
+    # whose exact argument lies in the support despite rounding
+    top = math.floor(order * half_width * (1.0 + 8.0 * UNIT_ROUNDOFF) / np.pi)
+    top -= 1 - top % 2
+    images = top + 1
+    cost = images * order * order
+    if cost > MAX_SPLINE_OPS:
+        raise CostBudgetError(f"antipodal B-spline sum for k={k}", cost,
+                              MAX_SPLINE_OPS)
+    odd = np.arange(-top, top + 1, 2, dtype=float)
+    shifted = (np.pi * odd + order * half_width) / (2.0 * half_width)
+    density = float(np.sum(_cardinal_bspline(order, shifted)))
+    # relative rounding of the recurrence, the image sum and the prefactor,
+    # plus each argument off by at most 4 m units of roundoff times the
+    # Lipschitz constant 1 of N_m
+    rounding = (2.0 * _gamma(4 * order + images + 4) * density
+                + images * 4.0 * order * UNIT_ROUNDOFF)
+    raw = p * mean_degree ** k
+    normalized = p / np.pi
+    return AntipodalChainCount(
+        UncertainValue(raw * density, raw * rounding),
+        UncertainValue(normalized * density, normalized * rounding))

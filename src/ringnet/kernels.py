@@ -32,6 +32,15 @@ class DimensionError(ValueError):
     """Angle dimensionality does not match the kernel."""
 
 
+class CostBudgetError(Exception):
+    """A sampling, counting or summing request would exceed its cost budget."""
+
+    def __init__(self, message: str, cost: int, budget: int):
+        super().__init__(f"{message}: cost {cost} exceeds budget {budget}")
+        self.cost = cost
+        self.budget = budget
+
+
 class ZeroMeanDegreeWarning(UserWarning):
     """The model's mean degree is zero; quantities normalised by it diverge."""
 

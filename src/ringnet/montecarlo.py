@@ -29,6 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .kernels import (
+    CostBudgetError,
     KernelValidationError,
     ProductKernel,
     TWO_PI,
@@ -43,15 +44,6 @@ MAX_ADJACENCY_CELLS = 1 << 28
 MAX_CHAIN_OPS = 1 << 32
 # uniform values fetched per generator call while sampling (8 bytes each)
 MAX_RUN_DRAWS = 1 << 14
-
-
-class CostBudgetError(Exception):
-    """A sampling or counting request would exceed its cost budget."""
-
-    def __init__(self, message: str, cost: int, budget: int):
-        super().__init__(f"{message}: cost {cost} exceeds budget {budget}")
-        self.cost = cost
-        self.budget = budget
 
 
 class EstimateUndefinedError(Exception):

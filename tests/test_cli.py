@@ -229,6 +229,58 @@ def test_sweep_phi_rejects_bad_grid(tmp_path, capsys):
     assert code == EXIT_CONFIG_ERROR
 
 
+GRID = [0.5, 2.0]
+
+
+@pytest.mark.parametrize("computation", [
+    {"phi_grid": GRID, "k_list": [0]},
+    {"phi_grid": GRID, "k_list": ["2"]},
+    {"phi_grid": GRID, "k_list": [2.5]},
+    {"phi_grid": GRID, "k_list": [True]},
+    {"phi_grid": GRID, "tail_terms": 0},
+    {"phi_grid": GRID, "tail_terms": "5"},
+    {"phi_grid": GRID, "tail_terms": -3},
+    {"phi_grid": GRID, "p": "0.1"},
+    {"phi_grid": GRID, "p": 2.0},
+    {"phi_points": 0},
+    {"phi_points": 2.5},
+    {"phi_grid": "ab"},
+    {"phi_grid": [True]},
+    {"phi_grid": [float("nan")]},
+], ids=["k0", "k-string", "k-float", "k-bool", "tail-zero", "tail-string",
+        "tail-negative", "p-string", "p-above-one", "points-zero",
+        "points-float", "grid-string", "grid-bool", "grid-nan"])
+def test_sweep_phi_rejects_bad_computation(tmp_path, capsys, computation):
+    config = write_config(tmp_path, {"computation": computation})
+    code = main(["sweep-phi", "--config", config])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_sweep_phi_refuses_chain_order_over_budget(tmp_path, capsys):
+    config = write_config(tmp_path, {"computation": {"phi_grid": [0.5, 3.0],
+                                                     "k_list": [400]}})
+    code = main(["sweep-phi", "--config", config])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL_FAILURE
+    assert captured.err.startswith("numerical failure:")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_separation_rejects_boolean_chain_order(tmp_path, capsys):
+    config = write_config(tmp_path, {"computation": {"k_list": [True]}})
+    code, _ = run_cli(capsys, "separation", "--config", config)
+    assert code == EXIT_CONFIG_ERROR
+
+
+def test_boolean_trials_rejected(tmp_path, capsys):
+    config = write_config(tmp_path, {"mc": {"trials": True}})
+    code, _ = run_cli(capsys, "clustering", "--config", config, "--modes", "mc")
+    assert code == EXIT_CONFIG_ERROR
+
+
 def test_mc_validate_passes_and_is_deterministic(tmp_path):
     config = write_config(tmp_path, {
         "computation": {"battery_trials": FAST_BATTERY},

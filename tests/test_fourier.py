@@ -1,11 +1,15 @@
 """Series analytics: coefficients, chain counts, clustering, closed forms."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ringnet import fourier
 from ringnet import (
+    CostBudgetError,
     CircleModel,
     CosineSeries,
     FourierSeries,
@@ -324,6 +328,114 @@ def test_antipodal_threshold_order_shifts_with_k():
         ).normalized.value for w in grid]
         thresholds.append(next(w for w, v in zip(grid, values) if v >= half))
     assert all(a > b for a, b in zip(thresholds, thresholds[1:]))
+
+
+def test_chain_uniform_bound_covers_rounding_beyond_reach():
+    # (k+1) w < pi: no chain reaches the antipode, so the true count is 0 and
+    # whatever the truncated sum returns is rounding that the bound must cover
+    p = 0.1
+    for k in (4, 6, 10, 20):
+        for width in np.linspace(math.pi / 64, math.pi, 64):
+            if (k + 1) * width >= math.pi:
+                break
+            result = chain_count_uniform(p, float(width), 2.0 * p * width * 20.0,
+                                         k, math.pi)
+            assert abs(result.value) <= result.error_bound
+
+
+# ---------------------------------------------------------------------------
+# exact antipodal counts from the cardinal B-spline
+# ---------------------------------------------------------------------------
+
+def _bspline_exact(order, x):
+    # alternating binomial sum in exact rational arithmetic
+    x = Fraction(x)
+    total = sum((-1) ** i * math.comb(order, i) * (x - i) ** (order - 1)
+                for i in range(order + 1) if x > i)
+    return total / math.factorial(order - 1)
+
+
+@pytest.mark.parametrize("order", [2, 3, 21, 81, 161])
+def test_bspline_matches_exact_rational_sum(order):
+    rng = np.random.default_rng(order)
+    points = np.concatenate([rng.uniform(0.0, order, 24),
+                             [0.0, 0.5, 1.0, order / 2.0, float(order), -0.5,
+                              order + 0.5]])
+    values = fourier._cardinal_bspline(order, points)
+    for x, value in zip(points, values):
+        exact = _bspline_exact(order, float(x))
+        if exact < 1e-300:
+            # below the normal range the float result may underflow to 0
+            assert abs(value) <= 1e-300
+            continue
+        # the documented bound: four roundings per recurrence level
+        assert abs(Fraction(float(value)) - exact) <= fourier._gamma(4 * order) * exact
+
+
+def test_antipodal_first_order_closed_form():
+    p, radius = 0.15, 20.0
+    for width in np.linspace(0.1, math.pi, 37):
+        degree = 2.0 * radius * p * width
+        result = antipodal_chain_count_uniform(p, float(width), degree, 1)
+        expected = p * degree * max(0.0, 2.0 - math.pi / width)
+        assert result.value.value == pytest.approx(expected, rel=1e-14,
+                                                   abs=1e-15)
+        assert abs(result.value.value - expected) <= result.value.error_bound + 1e-18
+
+
+def test_antipodal_exact_zero_beyond_reach():
+    for k in (1, 2, 6, 20):
+        for width in np.linspace(0.01, 0.999 * math.pi / (k + 1), 9):
+            result = antipodal_chain_count_uniform(0.2, float(width), 3.0, k)
+            assert result.value.value == 0.0
+            assert result.normalized.value == 0.0
+
+
+def test_antipodal_high_order_narrow_window():
+    # k = 20 at w = 0.3: alternating sums cancel here; the recurrence must
+    # match an exact rational evaluation at the same rounded arguments
+    p, width, k = 0.1, 0.3, 20
+    order = k + 1
+    result = antipodal_chain_count_uniform(p, width, 1.0, k)
+    pi = Fraction(math.pi)
+    total = Fraction(0)
+    for odd in range(-order, order + 1, 2):
+        if abs(odd) * pi <= order * Fraction(width):
+            total += _bspline_exact(
+                order, (pi * odd + order * Fraction(width)) / (2 * Fraction(width)))
+    expected = float(Fraction(p) / pi * total)
+    assert result.normalized.value == pytest.approx(expected, rel=1e-13)
+    series = chain_count_uniform(p, width, 1.0, k, math.pi)
+    assert abs(series.value - result.value.value) <= (series.error_bound
+                                                      + result.value.error_bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 12),
+       width=st.floats(0.05, math.pi),
+       p=st.floats(0.01, 1.0),
+       radius=st.floats(1.0, 50.0))
+def test_antipodal_exact_agrees_with_truncated_series(k, width, p, radius):
+    degree = 2.0 * radius * p * width
+    exact = antipodal_chain_count_uniform(p, width, degree, k)
+    series = chain_count_uniform(p, width, degree, k, math.pi, tail_terms=4096)
+    assert abs(exact.value.value - series.value) <= (series.error_bound
+                                                     + exact.value.error_bound)
+
+
+def test_antipodal_budget_refuses_before_work(monkeypatch):
+    calls = []
+    spline = fourier._cardinal_bspline
+    monkeypatch.setattr(fourier, "_cardinal_bspline",
+                        lambda *args: calls.append(args) or spline(*args))
+    # k = 100 at the widest window stays within the budget
+    antipodal_chain_count_uniform(0.1, math.pi, 1.0, 100)
+    assert len(calls) == 1
+    order = 10_000_001
+    with pytest.raises(CostBudgetError) as refused:
+        antipodal_chain_count_uniform(0.1, math.pi, 1.0, order - 1)
+    assert len(calls) == 1
+    assert refused.value.cost == (order + 1) * order ** 2
 
 
 # ---------------------------------------------------------------------------
