@@ -47,6 +47,7 @@ from .kernels import (
     kernel_from_config,
     kernel_to_config,
     mean_degree,
+    model_axes,
     model_from_config,
     model_to_config,
     validate,
@@ -174,6 +175,22 @@ def _positive_int(config, section, key, default=None):
     return value
 
 
+def _analytic_settings(config, default_modes, default_tolerance):
+    """Modes, series terms, correction order and quadrature tolerance."""
+    computation = config["computation"]
+    modes = computation.get("modes", default_modes)
+    if not isinstance(modes, list) or not all(isinstance(m, str) for m in modes):
+        raise ConfigError("computation.modes must be a list of mode names")
+    order = computation.get("correction_order", fourier.DEFAULT_CORRECTION_ORDER)
+    if not _is_count(order, 0):
+        raise ConfigError("computation.correction_order must be a non-negative integer")
+    tolerance = computation.get("tolerance", default_tolerance)
+    if tolerance is not None and not (_is_real(tolerance) and 0.0 < tolerance < math.inf):
+        raise ConfigError("computation.tolerance must be a positive finite number")
+    terms = _positive_int(config, "computation", "terms", fourier.DEFAULT_TERMS)
+    return modes, terms, order, tolerance
+
+
 def _chain_orders(computation, default, least):
     orders = computation.get("k_list", default)
     if not isinstance(orders, list) or not all(_is_count(k, least) for k in orders):
@@ -232,12 +249,6 @@ def _series_for_kernel(kernel, terms):
     raise ConfigError("series modes need a uniform or cosine kernel per axis")
 
 
-def _axis_parts(model):
-    if isinstance(model, CircleModel):
-        return [(model.radius, model.kernel)]
-    return list(zip(model.radii, model.kernel.factors))
-
-
 def _ring_nodes(config):
     nodes = config["mc"].get("nodes")
     if not isinstance(nodes, int) or nodes < 3:
@@ -262,12 +273,9 @@ def _uniform_only(model, mode):
 
 def cmd_clustering(config):
     model = _build_model(config)
-    computation = config["computation"]
-    modes = computation.get("modes", ["closed", "leading", "quadrature"])
-    terms = computation.get("terms", fourier.DEFAULT_TERMS)
+    modes, terms, correction_order, tolerance = _analytic_settings(
+        config, ["closed", "leading", "quadrature"], None)
     tail_terms = _positive_int(config, "computation", "tail_terms", 1_000_000)
-    correction_order = computation.get("correction_order",
-                                       fourier.DEFAULT_CORRECTION_ORDER)
     with warnings.catch_warnings():
         # the zero case becomes a hard config error right here
         warnings.simplefilter("ignore", ZeroMeanDegreeWarning)
@@ -290,7 +298,7 @@ def cmd_clustering(config):
                 raise ConfigError("full mode does not factorise over torus axes")
             value = 1.0
             bound = 0.0
-            for radius, kernel in _axis_parts(model):
+            for radius, kernel in model_axes(model):
                 series = _series_for_kernel(kernel, terms)
                 axis_degree = mean_degree(CircleModel(radius, kernel))
                 value *= fourier.clustering_from_series(
@@ -301,12 +309,9 @@ def cmd_clustering(config):
                     bound += kernel.p / (np.pi * kernel.half_width ** 2) / terms ** 2
             records.append(_clustering_record(mode, value, bound))
         elif mode == "quadrature":
-            tolerance = computation.get("tolerance")
-            value = quadrature.clustering_by_quadrature(model, tol=tolerance)
-            used = tolerance if tolerance is not None else (
-                quadrature.DEFAULT_TOL if isinstance(model, CircleModel)
-                else quadrature.DEFAULT_TORUS_TOL)
-            records.append(_clustering_record(mode, value, used))
+            result = quadrature.clustering_result(model, tol=tolerance)
+            records.append(_clustering_record(mode, result.value,
+                                              result.error_estimate))
         else:
             if isinstance(model, CircleModel):
                 shape = _ring_nodes(config)
@@ -334,15 +339,17 @@ def cmd_clustering(config):
 # separation command
 # ---------------------------------------------------------------------------
 
-def _gap_grid(computation):
-    grid = computation.get("gap_grid")
+def _gap_grid(config):
+    grid = config["computation"].get("gap_grid")
     if grid is None:
-        count = computation.get("gap_points", 25)
+        count = _positive_int(config, "computation", "gap_points", 25)
         grid = np.linspace(0.0, math.pi, count).tolist()
-    grid = [float(g) for g in grid]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("gap grid must be non-empty and strictly increasing")
-    return grid
+    if not (isinstance(grid, list) and grid
+            and all(_is_real(g) and math.isfinite(g) for g in grid)
+            and all(a < b for a, b in zip(grid, grid[1:]))):
+        raise ConfigError("computation.gap_grid must be a non-empty, strictly "
+                          "increasing list of finite numbers")
+    return [float(g) for g in grid]
 
 
 def _model_label(model):
@@ -379,9 +386,9 @@ def _analytic_curve(model, series, order, grid, mode, terms, correction_order,
         else:
             if order not in (1, 2):
                 raise ConfigError("quadrature mode covers chain orders 1 and 2")
-            values.append(quadrature.chain_count_by_quadrature(
-                model, order, gap, tol=tolerance))
-            errors.append(tolerance)
+            result = quadrature.chain_count_result(model, order, gap, tol=tolerance)
+            values.append(result.value)
+            errors.append(result.error_estimate)
     return fourier.SeparationCurve(separation=order, gaps=tuple(grid),
                                    values=tuple(values), mode=mode,
                                    model_label=_model_label(model),
@@ -393,13 +400,10 @@ def cmd_separation(config):
     if not isinstance(model, CircleModel):
         raise ConfigError("separation curves are defined on circle models")
     computation = config["computation"]
-    modes = computation.get("modes", ["leading"])
+    modes, terms, correction_order, tolerance = _analytic_settings(
+        config, ["leading"], quadrature.DEFAULT_TOL)
     orders = _chain_orders(computation, [1, 2], least=0)
-    terms = computation.get("terms", fourier.DEFAULT_TERMS)
-    correction_order = computation.get("correction_order",
-                                       fourier.DEFAULT_CORRECTION_ORDER)
-    tolerance = computation.get("tolerance", quadrature.DEFAULT_TOL)
-    grid = _gap_grid(computation)
+    grid = _gap_grid(config)
     curves = []
     trial_counts = {}
     for mode in modes:
@@ -587,7 +591,7 @@ def _battery_checks(config):
     seed = mc_section["seed"]
     threads = mc_section["threads"]
     computation = config["computation"]
-    terms = computation.get("terms", 200_000)
+    terms = _positive_int(config, "computation", "terms", 200_000)
     trials = computation.get("battery_trials", {})
 
     checks = []
@@ -776,7 +780,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (quadrature.QuadratureError, montecarlo.CostBudgetError,
+    except (quadrature.QuadratureError, quadrature.BudgetError, montecarlo.CostBudgetError,
             montecarlo.EstimateUndefinedError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

@@ -282,6 +282,15 @@ class TorusModel:
         return len(self.radii)
 
 
+def model_axes(model) -> list:
+    """Per-axis (radius, kernel) pairs of a circle or torus model."""
+    if isinstance(model, CircleModel):
+        return [(model.radius, model.kernel)]
+    if isinstance(model, TorusModel):
+        return list(zip(model.radii, model.kernel.factors))
+    raise TypeError(f"not a network model: {model!r}")
+
+
 def mean_degree(model) -> float:
     """Expected number of neighbours of a node under the model.
 

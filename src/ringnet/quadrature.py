@@ -11,21 +11,33 @@ so that its results can serve as an independent cross-check.  It offers
   discontinuities introduced by shifted kernel factors, and
 * exact expected chain counts on a finite ring of equally spaced nodes,
   obtained by brute-force summation over intermediate nodes.
+
+Every nested integral runs through one batched core, :func:`_nested_integral`:
+the inner integrals of all outer nodes with a nonzero factor are evaluated
+together, rows with equal panel counts in batches of at most
+``MAX_BATCH_POINTS`` inner points, and the outer sum is accumulated node by
+node, so values are bit for bit those of a loop over the outer nodes.
+Gauss-Legendre rules are computed once per order and process.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (CircleModel, ProductKernel, TorusModel, TWO_PI,
-                      mean_degree, wrap_angle)
+from .kernels import (CircleModel, TorusModel, TWO_PI, mean_degree, model_axes,
+                      wrap_angle)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_TORUS_TOL = 1e-6
 
 _GAUSS_ORDERS = (4, 8, 16, 32, 64, 128, 256, 512)
 _SMOOTH_COUNTS = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
+
+# inner points evaluated together in one batch of a nested integral: a
+# fixed bound on the memory of its temporaries, not a tuning option
+MAX_BATCH_POINTS = 1 << 15
 
 
 class QuadratureError(RuntimeError):
@@ -71,40 +83,66 @@ class ChainCounts:
 # node/weight construction
 # ---------------------------------------------------------------------------
 
-def _inner_breaks(breakpoints):
-    """Sorted unique breakpoints strictly inside (-pi, pi)."""
-    if len(breakpoints) == 0:
-        return []
-    wrapped = np.atleast_1d(wrap_angle(np.asarray(breakpoints, dtype=float)))
-    inside = wrapped[(wrapped > -math.pi + 1e-13) & (wrapped < math.pi - 1e-13)]
-    if inside.size == 0:
-        return []
-    ordered = np.sort(inside)
-    keep = np.concatenate([[True], np.diff(ordered) > 1e-12])
-    return list(ordered[keep])
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _rule_size(count, level):
+    """Nodes of the rule at ``level`` with ``count`` interior breakpoints."""
+    if count:
+        return (count + 1) * _GAUSS_ORDERS[min(level, len(_GAUSS_ORDERS) - 1)]
+    return _SMOOTH_COUNTS[min(level, len(_SMOOTH_COUNTS) - 1)]
+
+
+def _inner_breaks(candidates):
+    """Sorted distinct breakpoints in (-pi, pi) per row of ``candidates``, at
+    the front of the row and padded with +inf, and their count per row."""
+    wrapped = wrap_angle(candidates)
+    inside = (wrapped > -math.pi + 1e-13) & (wrapped < math.pi - 1e-13)
+    ordered = np.sort(np.where(inside, wrapped, np.inf), axis=1)
+    keep = np.isfinite(ordered)
+    with np.errstate(invalid="ignore"):  # inf - inf in the padding
+        keep[:, 1:] &= np.diff(ordered, axis=1) > 1e-12
+    return np.sort(np.where(keep, ordered, np.inf), axis=1), keep.sum(axis=1)
+
+
+def _derived_breaks(base, shifts):
+    """Breakpoint candidates per row of ``shifts`` (R, S): every base point
+    and 0, with either sign, offset by every shift of the row; none at all
+    for a kernel without breakpoints."""
+    column = np.asarray(shifts, dtype=float)[:, :, None]
+    if not base:
+        return np.empty((column.shape[0], 0))
+    points = np.array([*base, 0.0])
+    derived = np.concatenate([points + column, -points + column], axis=2)
+    return wrap_angle(derived.reshape(column.shape[0], -1))
 
 
 def _panel_rule(breaks, level):
-    """Nodes and weights over [-pi, pi] for refinement ``level``.
+    """Nodes and weights (R, n) over [-pi, pi] for refinement ``level``, one
+    row per row of interior ``breaks`` (R, B).
 
-    With interior breakpoints the rule is composite Gauss-Legendre on the
-    panels between consecutive breakpoints; without any it is the equispaced
+    With breakpoints the rule is composite Gauss-Legendre on the panels
+    between consecutive breakpoints; without any it is the equispaced
     midpoint rule, which converges spectrally for smooth periodic integrands.
     """
-    if breaks:
-        order = _GAUSS_ORDERS[min(level, len(_GAUSS_ORDERS) - 1)]
-        base_x, base_w = np.polynomial.legendre.leggauss(order)
-        edges = np.array([-math.pi, *breaks, math.pi])
-        nodes, weights = [], []
-        for left, right in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (right - left)
-            nodes.append(0.5 * (left + right) + half * base_x)
-            weights.append(half * base_w)
-        return np.concatenate(nodes), np.concatenate(weights)
+    rows = breaks.shape[0]
+    if breaks.shape[1]:
+        base_x, base_w = _gauss_rule(_GAUSS_ORDERS[min(level, len(_GAUSS_ORDERS) - 1)])
+        edges = np.pad(breaks, ((0, 0), (1, 1)), constant_values=(-math.pi, math.pi))
+        left, right = edges[:, :-1, None], edges[:, 1:, None]
+        half = 0.5 * (right - left)
+        nodes = 0.5 * (left + right) + half * base_x
+        return nodes.reshape(rows, -1), (half * base_w).reshape(rows, -1)
     count = _SMOOTH_COUNTS[min(level, len(_SMOOTH_COUNTS) - 1)]
     step = TWO_PI / count
     nodes = -math.pi + step * (np.arange(count) + 0.5)
-    return nodes, np.full(count, step)
+    return np.repeat(nodes[None, :], rows, axis=0), np.full((rows, count), step)
 
 
 def integrate_periodic(f, breakpoints=(), tol=DEFAULT_TOL, max_evaluations=2_000_000):
@@ -134,81 +172,179 @@ def integrate_periodic(f, breakpoints=(), tol=DEFAULT_TOL, max_evaluations=2_000
         If the tolerance is not reached within the evaluation budget; the
         error carries the tolerance actually achieved.
     """
-    breaks = _inner_breaks(breakpoints)
-    evaluations = 0
-    previous = None
-    difference = math.inf
-    for level in range(len(_SMOOTH_COUNTS)):
+    breaks, counts = _inner_breaks(np.asarray(breakpoints, dtype=float).reshape(1, -1))
+    breaks = breaks[:, :counts[0]]
+    # the levels whose rules fit in the evaluation budget together
+    sizes = [_rule_size(counts[0], level) for level in range(len(_SMOOTH_COUNTS))]
+    levels = int(np.searchsorted(np.cumsum(sizes), max_evaluations, side="right"))
+
+    def value_at(level):
         nodes, weights = _panel_rule(breaks, level)
-        if evaluations + nodes.size > max_evaluations:
-            break
-        values = np.asarray(f(nodes), dtype=float)
-        evaluations += nodes.size
-        current = float(np.sum(weights * values))
+        return float(np.sum(weights[0] * np.asarray(f(nodes[0]), dtype=float))), nodes.size
+
+    return _converge(value_at, tol, "periodic integral", levels)
+
+
+def _grid(rules):
+    """Tensor grids of per-axis (nodes, weights) pairs, each (R, n_a): points
+    (R, N, K) and weights (R, N), the first axis varying slowest."""
+    rows, dim = rules[0][0].shape[0], len(rules)
+    shapes = [[rows] + [-1 if b == a else 1 for b in range(dim)] for a in range(dim)]
+    points = np.stack(np.broadcast_arrays(
+        *[nodes.reshape(shape) for (nodes, _), shape in zip(rules, shapes)]), axis=-1)
+    weights = np.ones(points.shape[:-1])
+    for (_, axis_weights), shape in zip(rules, shapes):
+        weights = weights * axis_weights.reshape(shape)
+    return points.reshape(rows, -1, dim), weights.reshape(rows, -1)
+
+
+def _tensor_rules(axes, shifts, level):
+    """Tensor-grid rules for R rows of shifts, ``shifts[a]`` (R, S_a) per axis,
+    in batches of rows with equal panel counts on every axis and at most
+    ``MAX_BATCH_POINTS`` points (or one row).  Yields the row indices, points
+    (G, N, K) and weights (G, N) of each batch."""
+    per_axis = [_inner_breaks(_derived_breaks(kernel.breakpoints(), s))
+                for (_, kernel), s in zip(axes, shifts)]
+    counts = np.stack([axis_counts for _, axis_counts in per_axis], axis=1)
+    shapes, group_of_row = np.unique(counts, axis=0, return_inverse=True)
+    for group, shape in enumerate(shapes):
+        members = np.flatnonzero(group_of_row.ravel() == group)
+        size = math.prod(_rule_size(count, level) for count in shape)
+        step = max(1, MAX_BATCH_POINTS // size)
+        for start in range(0, members.size, step):
+            rows = members[start:start + step]
+            yield (rows, *_grid([_panel_rule(breaks[rows, :count], level)
+                                 for (breaks, _), count in zip(per_axis, shape)]))
+
+
+def _tensor_rule(axes, shifts, level):
+    """Points (N, K) and weights (N,) of the tensor grid for one row of shifts."""
+    ((_, points, weights),) = _tensor_rules(
+        axes, [np.asarray([s], dtype=float) for s in shifts], level)
+    return points[0], weights[0]
+
+
+def _eval_axes(axes, points):
+    """Product of the per-axis kernels at angle vectors along the last axis."""
+    values = np.ones(points.shape[:-1])
+    for axis, (_, kernel) in enumerate(axes):
+        values = values * kernel.evaluate(points[..., axis])
+    return values
+
+
+def _nested_integral(axes, outer_shifts, outer_factor, inner_shifts, integrand,
+                     level):
+    """Iterated integral at one level: the outer grid sum of ``weight *
+    outer_factor(x) * inner(x)``, inner(x) the integral over y of
+    ``integrand(x, y)`` on panels from ``inner_shifts`` and x's coordinates.
+    Returns the value and the number of points evaluated."""
+    points, weights = _tensor_rule(axes, outer_shifts, level)
+    factor = outer_factor(points)
+    live = np.flatnonzero((factor != 0.0) & (weights != 0.0))
+    outer = points[live]
+    shifts = [np.column_stack([np.tile(np.asarray(fixed, dtype=float), (live.size, 1)),
+                               outer[:, axis]]) for axis, fixed in enumerate(inner_shifts)]
+    inner = np.empty(live.size)
+    evaluations = points.shape[0]
+    for rows, grid, grid_weights in _tensor_rules(axes, shifts, level):
+        values = integrand(outer[rows, None, :], grid)
+        inner[rows] = np.sum(grid_weights * values, axis=1)
+        evaluations += values.size
+    total = 0.0
+    for term in (weights[live] * factor[live] * inner).tolist():
+        total += term  # one node at a time in grid order, as a per-node loop adds
+    return total, evaluations
+
+
+def _converge(value_at, tol, label, levels=6):
+    """Refine until two successive values agree to within ``tol``;
+    ``value_at(level)`` returns a value and its evaluation count."""
+    previous, difference, evaluations = None, math.inf, 0
+    for level in range(levels):
+        value, count = value_at(level)
+        evaluations += count
         if previous is not None:
-            difference = abs(current - previous)
+            difference = abs(value - previous)
             if difference <= tol:
-                return IntegrationResult(current, difference, evaluations)
-        previous = current
-    raise QuadratureError(
-        f"periodic integral did not converge to {tol:.1e}",
-        achieved=difference, evaluations=evaluations)
+                return IntegrationResult(value, difference, evaluations)
+        previous = value
+    raise QuadratureError(f"{label} did not converge to {tol:.1e}",
+                          achieved=difference, evaluations=evaluations)
+
+
+def _chain_integral(axes, k, gaps, with_exclusion, tol):
+    if k == 1:
+        # integral over x of Q(x) * Q(gap - x); the only exclusion factor for
+        # one intermediary is the direct-link term the callers apply
+        def value_at(level):
+            points, weights = _tensor_rule(axes, [(0.0, g) for g in gaps], level)
+            values = _eval_axes(axes, points) * _eval_axes(axes, gaps - points)
+            return float(np.sum(weights * values)), values.size
+
+        return _converge(value_at, tol, "one-intermediate chain integral")
+
+    # Iterated integral over x, y of Q(x) Q(y-x) Q(gap-y) [1-Q(y)] [1-Q(x-gap)],
+    # the bracketed factors only when exclusions are requested.  The inner
+    # level runs at the same refinement level as the outer one; convergence
+    # is judged on the composed value, so both resolutions double together.
+    def outer_factor(x):
+        factor = _eval_axes(axes, x)
+        return factor * (1.0 - _eval_axes(axes, x - gaps)) if with_exclusion else factor
+
+    def integrand(x, y):
+        values = _eval_axes(axes, y - x) * _eval_axes(axes, gaps - y)
+        return values * (1.0 - _eval_axes(axes, y)) if with_exclusion else values
+
+    # the composed outer integrand changes slope wherever a moving edge of
+    # the inner window crosses a fixed break, so the outer panel edges are
+    # the sumset of the fixed breaks with the window edges
+    outer = [_derived_breaks(kernel.breakpoints(), [[0.0, g]])[0]
+             for (_, kernel), g in zip(axes, gaps)]
+    return _converge(lambda level: _nested_integral(
+        axes, outer, outer_factor, [(0.0, g) for g in gaps], integrand, level),
+        tol, "two-intermediate chain integral")
+
+
+def _triangle_integral(axes, anchor, tol):
+    # iterated integral over x, y of Q(x - anchor) Q(y - x) Q(y - anchor),
+    # one anchor angle per axis; inner refinement is locked to the outer
+    # level, see _chain_integral for the rationale
+    outer = [[a] + [a + 2.0 * b for b in kernel.breakpoints()]
+             for (_, kernel), a in zip(axes, anchor)]
+    return _converge(lambda level: _nested_integral(
+        axes, outer, lambda x: _eval_axes(axes, x - anchor), [(a,) for a in anchor],
+        lambda x, y: _eval_axes(axes, y - x) * _eval_axes(axes, y - anchor), level),
+        tol, "triangle integral")
+
+
+def _product_error(terms):
+    """Error of the product of ``scale * result.value`` over (scale, result)
+    pairs when each value may be off by its ``error_estimate``."""
+    size, error = 1.0, 0.0
+    for scale, result in terms:
+        error = abs(scale) * (error * (abs(result.value) + result.error_estimate)
+                              + size * result.error_estimate)
+        size *= abs(scale * result.value)
+    return error
 
 
 # ---------------------------------------------------------------------------
 # chain and clustering integrals
 # ---------------------------------------------------------------------------
 
-def _axis_data(model):
-    """Per-axis (radius, kernel) pairs for a circle or torus model."""
-    if isinstance(model, CircleModel):
-        return [(model.radius, model.kernel)]
-    if isinstance(model, TorusModel):
-        return list(zip(model.radii, model.kernel.factors))
-    raise TypeError(f"not a network model: {model!r}")
-
-
-def _derived_breaks(base, shifts):
-    """Breakpoint candidates: every base point offset by every shift."""
-    out = set()
-    for shift in shifts:
-        for point in [*base, 0.0]:
-            out.add(float(wrap_angle(point + shift)))
-            out.add(float(wrap_angle(-point + shift)))
-    return sorted(out)
-
-
-def _axis_rule(kernel, extra_shifts, level):
-    base = list(kernel.breakpoints())
-    breaks = _inner_breaks(_derived_breaks(base, extra_shifts)) if base else []
-    return _panel_rule(breaks, level)
-
-
-def _grid(axes_rules):
-    """Tensor grid from per-axis (nodes, weights): points (N, K), weights (N,)."""
-    meshes = np.meshgrid(*[r[0] for r in axes_rules], indexing="ij")
-    points = np.stack([m.ravel() for m in meshes], axis=-1)
-    wmeshes = np.meshgrid(*[r[1] for r in axes_rules], indexing="ij")
-    weights = np.ones(points.shape[0])
-    for wm in wmeshes:
-        weights = weights * wm.ravel()
-    return points, weights
-
-
-def _eval_axes(axes, offsets_points):
-    """Product of per-axis kernel values at an (N, K) array of angle vectors."""
-    values = np.ones(offsets_points.shape[0])
-    for axis_index, (_, kernel) in enumerate(axes):
-        values = values * kernel.evaluate(offsets_points[:, axis_index])
-    return values
-
-
-def _check_chain_order(k):
+def _chain_setup(model, k, gap, tol):
     if k not in (1, 2):
         raise ValueError(f"chain quadrature supports 1 or 2 intermediaries, got {k}")
+    axes = model_axes(model)
+    gaps = np.atleast_1d(np.asarray(gap, dtype=float))
+    if gaps.shape[0] != len(axes):
+        raise ValueError(f"expected {len(axes)} gap components, got {gaps.shape[0]}")
+    if tol is None:
+        tol = DEFAULT_TOL if len(axes) == 1 else DEFAULT_TORUS_TOL
+    return axes, gaps, tol
 
 
-def chain_count_by_quadrature(model, k, gap, with_exclusion=False, tol=None):
+def chain_count_result(model, k, gap, with_exclusion=False, tol=None):
     """Expected k-intermediary chain count between nodes a fixed distance apart.
 
     Parameters
@@ -230,148 +366,69 @@ def chain_count_by_quadrature(model, k, gap, with_exclusion=False, tol=None):
 
     Returns
     -------
-    float
-        The expected chain count.  Reduced values (``with_exclusion=False``)
-        are plain expectations and may exceed 1.
+    IntegrationResult
+        The expected chain count; reduced values (``with_exclusion=False``)
+        are plain expectations and may exceed 1.  ``error_estimate`` is the
+        achieved difference of the last two refinement levels, scaled like
+        the value (``R**k`` per axis, the direct-link factor).
     """
-    _check_chain_order(k)
-    axes = _axis_data(model)
-    dim = len(axes)
-    if tol is None:
-        tol = DEFAULT_TOL if dim == 1 else DEFAULT_TORUS_TOL
-    gaps = np.atleast_1d(np.asarray(gap, dtype=float))
-    if gaps.shape[0] != dim:
-        raise ValueError(f"expected {dim} gap components, got {gaps.shape[0]}")
-    if with_exclusion and dim > 1:
+    axes, gaps, tol = _chain_setup(model, k, gap, tol)
+    if with_exclusion and len(axes) > 1:
         raise ValueError("exclusion factors do not factorise over torus axes; "
                          "they are supported for circle models only")
 
     # the integrand factorises over the axes, so each axis is integrated on
     # its own and the results multiplied (cross-check: the *_torus_grid
     # routines evaluate the same integrals without factorising)
-    value = 1.0
+    value, terms = 1.0, []
     for (radius, kernel), axis_gap in zip(axes, gaps):
-        single = [(radius, kernel)]
-        if k == 1:
-            # the only exclusion factor for one intermediary is the
-            # direct-link term applied below; the integrand is unchanged
-            integral = _integral_one_intermediate(single, np.array([axis_gap]), tol)
-        else:
-            integral = _integral_two_intermediates(
-                single, np.array([axis_gap]), with_exclusion, tol)
-        value *= radius ** k * integral
+        integral = _chain_integral([(radius, kernel)], k, np.array([axis_gap]),
+                                   with_exclusion, tol)
+        terms.append((radius ** k, integral))
+        value *= radius ** k * integral.value
+    error = _product_error(terms)
     if with_exclusion:
         direct = _eval_axes(axes, gaps[None, :])[0]
         value = value * (1.0 - direct)
-    return value
+        error = error * abs(1.0 - direct)
+    return IntegrationResult(value, error, sum(r.evaluations for _, r in terms))
 
 
-def _converge(value_at, tol, label, levels=6):
-    previous = None
-    difference = None
-    for level in range(levels):
-        value = value_at(level)
-        if previous is not None:
-            difference = abs(value - previous)
-            if difference <= tol:
-                return value
-        previous = value
-    raise QuadratureError(f"{label} did not converge to {tol:.1e}", achieved=difference)
+def chain_count_by_quadrature(model, k, gap, with_exclusion=False, tol=None):
+    """The value of :func:`chain_count_result`, a float."""
+    return chain_count_result(model, k, gap, with_exclusion, tol).value
 
 
-def _integral_one_intermediate(axes, gaps, tol):
-    # integral over x of Q(x) * Q(gap - x)
-    def value_at(level):
-        rules = [_axis_rule(kern, [0.0, g], level) for (_, kern), g in zip(axes, gaps)]
-        points, weights = _grid(rules)
-        integrand = _eval_axes(axes, points) * _eval_axes(axes, gaps[None, :] - points)
-        return float(np.sum(weights * integrand))
-
-    return _converge(value_at, tol, "one-intermediate chain integral")
-
-
-def _integral_two_intermediates(axes, gaps, with_exclusion, tol):
-    # Iterated integral over x, y of Q(x) Q(y-x) Q(gap-y) [1-Q(y)] [1-Q(x-gap)],
-    # the bracketed factors only when exclusions are requested.  The inner
-    # level runs at the same refinement level as the outer one; convergence
-    # is judged on the composed value, so both resolutions double together.
-    def inner(x_vec, level):
-        rules = [_axis_rule(kern, [0.0, g, xv], level)
-                 for (_, kern), g, xv in zip(axes, gaps, x_vec)]
-        points, weights = _grid(rules)
-        integrand = (_eval_axes(axes, points - x_vec[None, :])
-                     * _eval_axes(axes, gaps[None, :] - points))
-        if with_exclusion:
-            integrand = integrand * (1.0 - _eval_axes(axes, points))
-        return float(np.sum(weights * integrand))
-
-    def value_at(level):
-        # the composed outer integrand changes slope wherever a moving edge
-        # of the inner window crosses a fixed break, so the outer panel
-        # edges are the sumset of the fixed breaks with the window edges
-        rules = [_axis_rule(kern,
-                            _derived_breaks(list(kern.breakpoints()), [0.0, g]),
-                            level)
-                 for (_, kern), g in zip(axes, gaps)]
-        points, weights = _grid(rules)
-        outer_factor = _eval_axes(axes, points)
-        if with_exclusion:
-            outer_factor = outer_factor * (1.0 - _eval_axes(axes, points - gaps[None, :]))
-        total = 0.0
-        for point, weight, factor in zip(points, weights, outer_factor):
-            if factor == 0.0 or weight == 0.0:
-                continue
-            total += weight * factor * inner(point, level)
-        return total
-
-    return _converge(value_at, tol, "two-intermediate chain integral")
-
-
-def clustering_by_quadrature(model, tol=None, anchor=0.0):
+def clustering_result(model, tol=None, anchor=0.0):
     """Mean clustering coefficient by direct integration.
 
     Integrates the product of the three link probabilities around a triangle
     with one vertex pinned at ``anchor``, divided by the squared mean degree.
     For a torus model the integral factorises over the axes; the factorised
     product is what is returned (see :func:`clustering_torus_grid` for the
-    unfactorised cross-check).
+    unfactorised cross-check).  ``error_estimate`` of the returned
+    :class:`IntegrationResult` is the achieved difference of the triangle
+    integrals, scaled like the value.
     """
-    axes = _axis_data(model)
+    axes = model_axes(model)
     if tol is None:
         tol = DEFAULT_TOL if len(axes) == 1 else DEFAULT_TORUS_TOL
     degree = mean_degree(model)
     if degree == 0.0:
         raise ValueError("mean degree is zero; clustering is undefined")
-    value = 1.0
+    value, terms = 1.0, []
     for radius, kernel in axes:
-        triangle = _triangle_integral_axis(kernel, tol, anchor)
+        triangle = _triangle_integral([(radius, kernel)], np.array([anchor]), tol)
         axis_degree = mean_degree(CircleModel(radius, kernel))
-        value *= radius ** 2 * triangle / axis_degree ** 2
-    return value
+        terms.append((radius ** 2 / axis_degree ** 2, triangle))
+        value *= radius ** 2 * triangle.value / axis_degree ** 2
+    return IntegrationResult(value, _product_error(terms),
+                             sum(r.evaluations for _, r in terms))
 
 
-def _triangle_integral_axis(kernel, tol, anchor=0.0):
-    # iterated integral over x, y of Q(x - anchor) Q(y - x) Q(y - anchor);
-    # inner refinement is locked to the outer level, see
-    # _integral_two_intermediates for the rationale
-    def inner(x, level):
-        nodes, weights = _axis_rule(kernel, [anchor, x], level)
-        integrand = kernel.evaluate(nodes - x) * kernel.evaluate(nodes - anchor)
-        return float(np.sum(weights * integrand))
-
-    def value_at(level):
-        base = list(kernel.breakpoints())
-        shifts = [anchor] + [anchor + 2.0 * b for b in base]
-        nodes, weights = _axis_rule(kernel, shifts, level)
-        outer_factor = kernel.evaluate(nodes - anchor)
-        total = 0.0
-        for node, weight, factor in zip(nodes, weights, outer_factor):
-            if factor == 0.0:
-                continue
-            total += weight * factor * inner(node, level)
-        return total
-
-    return _converge(value_at, tol, "triangle integral")
+def clustering_by_quadrature(model, tol=None, anchor=0.0):
+    """The value of :func:`clustering_result`, a float."""
+    return clustering_result(model, tol, anchor).value
 
 
 # ---------------------------------------------------------------------------
@@ -379,101 +436,28 @@ def _triangle_integral_axis(kernel, tol, anchor=0.0):
 # ---------------------------------------------------------------------------
 
 def clustering_torus_grid(model, tol=DEFAULT_TORUS_TOL):
-    """Clustering coefficient on a torus without factorising the integrand.
-
-    Evaluates the full 2K-dimensional triangle integral on nested tensor
-    grids (outer grid over the first triangle corner, inner grid over the
-    second, with panel edges tracking the shifted kernel windows) and divides
-    by the squared mean degree.  Serves as the cross-check for the factorised
-    route in :func:`clustering_by_quadrature`.
-    """
+    """Clustering coefficient on a torus without factorising the integrand:
+    the 2K-dimensional triangle integral on nested tensor grids over the
+    triangle corners, divided by the squared mean degree.  The cross-check
+    for :func:`clustering_by_quadrature`."""
     if not isinstance(model, TorusModel):
         raise TypeError("clustering_torus_grid expects a torus model")
-    axes = _axis_data(model)
-    kernel = model.kernel
     degree = mean_degree(model)
     if degree == 0.0:
         raise ValueError("mean degree is zero; clustering is undefined")
-
-    def inner(x_vec, level):
-        rules = [_axis_rule(kern, [0.0, xv], level)
-                 for (_, kern), xv in zip(axes, x_vec)]
-        points, weights = _grid(rules)
-        integrand = kernel.evaluate(points - x_vec[None, :]) * kernel.evaluate(points)
-        return float(np.sum(weights * integrand))
-
-    def value_at(level):
-        rules = []
-        for (_, kern) in axes:
-            base = list(kern.breakpoints())
-            rules.append(_axis_rule(kern, [0.0] + [2.0 * b for b in base], level))
-        points, weights = _grid(rules)
-        outer_factor = kernel.evaluate(points)
-        total = 0.0
-        for point, weight, factor in zip(points, weights, outer_factor):
-            if factor == 0.0:
-                continue
-            total += weight * factor * inner(point, level)
-        return total
-
-    integral = _converge(value_at, tol, "torus triangle grid")
-    radius_sq = float(np.prod([r for r, _ in axes])) ** 2
-    return radius_sq * integral / degree ** 2
+    integral = _triangle_integral(model_axes(model), np.zeros(model.dimension), tol)
+    return float(np.prod(model.radii)) ** 2 * integral.value / degree ** 2
 
 
 def chain_count_torus_grid(model, k, gaps, tol=DEFAULT_TORUS_TOL):
-    """Reduced chain count on a torus by unfactorised tensor-grid quadrature.
-
-    Same quantity as :func:`chain_count_by_quadrature` with
-    ``with_exclusion=False``, but the kernel is always evaluated as a whole
-    on full K-dimensional grids, so the result does not reuse the per-axis
-    factorisation and can cross-check it.
-    """
+    """Reduced chain count on a torus by unfactorised tensor-grid quadrature:
+    :func:`chain_count_by_quadrature` with ``with_exclusion=False``, on full
+    K-dimensional grids, as its cross-check."""
     if not isinstance(model, TorusModel):
         raise TypeError("chain_count_torus_grid expects a torus model")
-    _check_chain_order(k)
-    axes = _axis_data(model)
-    kernel = model.kernel
-    gaps = np.atleast_1d(np.asarray(gaps, dtype=float))
-    if gaps.shape[0] != len(axes):
-        raise ValueError(f"expected {len(axes)} gap components, got {gaps.shape[0]}")
-
-    if k == 1:
-        def value_at(level):
-            rules = [_axis_rule(kern, [0.0, g], level)
-                     for (_, kern), g in zip(axes, gaps)]
-            points, weights = _grid(rules)
-            integrand = kernel.evaluate(points) * kernel.evaluate(gaps[None, :] - points)
-            return float(np.sum(weights * integrand))
-    else:
-        def inner(x_vec, level):
-            rules = [_axis_rule(kern, [0.0, g, xv], level)
-                     for (_, kern), g, xv in zip(axes, gaps, x_vec)]
-            points, weights = _grid(rules)
-            integrand = (kernel.evaluate(points - x_vec[None, :])
-                         * kernel.evaluate(gaps[None, :] - points))
-            return float(np.sum(weights * integrand))
-
-        def value_at(level):
-            # outer panel edges: sumset of the inner integrand's fixed
-            # breaks with the moving window edges, per axis (see
-            # _integral_two_intermediates)
-            rules = [_axis_rule(kern,
-                                _derived_breaks(list(kern.breakpoints()), [0.0, g]),
-                                level)
-                     for (_, kern), g in zip(axes, gaps)]
-            points, weights = _grid(rules)
-            outer_factor = kernel.evaluate(points)
-            total = 0.0
-            for point, weight, factor in zip(points, weights, outer_factor):
-                if factor == 0.0:
-                    continue
-                total += weight * factor * inner(point, level)
-            return total
-
-    integral = _converge(value_at, tol, "torus chain grid")
-    radius_factor = float(np.prod([r for r, _ in axes])) ** k
-    return radius_factor * integral
+    axes, gaps, tol = _chain_setup(model, k, gaps, tol)
+    integral = _chain_integral(axes, k, gaps, False, tol)
+    return float(np.prod(model.radii)) ** k * integral.value
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from ringnet import CircleModel, quadrature
 from ringnet.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_NUMERICAL_FAILURE,
@@ -12,6 +13,7 @@ from ringnet.cli import (
     EXIT_VALIDATION_FAILURE,
     main,
 )
+from ringnet.kernels import kernel_from_config
 
 # small Monte Carlo sizes so the battery variants stay fast in unit tests
 FAST_BATTERY = {"mean_degree": 30, "clustering": 3, "chain": 400,
@@ -340,3 +342,106 @@ def test_digest_stable_for_same_computation(capsys):
     _, third = run_cli(capsys, "clustering", "--p", "0.2", "--phi", "1.0",
                        "--modes", "closed")
     assert third.splitlines()[2] != digest_line
+
+
+CIRCLE = {"space": {"type": "circle", "radius": 20.0},
+          "kernel": {"type": "uniform", "p": 0.1, "half_width": 0.5}}
+# a smooth kernel with enough harmonics that coarse quadrature levels differ
+SMOOTH = {"type": "cosine", "coeffs": [0.1 * 0.8 ** n for n in range(41)]}
+
+
+@pytest.mark.parametrize("command, computation", [
+    ("separation", {"modes": ["quadrature"], "tolerance": "x"}),
+    ("separation", {"modes": ["quadrature"], "tolerance": -1}),
+    ("separation", {"modes": ["quadrature"], "tolerance": 0}),
+    ("separation", {"gap_points": "x"}),
+    ("separation", {"gap_grid": "ab"}),
+    ("separation", {"terms": "5"}),
+    ("separation", {"terms": 0}),
+    ("separation", {"modes": ["full"], "correction_order": -1}),
+    ("clustering", {"modes": ["quadrature"], "tolerance": "x"}),
+    ("clustering", {"modes": ["quadrature"], "tolerance": 0}),
+    ("clustering", {"terms": "5"}),
+    ("clustering", {"modes": ["full"], "correction_order": -1}),
+    ("mc-validate", {"terms": "5"}),
+], ids=["sep-tolerance-string", "sep-tolerance-negative", "sep-tolerance-zero",
+        "sep-gap-points-string", "sep-gap-grid-string", "sep-terms-string",
+        "sep-terms-zero", "sep-correction-negative", "clus-tolerance-string",
+        "clus-tolerance-zero", "clus-terms-string", "clus-correction-negative",
+        "battery-terms-string"])
+def test_bad_computation_exits_2_with_one_line(tmp_path, capsys, command,
+                                               computation):
+    config = write_config(tmp_path, {**CIRCLE, "computation": computation})
+    code = main([command, "--config", config])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("config error:")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, modes", [("separation", "leading"),
+                                           ("clustering", "closed")])
+def test_modes_string_is_not_split_into_characters(tmp_path, capsys, command, modes):
+    config = write_config(tmp_path, {**CIRCLE, "computation": {"modes": modes}})
+    code = main([command, "--config", config])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    assert captured.err == "config error: computation.modes must be a list of mode names\n"
+
+
+def test_budget_error_is_a_numerical_failure(monkeypatch, capsys):
+    def refuse(*_args, **_kwargs):
+        raise quadrature.BudgetError("n=8192 exceeds the 4096-node budget")
+
+    monkeypatch.setattr(quadrature, "clustering_result", refuse)
+    code = main(["clustering", "--modes", "quadrature"])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL_FAILURE
+    assert captured.err.startswith("numerical failure:")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_separation_quadrature_error_scales_with_radius(tmp_path, capsys):
+    rows = {}
+    for radius in (10.0, 20.0):
+        config = write_config(tmp_path, {
+            "space": {"type": "circle", "radius": radius},
+            "kernel": SMOOTH,
+            "computation": {"modes": ["quadrature"], "k_list": [1, 2],
+                            "gap_grid": [0.3, 1.1], "tolerance": 1e-3},
+        })
+        code, out = run_cli(capsys, "separation", "--config", config)
+        assert code == EXIT_OK
+        rows[radius] = parse_csv(out)
+    for near, far in zip(rows[10.0], rows[20.0]):
+        # the value and its error are R**k times the same integral and the
+        # same achieved difference
+        scale = 2.0 ** int(near["k"])
+        assert float(near["error_estimate"]) > 0.0
+        assert float(far["value"]) == pytest.approx(scale * float(near["value"]),
+                                                    rel=1e-14)
+        assert float(far["error_estimate"]) == pytest.approx(
+            scale * float(near["error_estimate"]), rel=1e-14)
+
+
+def test_clustering_quadrature_error_is_the_scaled_difference(tmp_path, capsys):
+    model = {"space": {"type": "torus", "radii": [6.0, 5.0]},
+             "kernel": {"type": "product", "factors": [
+                 SMOOTH, {"type": "cosine", "coeffs": [0.3, 0.1]}]}}
+    config = write_config(tmp_path, {**model, "computation": {
+        "modes": ["quadrature"], "tolerance": 1e-3}})
+    code, out = run_cli(capsys, "clustering", "--config", config)
+    assert code == EXIT_OK
+    row = parse_csv(out)[0]
+    # each axis contributes R**2 / degree**2 times its triangle integral; the
+    # product's error combines the axes' scaled differences
+    axes = [quadrature.clustering_result(CircleModel(r, kernel_from_config(k)),
+                                         tol=1e-3)
+            for r, k in zip(model["space"]["radii"], model["kernel"]["factors"])]
+    first, second = axes
+    expected = (abs(first.value) * second.error_estimate
+                + first.error_estimate * (abs(second.value) + second.error_estimate))
+    assert first.error_estimate > 0.0
+    assert float(row["value"]) == pytest.approx(first.value * second.value, rel=1e-14)
+    assert float(row["error_estimate"]) == pytest.approx(expected, rel=1e-12)
