@@ -62,6 +62,7 @@ EXIT_NUMERICAL_FAILURE = 3
 
 CLUSTERING_MODES = ("closed", "leading", "full", "quadrature", "mc")
 SEPARATION_MODES = ("leading", "full", "quadrature", "mc")
+BATTERY_TRIAL_KEYS = ("mean_degree", "clustering", "chain", "direct_link")
 
 
 class ConfigError(Exception):
@@ -173,6 +174,13 @@ def _positive_int(config, section, key, default=None):
     if not _is_count(value, 1):
         raise ConfigError(f"{section}.{key} must be a positive integer")
     return value
+
+
+def _master_seed(config):
+    seed = config["mc"]["seed"]
+    if not _is_count(seed, 0):
+        raise ConfigError("mc.seed (--seed) must be a non-negative integer")
+    return seed
 
 
 def _analytic_settings(config, default_modes, default_tolerance):
@@ -325,7 +333,7 @@ def cmd_clustering(config):
                 shape = tuple(nodes)
             estimate = montecarlo.estimate_clustering(
                 shape, model.kernel, _positive_int(config, "mc", "trials"),
-                config["mc"]["seed"], threads=config["mc"]["threads"])
+                _master_seed(config), threads=config["mc"]["threads"])
             records.append(_clustering_record(mode, estimate.mean,
                                               estimate.std_error,
                                               estimate.trials))
@@ -442,7 +450,7 @@ def _uniform_tail_bound(kernel, radius, order, terms):
 def _separation_mc(config, model, orders, grid):
     nodes = _ring_nodes(config)
     trials = _positive_int(config, "mc", "trials")
-    seed = config["mc"]["seed"]
+    seed = _master_seed(config)
     threads = config["mc"]["threads"]
     max_sep = max(orders, default=0)
     offsets = []
@@ -454,11 +462,10 @@ def _separation_mc(config, model, orders, grid):
     if not offsets:
         raise ConfigError("no gap in the grid maps to a usable node offset")
     per_order = {order: ([], [], []) for order in orders}
-    for offset in offsets:
+    histograms = montecarlo.estimate_separation_histograms(
+        nodes, model.kernel, offsets, max_sep, trials, seed, threads=threads)
+    for offset, histogram in zip(offsets, histograms):
         attained = 2.0 * math.pi * offset / nodes
-        histogram = montecarlo.estimate_separation_histogram(
-            nodes, model.kernel, offset, max_sep, trials, seed,
-            threads=threads)
         probabilities = histogram.probabilities()
         for order in orders:
             fraction = probabilities[order]
@@ -587,12 +594,19 @@ def cmd_kernel_info(config):
 # ---------------------------------------------------------------------------
 
 def _battery_checks(config):
-    mc_section = config["mc"]
-    seed = mc_section["seed"]
-    threads = mc_section["threads"]
-    computation = config["computation"]
+    seed = _master_seed(config)
+    threads = config["mc"]["threads"]
     terms = _positive_int(config, "computation", "terms", 200_000)
-    trials = computation.get("battery_trials", {})
+    trials = config["computation"].get("battery_trials", {})
+    if not isinstance(trials, dict):
+        raise ConfigError("computation.battery_trials must be a JSON object")
+    for key, value in trials.items():
+        if key not in BATTERY_TRIAL_KEYS:
+            raise ConfigError(f"computation.battery_trials has unknown key {key!r}; "
+                              f"expected some of {BATTERY_TRIAL_KEYS}")
+        if not _is_count(value, 1):
+            raise ConfigError(f"computation.battery_trials.{key} must be a "
+                              "positive integer")
 
     checks = []
 
@@ -677,16 +691,14 @@ def _battery_checks(config):
     link_nodes = 256
     link_kernel = UniformWindow(0.3, 1.2)
     link_trials = trials.get("direct_link", 2500)
-    inside = montecarlo.estimate_separation_histogram(
-        link_nodes, link_kernel, 20, 0, link_trials, seed, threads=threads)
+    inside, outside = montecarlo.estimate_separation_histograms(
+        link_nodes, link_kernel, (20, 100), 0, link_trials, seed, threads=threads)
     inside_fraction = inside.probabilities()[0]
     inside_gap = 2.0 * math.pi * 20 / link_nodes
     inside_q = float(link_kernel.evaluate(np.asarray([inside_gap]))[0])
     spread = math.sqrt(inside_q * (1.0 - inside_q) / link_trials)
     check("mc-direct-link-inside", inside_fraction, inside_q, 3.5,
           scale=max(spread, 1e-12))
-    outside = montecarlo.estimate_separation_histogram(
-        link_nodes, link_kernel, 100, 0, link_trials, seed, threads=threads)
     check("mc-direct-link-outside", float(outside.counts[0]), 0.0, 0.0)
 
     torus_kernel = ProductKernel((UniformWindow(0.5, 0.9),

@@ -6,7 +6,9 @@ pair's wrapped angular distance.  This module draws such graphs
 reproducibly and measures on them the quantities the analytic modules
 predict: mean degree, pooled clustering, simple chain counts between two
 pinned nodes, and the empirical distribution of the separation (shortest
-path length minus one).
+path length minus one).  Measurements run on whole arrays: triangles are
+counted on bitset adjacency rows, and one breadth-first search per trial,
+a whole frontier per step, gives the separation at every requested offset.
 
 Reproducibility contract: the random value deciding a candidate pair is a
 pure function of the sample seed and the pair's canonical position (offset
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -38,12 +39,15 @@ from .kernels import (
 
 # candidate-pair draws allowed per sample before sampling refuses to run
 MAX_CANDIDATE_DRAWS = 1 << 26
-# cells allowed in a dense transient adjacency matrix (bool, one byte each)
+# cells allowed in a transient adjacency matrix (a byte each when dense,
+# a bit each when packed into bitset rows)
 MAX_ADJACENCY_CELLS = 1 << 28
 # index operations allowed in one three-intermediary chain count
 MAX_CHAIN_OPS = 1 << 32
 # uniform values fetched per generator call while sampling (8 bytes each)
 MAX_RUN_DRAWS = 1 << 14
+# 64-bit words per gathered array of bitset rows while counting triangles
+MAX_BITSET_WORDS = 1 << 16
 
 
 class EstimateUndefinedError(Exception):
@@ -186,7 +190,21 @@ def _require_valid(kernel):
         raise KernelValidationError("; ".join(problems))
 
 
+def _canonical_sample(shape, seed: int, pieces: list) -> GraphSample:
+    edges = np.concatenate(pieces) if pieces else np.empty((0, 2), dtype=np.int64)
+    return GraphSample(shape, seed, edges[np.lexsort((edges[:, 1], edges[:, 0]))])
+
+
+def _require_sampleable(n: int, what: str):
+    # every active offset block draws one candidate per node, so a graph
+    # with more nodes than the draw budget can never be sampled; refusing
+    # on n alone comes before anything of size n is allocated
+    if n > MAX_CANDIDATE_DRAWS:
+        raise CostBudgetError(what, n, MAX_CANDIDATE_DRAWS)
+
+
 def _sample_ring(n: int, kernel, seed: int) -> GraphSample:
+    _require_sampleable(n, "candidate pairs per offset block of this ring sample")
     offsets = np.arange(1, n // 2 + 1)
     probs = np.asarray(kernel.evaluate(TWO_PI * offsets / n))
     counts = np.where(2 * offsets == n, n // 2, n)
@@ -205,26 +223,20 @@ def _sample_ring(n: int, kernel, seed: int) -> GraphSample:
         rows, hits = rows[keep], hits[keep]
         if hits.size:
             partner = (hits + offsets[blocks][rows]) % n
-            low = np.minimum(hits, partner)
-            high = np.maximum(hits, partner)
-            pieces.append(np.stack([low, high], axis=1))
-    edges = (np.concatenate(pieces) if pieces
-             else np.empty((0, 2), dtype=np.int64))
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    return GraphSample((n,), seed, edges[order])
+            pieces.append(np.sort(np.stack([hits, partner], axis=1), axis=1))
+    return _canonical_sample((n,), seed, pieces)
 
 
 def _sample_torus(shape: Sequence[int], kernel: ProductKernel, seed: int) -> GraphSample:
     shape = tuple(int(s) for s in shape)
     total_nodes = math.prod(shape)
+    _require_sampleable(total_nodes,
+                        "candidate pairs per offset block of this torus sample")
     # per-axis kernel values at every axis offset, combined into the link
     # probability of every offset vector (flattened mixed-radix order)
-    axis_values = []
-    for length, factor in zip(shape, kernel.factors):
-        axis_offsets = np.arange(length)
-        axis_values.append(np.asarray(factor.evaluate(TWO_PI * axis_offsets / length)))
     grid = np.ones((1,))
-    for values in axis_values:
+    for length, factor in zip(shape, kernel.factors):
+        values = np.asarray(factor.evaluate(TWO_PI * np.arange(length) / length))
         grid = np.multiply.outer(grid, values)
     delta_probs = grid.reshape(-1)  # leading singleton folds away
     active_deltas = np.nonzero(delta_probs > 0.0)[0]
@@ -251,10 +263,7 @@ def _sample_torus(shape: Sequence[int], kernel: ProductKernel, seed: int) -> Gra
         keep = hits < partner
         if np.any(keep):
             pieces.append(np.stack([hits[keep], partner[keep]], axis=1))
-    edges = (np.concatenate(pieces) if pieces
-             else np.empty((0, 2), dtype=np.int64))
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    return GraphSample(shape, seed, edges[order])
+    return _canonical_sample(shape, seed, pieces)
 
 
 def sample_graph(shape, kernel, seed: int) -> GraphSample:
@@ -264,15 +273,10 @@ def sample_graph(shape, kernel, seed: int) -> GraphSample:
     a torus grid paired with a product kernel.
     """
     _require_valid(kernel)
-    if np.ndim(shape) == 0:
-        n = int(shape)
-        if n < 2:
-            raise ValueError("a graph needs at least two nodes")
-        if isinstance(kernel, ProductKernel):
-            raise ValueError("a ring sample needs a one-dimensional kernel")
-        return _sample_ring(n, kernel, seed)
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(int(s) for s in np.atleast_1d(shape))
     if len(shape) == 1:
+        if shape[0] < 2:
+            raise ValueError("a graph needs at least two nodes")
         if isinstance(kernel, ProductKernel):
             raise ValueError("a ring sample needs a one-dimensional kernel")
         return _sample_ring(shape[0], kernel, seed)
@@ -286,17 +290,6 @@ def sample_graph(shape, kernel, seed: int) -> GraphSample:
 # per-sample measurements
 # ---------------------------------------------------------------------------
 
-def _neighbor_lists(sample: GraphSample) -> list:
-    edges = sample.edges
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order]
-    starts = np.searchsorted(src, np.arange(sample.n + 1))
-    return [dst[starts[i]:starts[i + 1]] for i in range(sample.n)]
-
-
 def _dense_adjacency(sample: GraphSample) -> np.ndarray:
     n = sample.n
     if n * n > MAX_ADJACENCY_CELLS:
@@ -309,37 +302,47 @@ def _dense_adjacency(sample: GraphSample) -> np.ndarray:
     return dense
 
 
+def _packed_adjacency(sample: GraphSample) -> np.ndarray:
+    # adjacency rows as bitsets: bit j % 64 of word j // 64 in row i is set
+    # when i and j are linked
+    n = sample.n
+    if n * n > MAX_ADJACENCY_CELLS:
+        raise CostBudgetError("packed adjacency for this graph",
+                              n * n, MAX_ADJACENCY_CELLS)
+    words = -(-n // 64)
+    src, dst = np.concatenate([sample.edges, sample.edges[:, ::-1]]).T
+    rows = np.zeros(n * words, dtype=np.uint64)
+    # every pair is stored once, so no bit is set twice and adding is or-ing
+    np.add.at(rows, src * words + (dst >> 6),
+              np.left_shift(np.uint64(1), (dst & 63).astype(np.uint64)))
+    return rows.reshape(n, words)
+
+
 def _clustering_counts(sample: GraphSample) -> tuple[int, int]:
     # pooled numerator and denominator: linked neighbour pairs and all
-    # neighbour pairs, summed over nodes of degree two or more
-    dense = _dense_adjacency(sample)
-    neighbors = _neighbor_lists(sample)
+    # neighbour pairs, summed over nodes.  A linked pair (u, v) of
+    # neighbours of w is a triangle, so the numerator is the sum over
+    # edges (u, v) of |N(u) & N(v)|, counted on bitset rows in batches
+    rows = _packed_adjacency(sample)
+    degrees = sample.degrees()
+    pairs = int(np.sum(degrees * (degrees - 1) // 2))
+    per_batch = max(1, MAX_BITSET_WORDS // rows.shape[1])
     linked = 0
-    pairs = 0
-    for node_neighbors in neighbors:
-        degree = node_neighbors.size
-        if degree < 2:
-            continue
-        pairs += degree * (degree - 1) // 2
-        block = dense[np.ix_(node_neighbors, node_neighbors)]
-        linked += int(np.count_nonzero(block)) // 2
+    for start in range(0, sample.edges.shape[0], per_batch):
+        batch = sample.edges[start:start + per_batch]
+        common = rows[batch[:, 0]] & rows[batch[:, 1]]
+        linked += int(np.bitwise_count(common).sum())
     return linked, pairs
 
 
 def _reduce_clustering(counts: Iterable[tuple[int, int]]) -> McEstimate:
     counts = list(counts)
-    linked_total = 0
-    pairs_total = 0
-    ratios = []
-    for linked, pairs in counts:
-        linked_total += linked
-        pairs_total += pairs
-        if pairs:
-            ratios.append(linked / pairs)
+    pairs_total = sum(pairs for _, pairs in counts)
     if pairs_total == 0:
         raise EstimateUndefinedError(
             "no node with two neighbours in any sample; clustering undefined")
-    mean = linked_total / pairs_total
+    mean = sum(linked for linked, _ in counts) / pairs_total
+    ratios = [linked / pairs for linked, pairs in counts if pairs]
     if len(ratios) > 1:
         std_error = float(np.std(ratios, ddof=1) / math.sqrt(len(ratios)))
     else:
@@ -420,6 +423,36 @@ def empirical_chain_count(samples: Iterable[GraphSample], offset: int, k: int,
                           for s in samples)
 
 
+def _separations(sample: GraphSample, offsets: Sequence[int], max_sep: int,
+                 anchor: int) -> list:
+    # separation from the anchor to each offset's node (None beyond max_sep)
+    # from one breadth-first search over compressed sparse rows, a whole
+    # frontier per step, that stops once every target is reached
+    targets = np.asarray([_chain_endpoints(sample, offset, anchor)[1]
+                          for offset in offsets], dtype=np.int64)
+    n = sample.n
+    _require_sampleable(n, "nodes of this graph")
+    src, dst = np.concatenate([sample.edges, sample.edges[:, ::-1]]).T
+    indices = dst[np.argsort(src, kind="stable")]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    distance = np.full(n, -1, dtype=np.int64)
+    frontier = np.asarray([anchor % n])
+    distance[frontier] = 0
+    for depth in range(1, max_sep + 2):
+        starts = indptr[frontier]
+        lengths = indptr[frontier + 1] - starts
+        ends = np.cumsum(lengths)
+        # the frontier's neighbour lists, gathered from ``indices`` at once
+        reached = indices[np.arange(ends[-1])
+                          + np.repeat(starts - ends + lengths, lengths)]
+        frontier = np.unique(reached[distance[reached] < 0])
+        distance[frontier] = depth
+        if frontier.size == 0 or np.all(distance[targets] >= 0):
+            break
+    return [int(d) - 1 if d > 0 else None for d in distance[targets]]
+
+
 def separation_in_sample(sample: GraphSample, offset: int, max_sep: int,
                          anchor: int = 0):
     """Separation between the pinned nodes, or None when unreached.
@@ -427,36 +460,14 @@ def separation_in_sample(sample: GraphSample, offset: int, max_sep: int,
     Separation is the shortest path length minus one, so a direct link is
     zero.  The search stops past ``max_sep``, returning None.
     """
-    source, target = _chain_endpoints(sample, offset, anchor)
-    neighbors = _neighbor_lists(sample)
-    limit = max_sep + 1  # path length cap
-    distance = np.full(sample.n, -1, dtype=np.int64)
-    distance[source] = 0
-    frontier = deque([source])
-    while frontier:
-        node = frontier.popleft()
-        depth = distance[node]
-        if depth >= limit:
-            break
-        for neighbor in neighbors[node]:
-            if distance[neighbor] < 0:
-                if neighbor == target:
-                    return int(depth)  # path length depth + 1, separation depth
-                distance[neighbor] = depth + 1
-                frontier.append(neighbor)
-    return None
+    return _separations(sample, (offset,), max_sep, anchor)[0]
 
 
 def _reduce_separations(separations: Iterable, max_sep: int) -> SeparationHistogram:
-    counts = [0] * (max_sep + 2)
-    trials = 0
-    for sep in separations:
-        trials += 1
-        if sep is None or sep > max_sep:
-            counts[-1] += 1
-        else:
-            counts[sep] += 1
-    return SeparationHistogram(tuple(counts), trials, max_sep)
+    buckets = np.asarray([max_sep + 1 if sep is None else sep for sep in separations],
+                         dtype=np.int64)
+    return SeparationHistogram(tuple(np.bincount(buckets, minlength=max_sep + 2)),
+                               buckets.size, max_sep)
 
 
 def empirical_separation_histogram(samples: Iterable[GraphSample], offset: int,
@@ -503,17 +514,31 @@ def estimate_chain_count(shape, kernel, offset: int, k: int, trials: int,
     return _reduce_counts(run_trials(worker, trials, master_seed, threads))
 
 
+def estimate_separation_histograms(shape, kernel, offsets: Sequence[int],
+                                   max_sep: int, trials: int, master_seed: int,
+                                   threads: int = 1, anchor: int = 0
+                                   ) -> tuple[SeparationHistogram, ...]:
+    """One separation histogram per offset, all measured on the same trials.
+
+    Each histogram equals the :func:`estimate_separation_histogram` call
+    for its offset, but every trial graph is sampled and searched once.
+    """
+    if max_sep < 0:
+        raise ValueError("max_sep must be non-negative")
+    offsets = tuple(offsets)
+
+    def worker(seed):
+        return _separations(sample_graph(shape, kernel, seed), offsets,
+                            max_sep, anchor)
+
+    per_trial = run_trials(worker, trials, master_seed, threads)
+    return tuple(_reduce_separations(column, max_sep) for column in zip(*per_trial))
+
+
 def estimate_separation_histogram(shape, kernel, offset: int, max_sep: int,
                                   trials: int, master_seed: int,
                                   threads: int = 1,
                                   anchor: int = 0) -> SeparationHistogram:
     """Separation histogram over freshly sampled trials."""
-    if max_sep < 0:
-        raise ValueError("max_sep must be non-negative")
-
-    def worker(seed):
-        return separation_in_sample(sample_graph(shape, kernel, seed),
-                                    offset, max_sep, anchor)
-
-    return _reduce_separations(run_trials(worker, trials, master_seed, threads),
-                               max_sep)
+    return estimate_separation_histograms(
+        shape, kernel, (offset,), max_sep, trials, master_seed, threads, anchor)[0]

@@ -445,3 +445,63 @@ def test_clustering_quadrature_error_is_the_scaled_difference(tmp_path, capsys):
     assert first.error_estimate > 0.0
     assert float(row["value"]) == pytest.approx(first.value * second.value, rel=1e-14)
     assert float(row["error_estimate"]) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("battery_trials", [
+    {"mean_degree": "x"},
+    {"mean_degree": 0},
+    {"clustering": -2},
+    {"chain": True},
+    {"direct_link": 2.5},
+    {"mean_degre": 5},
+    [30, 3, 400, 300],
+    "fast",
+], ids=["string", "zero", "negative", "boolean", "float", "unknown-key",
+        "list", "not-an-object"])
+def test_bad_battery_trials_exit_2_before_any_check(tmp_path, capsys, monkeypatch,
+                                                    battery_trials):
+    def no_check_may_run(*_args, **_kwargs):
+        raise AssertionError("a check ran before the battery trials were validated")
+
+    monkeypatch.setattr("ringnet.cli.fourier.clustering_uniform", no_check_may_run)
+    config = write_config(tmp_path, {"computation": {"battery_trials": battery_trials}})
+    code = main(["mc-validate", "--config", config])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("config error: computation.battery_trials")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, modes", [("clustering", "mc"),
+                                           ("separation", "mc"),
+                                           ("mc-validate", None)])
+@pytest.mark.parametrize("source, seed", [("config", -1), ("config", "abc"),
+                                          ("config", True), ("config", 1.5),
+                                          ("flag", "-1")])
+def test_bad_seed_exits_2_with_one_line(tmp_path, capsys, command, modes,
+                                        source, seed):
+    argv = [command]
+    if modes:
+        argv += ["--modes", modes]
+    if source == "config":
+        argv += ["--config", write_config(tmp_path, {**CIRCLE, "mc": {"seed": seed}})]
+    else:
+        argv += ["--seed", seed]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    assert captured.out == ""
+    assert captured.err == ("config error: mc.seed (--seed) must be a "
+                            "non-negative integer\n")
+
+
+def test_huge_ring_is_refused_before_allocating(capsys):
+    # 2 pi R is above 2**40 nodes, whose per-node arrays the operating
+    # system refuses; the budget must refuse first
+    code = main(["clustering", "--modes", "mc", "--radius", "2e11"])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL_FAILURE
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: candidate pairs")
+    assert len(captured.err.strip().splitlines()) == 1

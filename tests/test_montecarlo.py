@@ -1,10 +1,13 @@
 """Graph sampling, estimators, and the determinism contract."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from ringnet import montecarlo
 from ringnet import (
     CosineSeries,
     CostBudgetError,
@@ -21,6 +24,7 @@ from ringnet import (
     estimate_clustering,
     estimate_mean_degree,
     estimate_separation_histogram,
+    estimate_separation_histograms,
     run_trials,
     sample_graph,
     separation_in_sample,
@@ -31,6 +35,76 @@ from ringnet import (
 def ring_sample(n, edges):
     return GraphSample(shape=(n,), seed=0,
                        edges=np.asarray(sorted(edges), dtype=np.int64).reshape(-1, 2))
+
+
+# ---------------------------------------------------------------------------
+# reference measurements: node-by-node loops the array kernels must equal
+# ---------------------------------------------------------------------------
+
+def reference_neighbor_lists(sample):
+    edges = sample.edges
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((dst, src))
+    src = src[order]
+    dst = dst[order]
+    starts = np.searchsorted(src, np.arange(sample.n + 1))
+    return [dst[starts[i]:starts[i + 1]] for i in range(sample.n)]
+
+
+def reference_clustering_counts(sample):
+    """Linked neighbour pairs and all neighbour pairs, node by node."""
+    n = sample.n
+    dense = np.zeros((n, n), dtype=bool)
+    dense[sample.edges[:, 0], sample.edges[:, 1]] = True
+    dense[sample.edges[:, 1], sample.edges[:, 0]] = True
+    linked = 0
+    pairs = 0
+    for node_neighbors in reference_neighbor_lists(sample):
+        degree = node_neighbors.size
+        if degree < 2:
+            continue
+        pairs += degree * (degree - 1) // 2
+        block = dense[np.ix_(node_neighbors, node_neighbors)]
+        linked += int(np.count_nonzero(block)) // 2
+    return linked, pairs
+
+
+def reference_separation(sample, offset, max_sep, anchor=0):
+    """Separation by a node-at-a-time breadth-first search, None if unreached."""
+    n = sample.n
+    source = anchor % n
+    target = (anchor + offset) % n
+    neighbors = reference_neighbor_lists(sample)
+    limit = max_sep + 1  # path length cap
+    distance = np.full(n, -1, dtype=np.int64)
+    distance[source] = 0
+    frontier = deque([source])
+    while frontier:
+        node = frontier.popleft()
+        depth = distance[node]
+        if depth >= limit:
+            break
+        for neighbor in neighbors[node]:
+            if distance[neighbor] < 0:
+                if neighbor == target:
+                    return int(depth)  # path length depth + 1, separation depth
+                distance[neighbor] = depth + 1
+                frontier.append(neighbor)
+    return None
+
+
+def networkx_oracle(sample, offsets, max_sep, anchor=0):
+    """Triangle corners (3 x triangles) and separations from networkx."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph()
+    graph.add_nodes_from(range(sample.n))
+    graph.add_edges_from(sample.edges.tolist())
+    lengths = nx.single_source_shortest_path_length(graph, anchor % sample.n,
+                                                    cutoff=max_sep + 1)
+    hops = [lengths.get((anchor + offset) % sample.n) for offset in offsets]
+    return (sum(nx.triangles(graph).values()),
+            [None if h is None else h - 1 for h in hops])
 
 
 # ---------------------------------------------------------------------------
@@ -423,3 +497,134 @@ def test_std_error_scaling():
 def test_sample_budget_guard():
     with pytest.raises(CostBudgetError):
         sample_graph(1 << 22, UniformWindow(0.5, math.pi), seed=1)
+
+
+# a node count whose per-node arrays the operating system refuses outright:
+# any check that came after an allocation of size n would fail with
+# MemoryError instead of the budget error
+HUGE_NODES = 1 << 40
+
+
+def test_sample_refuses_huge_ring_before_allocating():
+    with pytest.raises(CostBudgetError):
+        sample_graph(HUGE_NODES, UniformWindow(0.1, 0.5), seed=1)
+
+
+def test_sample_refuses_huge_torus_before_allocating():
+    kernel = ProductKernel((UniformWindow(0.5, 0.9), UniformWindow(0.4, 1.1)))
+    with pytest.raises(CostBudgetError):
+        sample_graph((1 << 20, 1 << 20), kernel, seed=1)
+
+
+def test_measurements_refuse_huge_graph_before_allocating():
+    huge = GraphSample(shape=(HUGE_NODES,), seed=0,
+                       edges=np.zeros((0, 2), dtype=np.int64))
+    with pytest.raises(CostBudgetError):
+        separation_in_sample(huge, 5, 3)
+    with pytest.raises(CostBudgetError):
+        empirical_clustering([huge])
+
+
+# ---------------------------------------------------------------------------
+# array kernels against the node-by-node references and networkx
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(2, 24))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return ring_sample(n, draw(st.sets(st.sampled_from(pairs))))
+
+
+EMPTY = ring_sample(9, [])
+# node 0, the default anchor, has no neighbour while the rest are linked
+ISOLATED_SOURCE = ring_sample(6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+# an even ring: offset n/2 is the antipode, reached both ways round
+CYCLE = ring_sample(8, [(i, i + 1) for i in range(7)] + [(0, 7)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample=small_graphs(), data=st.data())
+@example(sample=EMPTY, data=None)
+@example(sample=ISOLATED_SOURCE, data=None)
+@example(sample=CYCLE, data=None)
+def test_kernels_match_references(sample, data):
+    n = sample.n
+    if data is None:  # explicit examples: every anchor and max_sep 0..3
+        anchors, max_seps = range(n), range(4)
+    else:
+        anchors = [data.draw(st.integers(0, 2 * n), label="anchor")]
+        max_seps = [data.draw(st.integers(0, 4), label="max_sep")]
+    counts = montecarlo._clustering_counts(sample)
+    assert counts == reference_clustering_counts(sample)
+    offsets = list(range(1, n // 2 + 1))  # includes n/2 on even rings
+    for anchor in anchors:
+        for max_sep in max_seps:
+            expected = [reference_separation(sample, o, max_sep, anchor)
+                        for o in offsets]
+            assert networkx_oracle(sample, offsets, max_sep,
+                                   anchor) == (counts[0], expected)
+            assert montecarlo._separations(sample, offsets, max_sep,
+                                           anchor) == expected
+            assert [separation_in_sample(sample, o, max_sep, anchor)
+                    for o in offsets] == expected
+
+
+@pytest.mark.parametrize("shape, kernel", [
+    (512, UniformWindow(0.3, 0.6)),
+    (300, UniformWindow(0.05, 2.5)),
+    ((12, 10), ProductKernel((UniformWindow(0.7, 0.9), UniformWindow(0.6, 1.0)))),
+])
+def test_kernels_match_references_on_sampled_graphs(shape, kernel):
+    for trial in range(3):
+        sample = sample_graph(shape, kernel, trial_seed(20260822, trial))
+        counts = montecarlo._clustering_counts(sample)
+        assert counts == reference_clustering_counts(sample)
+        offsets = list(range(1, sample.n // 2 + 1, 7))
+        expected = [reference_separation(sample, o, 3, anchor=11) for o in offsets]
+        assert networkx_oracle(sample, offsets, 3, anchor=11) == (counts[0], expected)
+        assert montecarlo._separations(sample, offsets, 3, 11) == expected
+
+
+def test_triangle_batches_cover_every_edge(monkeypatch):
+    sample = sample_graph(256, UniformWindow(0.4, 1.0), seed=3)
+    expected = reference_clustering_counts(sample)
+    assert sample.edges.shape[0] % 3 != 0
+    # rows are 4 words long: one edge per batch, then 3 edges per batch
+    # with a shorter last batch
+    for words in (1, 3 * 4 + 1):
+        monkeypatch.setattr(montecarlo, "MAX_BITSET_WORDS", words)
+        assert montecarlo._clustering_counts(sample) == expected
+
+
+def test_multi_offset_histograms_match_per_offset_references():
+    n, kernel, max_sep, trials, seed = 128, UniformWindow(0.2, 0.9), 3, 40, 5
+    offsets = (1, 7, 20, 64, 7)
+    single = estimate_separation_histograms(n, kernel, offsets, max_sep,
+                                            trials, seed, threads=1)
+    assert estimate_separation_histograms(n, kernel, offsets, max_sep,
+                                          trials, seed, threads=2) == single
+    samples = [sample_graph(n, kernel, trial_seed(seed, t)) for t in range(trials)]
+    for offset, histogram in zip(offsets, single):
+        assert histogram == estimate_separation_histogram(
+            n, kernel, offset, max_sep, trials, seed)
+        counts = [0] * (max_sep + 2)
+        for sample in samples:
+            sep = reference_separation(sample, offset, max_sep)
+            counts[-1 if sep is None else sep] += 1
+        assert histogram.counts == tuple(counts)
+
+
+def test_multi_offset_call_samples_each_trial_once(monkeypatch):
+    calls = []
+    original = montecarlo.sample_graph
+
+    def counting(shape, kernel, seed):
+        calls.append(seed)
+        return original(shape, kernel, seed)
+
+    monkeypatch.setattr(montecarlo, "sample_graph", counting)
+    histograms = estimate_separation_histograms(
+        96, UniformWindow(0.2, 0.9), range(1, 49), 2, 7, 9)
+    assert len(histograms) == 48
+    assert calls == [trial_seed(9, t) for t in range(7)]
