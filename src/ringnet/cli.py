@@ -183,6 +183,13 @@ def _master_seed(config):
     return seed
 
 
+def _threads(config):
+    threads = config["mc"]["threads"]
+    if not _is_count(threads, 1):
+        raise ConfigError("mc.threads (--threads) must be a positive integer")
+    return threads
+
+
 def _analytic_settings(config, default_modes, default_tolerance):
     """Modes, series terms, correction order and quadrature tolerance."""
     computation = config["computation"]
@@ -333,7 +340,7 @@ def cmd_clustering(config):
                 shape = tuple(nodes)
             estimate = montecarlo.estimate_clustering(
                 shape, model.kernel, _positive_int(config, "mc", "trials"),
-                _master_seed(config), threads=config["mc"]["threads"])
+                _master_seed(config), threads=_threads(config))
             records.append(_clustering_record(mode, estimate.mean,
                                               estimate.std_error,
                                               estimate.trials))
@@ -451,7 +458,7 @@ def _separation_mc(config, model, orders, grid):
     nodes = _ring_nodes(config)
     trials = _positive_int(config, "mc", "trials")
     seed = _master_seed(config)
-    threads = config["mc"]["threads"]
+    threads = _threads(config)
     max_sep = max(orders, default=0)
     offsets = []
     for gap in grid:
@@ -595,7 +602,7 @@ def cmd_kernel_info(config):
 
 def _battery_checks(config):
     seed = _master_seed(config)
-    threads = config["mc"]["threads"]
+    threads = _threads(config)
     terms = _positive_int(config, "computation", "terms", 200_000)
     trials = config["computation"].get("battery_trials", {})
     if not isinstance(trials, dict):
@@ -618,11 +625,11 @@ def _battery_checks(config):
     height, width = 0.1, 1.0
     closed = fourier.clustering_uniform(height, width, tail_terms=terms)
     window = UniformWindow(height, width)
-    series = fourier.uniform_window_series(window, terms)
     radius = 20.0
     degree = 2.0 * radius * height * width
-    series_value = fourier.clustering_from_series(series, radius, degree,
-                                                  mode="leading")
+    # the long series is dropped once used, not held through every later check
+    series_value = fourier.clustering_from_series(
+        fourier.uniform_window_series(window, terms), radius, degree, mode="leading")
     check("clustering-closed-vs-series", closed.value, series_value,
           1e-10, scale=abs(closed.value))
     model = CircleModel(radius, window)

@@ -79,12 +79,17 @@ class FourierSeries:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if not coeffs:
+        array = np.array(self.coeffs, dtype=float)
+        if array.ndim != 1:
+            raise ValueError("series coefficients must be a flat sequence")
+        if not array.size:
             raise ValueError("a series needs at least the constant coefficient")
-        if not all(math.isfinite(c) for c in coeffs):
+        if not np.all(np.isfinite(array)):
             raise ValueError("series coefficients must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
+        array.setflags(write=False)
+        object.__setattr__(self, "coeffs", tuple(array.tolist()))
+        # the same values as an array, for the vectorised power sums
+        object.__setattr__(self, "_array", array)
 
     @property
     def order(self) -> int:
@@ -95,7 +100,7 @@ class FourierSeries:
         phi = np.asarray(angle, dtype=float)
         scalar = phi.ndim == 0
         flat = np.atleast_1d(phi).ravel()
-        a = np.asarray(self.coeffs)
+        a = self._array
         out = np.full(flat.shape, a[0])
         if self.order:
             harmonics = np.arange(1, self.order + 1)
@@ -162,7 +167,7 @@ def uniform_window_series(window: UniformWindow, terms: int = DEFAULT_TERMS) -> 
     n = np.arange(1, terms + 1)
     head = window.p * window.half_width / np.pi
     tail = window.p * np.sin(n * window.half_width) / (np.pi * n)
-    return FourierSeries((head, *tail))
+    return FourierSeries(np.concatenate(([head], tail)))
 
 
 def series_from_kernel(kernel, terms: int, tol: float = 1e-12) -> FourierSeries:
@@ -193,7 +198,7 @@ def series_from_kernel(kernel, terms: int, tol: float = 1e-12) -> FourierSeries:
 def _coeff_lookup(series: FourierSeries, index_array):
     """Coefficient at arbitrary signed indices, zero past the stored order."""
     idx = np.abs(np.asarray(index_array))
-    a = np.asarray(series.coeffs)
+    a = series._array
     out = np.zeros(idx.shape)
     inside = idx <= series.order
     out[inside] = a[idx[inside]]
@@ -202,7 +207,7 @@ def _coeff_lookup(series: FourierSeries, index_array):
 
 def _leading_bracket(series: FourierSeries, k: int, gap: float) -> float:
     # symmetric-index power sum: a_0^(k+1) + 2 sum a_n^(k+1) cos(n gap)
-    a = np.asarray(series.coeffs)
+    a = series._array
     total = a[0] ** (k + 1)
     if series.order:
         n = np.arange(1, series.order + 1)

@@ -17,12 +17,21 @@ sample whose counter skips directly to each active pair block.  Trial
 seeds are derived from a master seed and the trial index alone, and all
 aggregation runs in trial order, so results are identical for any thread
 count; the worker pool never exceeds the CPUs available to the process.
+
+What does not depend on the seed is worked out once per (shape, kernel)
+and cached as a read-only sampling plan: the link probability of every
+offset block, the counter skips and draw sizes of the generator calls,
+and on a torus the coordinates of every node.  A sample keys its Philox
+stream with its seed, walks the plan and sorts its edges once as integer
+keys low * n + high.  The plan changes no random value and no edge.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -151,48 +160,69 @@ def run_trials(worker, trials: int, master_seed: int, threads: int = 1) -> list:
     workers = min(threads, _available_cpus())
     if workers <= 1:
         return [worker(s) for s in seeds]
+    # one contiguous run of trials per worker: a future per trial costs
+    # more than a whole small-graph trial
+    size = -(-trials // workers)
+    runs = [seeds[start:start + size] for start in range(0, trials, size)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, seeds))
+        results = pool.map(lambda run: [worker(s) for s in run], runs)
+        return [result for run in results for result in run]
 
 
 # ---------------------------------------------------------------------------
 # graph sampling
 # ---------------------------------------------------------------------------
 
-def _block_runs(seed: int, blocks: np.ndarray, stride: int):
-    # uniform draws for the ascending offset blocks ``blocks``, all from one
-    # counter-based stream per sample.  Block b owns the counters from
-    # b * stride on, so a pair's random value depends only on the seed and
-    # the pair's canonical index.  Consecutive blocks are drawn together,
-    # at most MAX_RUN_DRAWS values per call, and the counter skips over
-    # inactive blocks.  Each block takes all 4 * stride values of its
-    # counter range, so the next block starts on its own first counter.
-    # Yields (run blocks, draws of shape (run, 4 * stride)).
-    width = 4 * stride
-    per_call = max(1, MAX_RUN_DRAWS // width)
-    bits = np.random.Philox(key=np.uint64(seed))
-    generator = np.random.Generator(bits)
-    position = 0  # block at which the stream stands
-    bounds = [0, *(np.nonzero(np.diff(blocks) != 1)[0] + 1).tolist(), blocks.size]
-    for run_start, run_stop in zip(bounds, bounds[1:]):
-        for start in range(run_start, run_stop, per_call):
-            chunk = blocks[start:min(start + per_call, run_stop)]
-            if chunk[0] != position:
-                bits.advance(int(chunk[0] - position) * stride)
-            draws = generator.random(chunk.size * width)
-            position = int(chunk[-1]) + 1
-            yield chunk, draws.reshape(chunk.size, width)
+@functools.cache
+def _philox_key_type():
+    # numpy loads np.random on first use, so the class is made on the first
+    # sample rather than on every import of ringnet
+    class PhiloxKey(np.random.bit_generator.ISeedSequence):
+        # hands Philox its 128-bit key, the sample seed in the low word, as
+        # is; ``Philox(key=...)`` would first build a seed sequence from
+        # operating system entropy and then discard it
+        def __init__(self, seed: int):
+            self._words = np.array([seed, 0], dtype=np.uint64)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a Philox key is two 64-bit words")
+            return self._words
+
+    return PhiloxKey
+
+
+class _Chunk(NamedTuple):
+    # one generator call: advance the counter by ``skip``, draw ``blocks``
+    # offset blocks of the plan's ``width`` values each, and link the first
+    # ``columns`` candidates of every block whose draw is below its link
+    # probability
+    skip: int
+    blocks: int
+    columns: int
+    probs: np.ndarray    # (blocks, 1)
+    offsets: np.ndarray  # ring: (blocks,) offsets; torus: (axes, blocks) components
+
+
+class _SamplingPlan(NamedTuple):
+    # everything a sample of one (shape, kernel) needs that does not
+    # depend on its seed; the arrays are read-only
+    shape: tuple
+    width: int
+    chunks: tuple
+    components: tuple | None  # torus: per-axis coordinate of every node
+
+
+def _read_only(array) -> np.ndarray:
+    array = np.asarray(array)
+    array.setflags(write=False)
+    return array
 
 
 def _require_valid(kernel):
     problems = validate(kernel)
     if problems:
         raise KernelValidationError("; ".join(problems))
-
-
-def _canonical_sample(shape, seed: int, pieces: list) -> GraphSample:
-    edges = np.concatenate(pieces) if pieces else np.empty((0, 2), dtype=np.int64)
-    return GraphSample(shape, seed, edges[np.lexsort((edges[:, 1], edges[:, 0]))])
 
 
 def _require_sampleable(n: int, what: str):
@@ -203,32 +233,53 @@ def _require_sampleable(n: int, what: str):
         raise CostBudgetError(what, n, MAX_CANDIDATE_DRAWS)
 
 
-def _sample_ring(n: int, kernel, seed: int) -> GraphSample:
+def _chunk_schedule(blocks: np.ndarray, stride: int, columns: np.ndarray,
+                    probs: np.ndarray, offsets: np.ndarray) -> tuple:
+    # generator calls for the ascending active offset blocks ``blocks``, all
+    # from one counter-based stream per sample.  Block b owns the counters
+    # from b * stride on, so a pair's random value depends only on the seed
+    # and the pair's canonical index.  Consecutive blocks with the same
+    # candidate count are drawn together, at most MAX_RUN_DRAWS values per
+    # call, and the counter skips over inactive blocks.  Each block takes
+    # all 4 * stride values of its counter range, so the next block starts
+    # on its own first counter.
+    width = 4 * stride
+    per_call = max(1, MAX_RUN_DRAWS // width)
+    breaks = np.nonzero((np.diff(blocks) != 1) | (np.diff(columns) != 0))[0] + 1
+    bounds = [0, *breaks.tolist(), blocks.size]
+    chunks = []
+    position = 0  # block at which the stream stands
+    for run_start, run_stop in zip(bounds, bounds[1:]):
+        for start in range(run_start, run_stop, per_call):
+            stop = min(start + per_call, run_stop)
+            chunks.append(_Chunk(
+                skip=int(blocks[start] - position) * stride,
+                blocks=stop - start,
+                columns=int(columns[start]),
+                probs=_read_only(probs[start:stop, None]),
+                offsets=_read_only(offsets[..., start:stop])))
+            position = int(blocks[stop - 1]) + 1
+    return tuple(chunks)
+
+
+def _ring_plan(n: int, kernel) -> _SamplingPlan:
     _require_sampleable(n, "candidate pairs per offset block of this ring sample")
     offsets = np.arange(1, n // 2 + 1)
     probs = np.asarray(kernel.evaluate(TWO_PI * offsets / n))
+    # the half-circle block holds only n/2 candidates
     counts = np.where(2 * offsets == n, n // 2, n)
-    active = probs > 0.0
+    active = np.nonzero(probs > 0.0)[0]
     total = int(np.sum(counts[active]))
     if total > MAX_CANDIDATE_DRAWS:
         raise CostBudgetError("candidate pairs for this ring sample",
                               total, MAX_CANDIDATE_DRAWS)
-    # counter stride per block, in 4-draw counter units
-    stride = -(-n // 4)
-    pieces = []
-    for blocks, draws in _block_runs(seed, np.nonzero(active)[0], stride):
-        rows, hits = np.nonzero(draws[:, :n] < probs[blocks, None])
-        # the half-circle block holds only n/2 candidates
-        keep = hits < counts[blocks][rows]
-        rows, hits = rows[keep], hits[keep]
-        if hits.size:
-            partner = (hits + offsets[blocks][rows]) % n
-            pieces.append(np.sort(np.stack([hits, partner], axis=1), axis=1))
-    return _canonical_sample((n,), seed, pieces)
+    stride = -(-n // 4)  # counters per block, 4 draws each
+    chunks = _chunk_schedule(active, stride, counts[active], probs[active],
+                             offsets[active])
+    return _SamplingPlan((n,), 4 * stride, chunks, None)
 
 
-def _sample_torus(shape: Sequence[int], kernel: ProductKernel, seed: int) -> GraphSample:
-    shape = tuple(int(s) for s in shape)
+def _torus_plan(shape: tuple, kernel: ProductKernel) -> _SamplingPlan:
     total_nodes = math.prod(shape)
     _require_sampleable(total_nodes,
                         "candidate pairs per offset block of this torus sample")
@@ -245,45 +296,104 @@ def _sample_torus(shape: Sequence[int], kernel: ProductKernel, seed: int) -> Gra
     if total > MAX_CANDIDATE_DRAWS:
         raise CostBudgetError("candidate pairs for this torus sample",
                               total, MAX_CANDIDATE_DRAWS)
-    # component tables for vectorized wrapped addition of an offset vector
-    components = np.unravel_index(np.arange(total_nodes), shape)
     stride = -(-total_nodes // 4)
-    pieces = []
-    for blocks, draws in _block_runs(seed, active_deltas - 1, stride):
-        deltas = blocks + 1
-        rows, hits = np.nonzero(draws[:, :total_nodes] < delta_probs[deltas, None])
-        if not hits.size:
-            continue
-        delta_components = np.unravel_index(deltas[rows], shape)
-        shifted = [(components[axis][hits] + delta_components[axis]) % shape[axis]
-                   for axis in range(len(shape))]
-        partner = np.ravel_multi_index(shifted, shape)
+    chunks = _chunk_schedule(active_deltas - 1, stride,
+                             np.full(active_deltas.size, total_nodes),
+                             delta_probs[active_deltas],
+                             np.stack(np.unravel_index(active_deltas, shape)))
+    # component tables for vectorized wrapped addition of an offset vector
+    components = tuple(_read_only(c) for c in
+                       np.unravel_index(np.arange(total_nodes), shape))
+    return _SamplingPlan(shape, 4 * stride, chunks, components)
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_plan(shape: tuple, kernel) -> _SamplingPlan:
+    # a refused or invalid request raises, and lru_cache stores no result
+    _require_valid(kernel)
+    if len(shape) == 1:
+        if shape[0] < 2:
+            raise ValueError("a graph needs at least two nodes")
+        if isinstance(kernel, ProductKernel):
+            raise ValueError("a ring sample needs a one-dimensional kernel")
+        return _ring_plan(shape[0], kernel)
+    if not isinstance(kernel, ProductKernel) or len(kernel.factors) != len(shape):
+        raise ValueError("a torus sample needs a product kernel with one "
+                         "factor per grid axis")
+    return _torus_plan(shape, kernel)
+
+
+_PLAN_LOCK = threading.Lock()
+
+
+def _sampling_plan(shape: tuple, kernel) -> _SamplingPlan:
+    # trial threads share one plan; the lock keeps them from building it twice
+    with _PLAN_LOCK:
+        return _cached_plan(shape, kernel)
+
+
+def _hits(plan: _SamplingPlan, seed: int):
+    # (chunk, block rows, candidate nodes) of the links drawn by each
+    # generator call of one sample
+    bits = np.random.Philox(_philox_key_type()(seed))
+    generator = np.random.Generator(bits)
+    width = plan.width
+    for chunk in plan.chunks:
+        if chunk.skip:
+            bits.advance(chunk.skip)
+        draws = generator.random(chunk.blocks * width).reshape(chunk.blocks, width)
+        linked = np.flatnonzero(draws < chunk.probs)
+        rows = linked // width
+        hits = linked - rows * width
+        if chunk.columns < width:  # draws past the block's candidates
+            keep = hits < chunk.columns
+            rows, hits = rows[keep], hits[keep]
+        yield chunk, rows, hits
+
+
+def _ring_keys(plan: _SamplingPlan, seed: int) -> list:
+    n = plan.shape[0]
+    keys = []
+    for chunk, rows, hits in _hits(plan, seed):
+        partner = (hits + chunk.offsets[rows]) % n
+        keys.append(np.minimum(hits, partner) * n + np.maximum(hits, partner))
+    return keys
+
+
+def _torus_keys(plan: _SamplingPlan, seed: int) -> list:
+    shape = plan.shape
+    total_nodes = math.prod(shape)
+    keys = []
+    for chunk, rows, hits in _hits(plan, seed):
+        partner = np.zeros_like(hits)
+        for length, node_axis, delta_axis in zip(shape, plan.components, chunk.offsets):
+            partner = partner * length + (node_axis[hits] + delta_axis[rows]) % length
         # each unordered pair shows up under an offset and its negation;
         # keeping source < partner picks exactly one of the two
         keep = hits < partner
-        if np.any(keep):
-            pieces.append(np.stack([hits[keep], partner[keep]], axis=1))
-    return _canonical_sample(shape, seed, pieces)
+        keys.append(hits[keep] * total_nodes + partner[keep])
+    return keys
+
+
+def _canonical_edges(keys: list, n: int) -> np.ndarray:
+    # a pair (low, high) has the key low * n + high, so the sorted keys are
+    # the lexicographically sorted pairs
+    keys = np.sort(np.concatenate(keys)) if keys else np.empty(0, dtype=np.int64)
+    low = keys // n
+    return np.stack((low, keys - low * n), axis=1)
 
 
 def sample_graph(shape, kernel, seed: int) -> GraphSample:
     """Draw one random graph; identical arguments give identical graphs.
 
     ``shape`` is a node count for the ring or a per-axis count sequence for
-    a torus grid paired with a product kernel.
+    a torus grid paired with a product kernel.  The seed-independent part
+    of the work, the sampling plan, is built once per (shape, kernel).
     """
-    _require_valid(kernel)
     shape = tuple(int(s) for s in np.atleast_1d(shape))
-    if len(shape) == 1:
-        if shape[0] < 2:
-            raise ValueError("a graph needs at least two nodes")
-        if isinstance(kernel, ProductKernel):
-            raise ValueError("a ring sample needs a one-dimensional kernel")
-        return _sample_ring(shape[0], kernel, seed)
-    if not isinstance(kernel, ProductKernel) or len(kernel.factors) != len(shape):
-        raise ValueError("a torus sample needs a product kernel with one "
-                         "factor per grid axis")
-    return _sample_torus(shape, kernel, seed)
+    plan = _sampling_plan(shape, kernel)
+    keys = (_ring_keys if plan.components is None else _torus_keys)(plan, seed)
+    return GraphSample(shape, seed, _canonical_edges(keys, math.prod(shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -426,29 +536,25 @@ def empirical_chain_count(samples: Iterable[GraphSample], offset: int, k: int,
 def _separations(sample: GraphSample, offsets: Sequence[int], max_sep: int,
                  anchor: int) -> list:
     # separation from the anchor to each offset's node (None beyond max_sep)
-    # from one breadth-first search over compressed sparse rows, a whole
-    # frontier per step, that stops once every target is reached
+    # from one breadth-first search, a whole frontier per step, that stops
+    # once every target is reached.  A step reads the canonical edge
+    # columns through boolean node masks, so no adjacency index is built
     targets = np.asarray([_chain_endpoints(sample, offset, anchor)[1]
                           for offset in offsets], dtype=np.int64)
     n = sample.n
     _require_sampleable(n, "nodes of this graph")
-    src, dst = np.concatenate([sample.edges, sample.edges[:, ::-1]]).T
-    indices = dst[np.argsort(src, kind="stable")]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    low, high = sample.edges.T
     distance = np.full(n, -1, dtype=np.int64)
-    frontier = np.asarray([anchor % n])
-    distance[frontier] = 0
+    frontier = np.zeros(n, dtype=bool)
+    frontier[anchor % n] = True
+    distance[anchor % n] = 0
     for depth in range(1, max_sep + 2):
-        starts = indptr[frontier]
-        lengths = indptr[frontier + 1] - starts
-        ends = np.cumsum(lengths)
-        # the frontier's neighbour lists, gathered from ``indices`` at once
-        reached = indices[np.arange(ends[-1])
-                          + np.repeat(starts - ends + lengths, lengths)]
-        frontier = np.unique(reached[distance[reached] < 0])
+        reached = np.zeros(n, dtype=bool)
+        reached[high[frontier[low]]] = True
+        reached[low[frontier[high]]] = True
+        frontier = reached & (distance < 0)
         distance[frontier] = depth
-        if frontier.size == 0 or np.all(distance[targets] >= 0):
+        if not frontier.any() or np.all(distance[targets] >= 0):
             break
     return [int(d) - 1 if d > 0 else None for d in distance[targets]]
 

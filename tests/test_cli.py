@@ -496,6 +496,30 @@ def test_bad_seed_exits_2_with_one_line(tmp_path, capsys, command, modes,
                             "non-negative integer\n")
 
 
+@pytest.mark.parametrize("command, modes", [("clustering", "mc"),
+                                           ("separation", "mc"),
+                                           ("mc-validate", None)])
+@pytest.mark.parametrize("source, threads", [("config", "x"), ("config", 0),
+                                             ("config", -1), ("config", True),
+                                             ("config", 1.5), ("flag", "0"),
+                                             ("flag", "-1")])
+def test_bad_threads_exits_2_with_one_line(tmp_path, capsys, command, modes,
+                                           source, threads):
+    argv = [command]
+    if modes:
+        argv += ["--modes", modes]
+    if source == "config":
+        argv += ["--config", write_config(tmp_path, {**CIRCLE, "mc": {"threads": threads}})]
+    else:
+        argv += ["--threads", threads]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    assert captured.out == ""
+    assert captured.err == ("config error: mc.threads (--threads) must be a "
+                            "positive integer\n")
+
+
 def test_huge_ring_is_refused_before_allocating(capsys):
     # 2 pi R is above 2**40 nodes, whose per-node arrays the operating
     # system refuses; the budget must refuse first

@@ -80,6 +80,70 @@ def test_coefficient_decay_bound():
         assert abs(series.coeffs[n]) <= p / (math.pi * n) + 1e-15
 
 
+def per_element_coeffs(values):
+    """The coefficient tuple as built element by element with float()."""
+    coeffs = tuple(float(c) for c in values)
+    assert coeffs and all(math.isfinite(c) for c in coeffs)
+    return coeffs
+
+
+def reference_leading_bracket(coeffs, k, gap):
+    """Power sum a_0^(k+1) + 2 sum a_n^(k+1) cos(n gap) from the tuple."""
+    a = np.asarray(coeffs)
+    total = a[0] ** (k + 1)
+    if len(coeffs) > 1:
+        n = np.arange(1, len(coeffs))
+        total += 2.0 * float(np.sum(a[1:] ** (k + 1) * np.cos(n * gap)))
+    return float(total)
+
+
+def window_tail(p, width, terms):
+    n = np.arange(1, terms + 1)
+    return p * width / np.pi, p * np.sin(n * width) / (np.pi * n)
+
+
+@pytest.mark.parametrize("values", [
+    (0.42,),
+    (0.0, -0.0, 1, 2 ** 60 + 1, np.float32(0.1), np.float64(1e-300), "0.25"),
+    (window_tail(0.1, 1.0, 4096)[0], *window_tail(0.1, 1.0, 4096)[1]),
+    (window_tail(0.05, 0.5, 200_000)[0], *window_tail(0.05, 0.5, 200_000)[1]),
+], ids=["constant", "mixed-types", "window-4096", "window-200k"])
+def test_series_built_in_one_pass_equals_per_element_build(values):
+    series = FourierSeries(values)
+    expected = per_element_coeffs(values)
+    assert type(series.coeffs) is tuple
+    assert all(type(c) is float for c in series.coeffs)
+    # bit for bit, signed zeros included
+    assert (np.asarray(series.coeffs).view(np.uint64).tolist()
+            == np.asarray(expected).view(np.uint64).tolist())
+    assert hash(series) == hash((expected,))
+    assert series == FourierSeries(expected)
+    for k, gap in ((1, 0.0), (2, 0.7), (5, math.pi)):
+        assert fourier._leading_bracket(series, k, gap) == \
+            reference_leading_bracket(expected, k, gap)
+
+
+def test_window_series_equals_per_element_build():
+    p, width, terms = 0.1, 1.0, 4096
+    head, tail = window_tail(p, width, terms)
+    series = uniform_window_series(UniformWindow(p, width), terms)
+    assert series.coeffs == per_element_coeffs((head, *tail))
+    assert hash(series) == hash((per_element_coeffs((head, *tail)),))
+
+
+def test_series_array_is_read_only():
+    series = uniform_window_series(UniformWindow(0.1, 1.0), 64)
+    with pytest.raises(ValueError):
+        series._array[0] = 1.0
+    assert series.coeffs[0] == 0.1 * 1.0 / math.pi
+
+
+@pytest.mark.parametrize("values", [(), (1.0, math.nan), (math.inf,), ((1.0, 2.0),)])
+def test_series_rejects_bad_coefficients(values):
+    with pytest.raises(ValueError):
+        FourierSeries(values)
+
+
 # ---------------------------------------------------------------------------
 # series evaluation
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Graph sampling, estimators, and the determinism contract."""
 
 import math
+import threading
+import time
 from collections import deque
 
 import numpy as np
@@ -476,6 +478,21 @@ def test_run_trials_thread_invariant():
     assert single == multi
 
 
+@pytest.mark.parametrize("trials", [1, 2, 3, 5, 33])
+def test_each_worker_runs_contiguous_trials(monkeypatch, trials):
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+
+    def worker(seed):
+        time.sleep(0.002)  # lets the other worker take trials meanwhile
+        return seed, threading.get_ident()
+
+    results = run_trials(worker, trials, master_seed=7, threads=2)
+    assert [seed for seed, _ in results] == [trial_seed(7, t) for t in range(trials)]
+    # two workers, one contiguous run of trials each
+    idents = [ident for _, ident in results]
+    assert sum(a != b for a, b in zip(idents, idents[1:])) <= 1
+
+
 def test_estimates_thread_invariant():
     kernel = UniformWindow(0.3, 0.6)
     a = estimate_clustering(512, kernel, trials=12, master_seed=3, threads=1)
@@ -628,3 +645,119 @@ def test_multi_offset_call_samples_each_trial_once(monkeypatch):
         96, UniformWindow(0.2, 0.9), range(1, 49), 2, 7, 9)
     assert len(histograms) == 48
     assert calls == [trial_seed(9, t) for t in range(7)]
+
+
+# ---------------------------------------------------------------------------
+# sampling plans, keyed edge order and stream keys
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("shape, kernel", [
+    (128, UniformWindow(0.05, 0.5)),
+    ((12, 10), ProductKernel((UniformWindow(0.7, 0.9), UniformWindow(0.6, 1.0)))),
+])
+def test_plan_built_once_per_shape_and_kernel(monkeypatch, shape, kernel, threads):
+    expected = estimate_mean_degree(shape, kernel, 50, 4, threads=1)
+    calls = []
+    original = UniformWindow.evaluate
+
+    def counting(self, angle):
+        calls.append(self)
+        return original(self, angle)
+
+    monkeypatch.setattr(UniformWindow, "evaluate", counting)
+    montecarlo._cached_plan.cache_clear()
+    assert estimate_mean_degree(shape, kernel, 50, 4, threads=threads) == expected
+    # one evaluation per kernel factor, all made while building the plan
+    factors = getattr(kernel, "factors", (kernel,))
+    assert calls == list(factors)
+
+
+def test_plan_arrays_are_read_only():
+    ring = montecarlo._sampling_plan((130,), UniformWindow(0.5, math.pi))
+    torus = montecarlo._sampling_plan(
+        (4, 4, 5), ProductKernel((UniformWindow(0.5, 1.6), interior_zero_kernel(),
+                                  UniformWindow(0.4, 1.3))))
+    arrays = [array for plan in (ring, torus) for chunk in plan.chunks
+              for array in (chunk.probs, chunk.offsets)]
+    arrays += list(torus.components)
+    assert arrays
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array.flat[0] = 0
+
+
+def reference_canonical_order(edges):
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+
+
+@st.composite
+def unique_edge_pieces(draw):
+    """A unique (low, high) pair set in random order, split into pieces."""
+    n = draw(st.integers(2, 60))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda pair: pair[0] < pair[1]),
+                          unique=True, max_size=120))
+    cuts = sorted(draw(st.lists(st.integers(0, len(pairs)), max_size=4)))
+    bounds = [0, *cuts, len(pairs)]
+    return n, [np.asarray(pairs[a:b], dtype=np.int64).reshape(-1, 2)
+               for a, b in zip(bounds, bounds[1:])]
+
+
+def sampled_pieces(shape, kernel):
+    sample = sample_graph(shape, kernel, seed=17)
+    shuffled = np.random.default_rng(3).permutation(sample.edges)
+    return sample.n, np.array_split(shuffled, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=unique_edge_pieces())
+@example(case=sampled_pieces(200, UniformWindow(0.4, 0.6)))
+@example(case=sampled_pieces((12, 10), ProductKernel((UniformWindow(0.7, 0.9),
+                                                      UniformWindow(0.6, 1.0)))))
+@example(case=(9, []))
+@example(case=(9, [np.empty((0, 2), dtype=np.int64)]))
+def test_keyed_order_equals_lexsort(case):
+    n, pieces = case
+    keys = [piece[:, 0] * n + piece[:, 1] for piece in pieces]
+    edges = montecarlo._canonical_edges(keys, n)
+    expected = reference_canonical_order(np.concatenate(pieces) if pieces else [])
+    assert edges.dtype == np.int64
+    assert edges.shape == expected.shape
+    assert np.array_equal(edges, expected)
+
+
+class EntropyDrawn(Exception):
+    """A seed sequence asked the operating system for entropy."""
+
+
+def test_sampling_draws_no_entropy(monkeypatch):
+    import numpy.random.bit_generator as bit_generator
+
+    ring = UniformWindow(0.5, math.pi)
+    torus = ProductKernel((UniformWindow(0.7, 0.9), UniformWindow(0.6, 1.0)))
+    seeds = [trial_seed(20260822, trial) for trial in range(3)]
+    # the contract rebuilds use Philox(key=...), which draws entropy
+    expected = ([contract_ring_edges(128, ring, seed) for seed in seeds]
+                + [contract_torus_edges((12, 10), torus, seed) for seed in seeds])
+
+    def refuse(_bits):
+        raise EntropyDrawn
+
+    # SeedSequence() without entropy takes its bits from here
+    monkeypatch.setattr(bit_generator, "randbits", refuse)
+    with pytest.raises(EntropyDrawn):
+        np.random.SeedSequence()
+    drawn = ([sample_graph(128, ring, seed).edges.tolist() for seed in seeds]
+             + [sample_graph((12, 10), torus, seed).edges.tolist() for seed in seeds])
+    assert [[tuple(row) for row in edges] for edges in drawn] == expected
+
+
+def test_budget_refusal_is_not_cached():
+    kernel = UniformWindow(0.1, 0.5)
+    cached = montecarlo._cached_plan.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(CostBudgetError):
+            sample_graph(HUGE_NODES, kernel, seed=1)
+    assert montecarlo._cached_plan.cache_info().currsize == cached
