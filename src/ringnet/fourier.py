@@ -19,6 +19,10 @@ work is capped by ``MAX_SPLINE_OPS``.  The truncated series for the same
 count, ``chain_count_uniform`` at a gap of pi, is the independent
 cross-check.
 
+Every truncated series here holds one array entry per harmonic, so the
+harmonic count is capped by ``MAX_SERIES_TERMS``; a larger request raises
+``CostBudgetError`` before any array exists.
+
 Everything here is pure arithmetic on coefficient arrays; the quadrature
 module computes the same quantities by direct integration and serves as the
 independent cross-check.
@@ -44,6 +48,11 @@ DEFAULT_TAIL_TERMS = 500_000
 CORRECTION_COST_BUDGET = 40_000_000
 # Cox-de Boor work (images times (k+1)^2) allowed for one antipodal count
 MAX_SPLINE_OPS = 1 << 21
+# harmonics one truncated series may hold or sum (64 MiB per float array)
+MAX_SERIES_TERMS = 1 << 23
+# upper bounds on sum 1/n^2 = pi^2/6 = 1.64493... and sum 1/n^3 = 1.20205...
+_ZETA_TWO_BOUND = 1.645
+_ZETA_THREE_BOUND = 1.2021
 UNIT_ROUNDOFF = 2.0 ** -53
 
 CURVE_MODES = ("leading", "full", "quadrature", "mc")
@@ -164,6 +173,7 @@ def uniform_window_series(window: UniformWindow, terms: int = DEFAULT_TERMS) -> 
     """
     if terms < 1:
         raise ValueError("need at least one harmonic")
+    _check_series_terms("sharp-window series", terms)
     n = np.arange(1, terms + 1)
     head = window.p * window.half_width / np.pi
     tail = window.p * np.sin(n * window.half_width) / (np.pi * n)
@@ -366,20 +376,47 @@ def clustering_uniform(p: float, half_width: float,
                        tail_terms: int = 1_000_000) -> UncertainValue:
     """Clustering of the sharp-window kernel by its closed-form series.
 
-    The series is p/(pi w^2) * (w^3 + 2 sum sin(n w)^3 / n^3); the reported
-    bound covers the dropped tail, which is below 1/tail_terms^2 of the
-    prefactor.  At w = pi every sine term vanishes and the value is p.
+    The series is p/(pi w^2) * (w^3 + 2 sum sin(n w)^3 / n^3), summed over
+    the first N = ``tail_terms`` harmonics.  Each term is evaluated without
+    a power function, in this order: r = n * w, r = sin(r), r = r / n,
+    cube = r * r, cube = cube * r, then one ``np.sum`` over the cubes.
+
+    The reported bound is the prefactor p/(pi w^2) times
+      * the dropped tail, below 1/N^2 (twice sum_{n>N} 1/n^3);
+      * the sines of the rounded arguments, each off by at most
+        s_n = (n w + 8) u, which moves a cube by at most 3 s_n (1 + s_n)^2
+        / n^3; summed with sum 1/n^2 < 1.645 and sum 1/n^3 < 1.2021;
+      * gamma_{N+16} times (w^3 + 2 sum |cube|), covering the divide and
+        the two multiplies of every term, the sum and the prefactor.
+    Here u = 2^-53 and gamma_k = k u / (1 - k u).  At w = pi every sine
+    term vanishes and the value is p.  ``tail_terms`` above
+    ``MAX_SERIES_TERMS`` raises ``CostBudgetError`` before any work.
     """
     if not 0.0 < half_width <= np.pi:
         raise ValueError("window half-width must lie in (0, pi]")
     if not 0.0 <= p <= 1.0:
         raise ValueError("window height must lie in [0, 1]")
-    n = np.arange(1, tail_terms + 1)
-    partial = float(np.sum(np.sin(n * half_width) ** 3 / n.astype(float) ** 3))
+    _check_series_terms("closed-form clustering series", tail_terms)
+    # the operation order below is part of the result: it reproduces the
+    # pinned battery value bit for bit, so keep it when editing
+    n = np.arange(1.0, tail_terms + 1.0)
+    ratio = n * half_width
+    np.sin(ratio, out=ratio)
+    np.divide(ratio, n, out=ratio)
+    cube = np.square(ratio)
+    cube *= ratio
+    partial = float(np.sum(cube))
+    magnitude = float(np.sum(np.abs(cube, out=cube)))
+    head = half_width ** 3
     prefactor = p / (np.pi * half_width ** 2)
-    value = prefactor * (half_width ** 3 + 2.0 * partial)
-    bound = prefactor / tail_terms ** 2
-    return UncertainValue(float(value), float(bound))
+    value = prefactor * (head + 2.0 * partial)
+    tail = 1.0 / float(tail_terms) ** 2
+    widest = (tail_terms * half_width + 8.0) * UNIT_ROUNDOFF
+    sine_slack = (3.0 * (1.0 + widest) ** 2 * UNIT_ROUNDOFF
+                  * (half_width * _ZETA_TWO_BOUND + 8.0 * _ZETA_THREE_BOUND))
+    rounding = (_gamma(tail_terms + 16) * (head + 2.0 * magnitude)
+                + 2.0 * sine_slack)
+    return UncertainValue(float(value), float(prefactor * (tail + rounding)))
 
 
 def chain_count_uniform(p: float, half_width: float, mean_degree: float,
@@ -391,12 +428,14 @@ def chain_count_uniform(p: float, half_width: float, mean_degree: float,
     / n^(k+1)) with an explicit tail bound of 2 / (k tail_terms^k) on the
     bracket, plus a bound on the floating-point rounding of the sines,
     cosines and the sum, which dominates where the true count is 0.
-    Equals the generic power-sum route on the same kernel.
+    Equals the generic power-sum route on the same kernel.  ``tail_terms``
+    above ``MAX_SERIES_TERMS`` raises ``CostBudgetError`` before any work.
     """
     if k < 1:
         raise ValueError("chain counts need at least one intermediary")
     if not 0.0 < half_width <= np.pi:
         raise ValueError("window half-width must lie in (0, pi]")
+    _check_series_terms(f"closed-form chain series for k={k}", tail_terms)
     n = np.arange(1, tail_terms + 1)
     sines = np.sin(n * half_width)
     terms = (sines / n) ** (k + 1) * np.cos(n * gap)
@@ -415,6 +454,11 @@ def chain_count_uniform(p: float, half_width: float, mean_degree: float,
                 + 2.0 * float(np.sum(arguments)))
     return UncertainValue(float(prefactor * bracket),
                           float(prefactor * (tail + rounding)))
+
+
+def _check_series_terms(what: str, terms: int) -> None:
+    if terms > MAX_SERIES_TERMS:
+        raise CostBudgetError(f"harmonics of the {what}", terms, MAX_SERIES_TERMS)
 
 
 def _gamma(count: int) -> float:

@@ -1,5 +1,6 @@
 """Command line behaviour: configs, output formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -271,6 +272,25 @@ def test_sweep_phi_refuses_chain_order_over_budget(tmp_path, capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command,computation", [
+    ("clustering", {"tail_terms": 2 ** 62}),
+    ("clustering", {"modes": ["leading"], "terms": 2 ** 62}),
+    ("sweep-phi", {"phi_grid": GRID, "tail_terms": 2 ** 62}),
+    ("mc-validate", {"terms": 2 ** 62}),
+    ("separation", {"modes": ["leading"], "terms": 2 ** 62}),
+], ids=["clustering-tail", "clustering-terms", "sweep-tail", "battery-terms",
+        "separation-terms"])
+def test_series_term_budget_is_a_numerical_failure(tmp_path, capsys, command,
+                                                   computation):
+    config = write_config(tmp_path, {"computation": computation})
+    code = main([command, "--config", config])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL_FAILURE
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure:")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_separation_rejects_boolean_chain_order(tmp_path, capsys):
     config = write_config(tmp_path, {"computation": {"k_list": [True]}})
     code, _ = run_cli(capsys, "separation", "--config", config)
@@ -297,6 +317,18 @@ def test_mc_validate_passes_and_is_deterministic(tmp_path):
     text = first.read_text()
     assert "FAIL" not in text
     assert text.strip().endswith("checks)")
+
+
+# sha256 of the full default battery report at the CLI's default seed; any
+# change to it must be explained line by line and recorded with the new sha
+DEFAULT_REPORT_SHA256 = ("2ad3c635f7ec1cab83cb871ed7cc082f"
+                         "8b38ad8dd3bf3d750d7d7d9243ce769f")
+
+
+def test_mc_validate_default_report_sha_pinned(capsys):
+    code, out = run_cli(capsys, "mc-validate", "--seed", "20260822")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEFAULT_REPORT_SHA256
 
 
 def test_mc_validate_detects_bad_truncation(tmp_path, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ringnet import fourier
 from ringnet import (
@@ -341,6 +341,96 @@ def test_clustering_uniform_error_bound_honest():
     fine = clustering_uniform(0.3, 0.7, tail_terms=1_000_000)
     assert abs(coarse.value - fine.value) <= coarse.error_bound
     assert coarse.error_bound > fine.error_bound
+
+
+def _clustering_oracle(p, width):
+    # elementary closed form of the triple overlap of three windows on the
+    # circle, test-only: C/p = [3 w^2 + max(0, 3 w - 2 pi)^2] / (4 w^2)
+    excess = max(0.0, 3.0 * width - 2.0 * math.pi)
+    return p * (3.0 * width * width + excess * excess) / (4.0 * width * width)
+
+
+def _clustering_with_pow(p, width, terms):
+    # the sum as it was written with libm pow, kept as a reference
+    n = np.arange(1, terms + 1)
+    partial = float(np.sum(np.sin(n * width) ** 3 / n.astype(float) ** 3))
+    prefactor = p / (np.pi * width ** 2)
+    return prefactor * (width ** 3 + 2.0 * partial)
+
+
+# the sweep-phi default grid: 64 widths up to pi at 200k harmonics
+SWEEP_WIDTHS = np.linspace(math.pi / 64, math.pi, 64).tolist()
+
+
+def _assert_clustering_matches_oracle(p, width, terms):
+    result = clustering_uniform(p, width, tail_terms=terms)
+    oracle = _clustering_oracle(p, width)
+    # a few ulps for the oracle's own rounding
+    slack = 8.0 * math.ulp(oracle) if oracle else 0.0
+    assert abs(result.value - oracle) <= result.error_bound + slack
+
+
+@pytest.mark.parametrize("width", SWEEP_WIDTHS)
+def test_clustering_uniform_matches_oracle_on_sweep_grid(width):
+    _assert_clustering_matches_oracle(0.1, width, 200_000)
+
+
+# widths far below 1/N leave the truncated series unconverged, with the
+# tail bound carrying the whole value; 1e-3 keeps the property informative
+@settings(max_examples=40, deadline=None)
+@given(p=st.floats(0.0, 1.0),
+       width=st.floats(1e-3, math.pi),
+       terms=st.integers(1_000, 1_000_000))
+@example(p=0.1, width=math.pi, terms=1_000)
+@example(p=1.0, width=2.0 * math.pi / 3.0, terms=1_000_000)
+@example(p=0.1, width=1.0, terms=200_000)
+def test_clustering_uniform_within_bound_of_oracle(p, width, terms):
+    _assert_clustering_matches_oracle(p, width, terms)
+
+
+@pytest.mark.parametrize("width", [SWEEP_WIDTHS[0], 1.0, 2.0 * math.pi / 3.0,
+                                   SWEEP_WIDTHS[50], math.pi])
+def test_clustering_uniform_agrees_with_pow_reference(width):
+    result = clustering_uniform(0.1, width, tail_terms=200_000)
+    reference = _clustering_with_pow(0.1, width, 200_000)
+    assert abs(result.value - reference) <= result.error_bound
+
+
+def test_clustering_uniform_bound_covers_rounding():
+    # past the tail the bound keeps the rounding of N sines and cubes
+    p, width, terms = 0.3, 0.7, 1_000_000
+    result = clustering_uniform(p, width, tail_terms=terms)
+    prefactor = p / (math.pi * width ** 2)
+    assert result.error_bound > prefactor / terms ** 2
+    assert result.error_bound < 1e3 * terms * 2.0 ** -53 * result.value
+
+
+# ---------------------------------------------------------------------------
+# series term budget
+# ---------------------------------------------------------------------------
+
+def _refuse_allocation(*_args, **_kwargs):
+    raise AssertionError("allocated an array before the term budget check")
+
+
+@pytest.mark.parametrize("terms", [fourier.MAX_SERIES_TERMS + 1, 2 ** 62])
+@pytest.mark.parametrize("call", [
+    lambda t: clustering_uniform(0.1, 1.0, tail_terms=t),
+    lambda t: chain_count_uniform(0.1, 1.0, 4.0, 2, 0.5, tail_terms=t),
+    lambda t: uniform_window_series(UniformWindow(0.1, 1.0), t),
+], ids=["clustering", "chain", "window-series"])
+def test_series_term_budget_refuses_before_allocating(monkeypatch, call, terms):
+    monkeypatch.setattr(np, "arange", _refuse_allocation)
+    with pytest.raises(CostBudgetError) as info:
+        call(terms)
+    assert info.value.budget == fourier.MAX_SERIES_TERMS
+    assert info.value.cost == terms
+
+
+def test_antipodal_count_ignores_term_budget():
+    # no tail is dropped, so a huge tail_terms is accepted and unused
+    huge = antipodal_chain_count_uniform(0.1, 1.0, 4.0, 2, tail_terms=2 ** 62)
+    assert huge == antipodal_chain_count_uniform(0.1, 1.0, 4.0, 2)
 
 
 # ---------------------------------------------------------------------------
