@@ -39,7 +39,6 @@ from . import __version__, fourier, montecarlo, quadrature
 from .kernels import (
     CircleModel,
     CosineSeries,
-    KernelValidationError,
     ProductKernel,
     TorusModel,
     UniformWindow,
@@ -142,10 +141,15 @@ def _resolve_config(args):
     return config
 
 
+# what a malformed kernel or model document raises while it is read
+# (KernelValidationError is a ValueError)
+_CONFIG_FAULTS = (KeyError, TypeError, ValueError)
+
+
 def _build_model(config):
     try:
         return model_from_config(config)
-    except (KeyError, TypeError, ValueError, KernelValidationError) as exc:
+    except _CONFIG_FAULTS as exc:
         raise ConfigError(f"bad model configuration: {exc}") from exc
 
 
@@ -260,7 +264,7 @@ def _series_for_kernel(kernel, terms):
     if isinstance(kernel, UniformWindow):
         return fourier.uniform_window_series(kernel, terms)
     if isinstance(kernel, CosineSeries):
-        return fourier.FourierSeries(kernel.coeffs)
+        return kernel  # a cosine kernel is its own expansion
     raise ConfigError("series modes need a uniform or cosine kernel per axis")
 
 
@@ -565,7 +569,7 @@ def cmd_kernel_info(config):
     """Emit the kernel validation report; exit 2 when the kernel is invalid."""
     try:
         kernel = kernel_from_config(config["kernel"])
-    except KernelValidationError as exc:
+    except _CONFIG_FAULTS as exc:
         raise ConfigError(f"bad kernel configuration: {exc}") from exc
     problems = validate(kernel)
     record = {
@@ -800,7 +804,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (quadrature.QuadratureError, quadrature.BudgetError, montecarlo.CostBudgetError,
-            montecarlo.EstimateUndefinedError, FloatingPointError) as exc:
+            montecarlo.EstimateUndefinedError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
 

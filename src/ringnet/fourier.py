@@ -6,7 +6,9 @@ expansion coefficients: a chain of k hops contributes the (k+1)-th powers.
 This module builds truncated expansions, evaluates the resulting chain and
 clustering formulas (with and without the non-link factors that mark a
 chain as shortest), and carries explicit truncation bounds for the closed
-forms of the sharp-window kernel where the infinite tail is known.
+forms of the sharp-window kernel where the infinite tail is known.  An
+expansion is a ``FourierSeries``, which is the cosine kernel class
+``kernels.CosineSeries`` under a second name.
 
 The chain count to the antipode of a sharp window is summed exactly
 instead: it is p N^k times the density of k+1 uniform steps on [-w, w]
@@ -31,7 +33,6 @@ independent cross-check.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -39,13 +40,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .kernels import TWO_PI, CostBudgetError, DimensionError, UniformWindow
+from .kernels import CosineSeries as FourierSeries
 from .quadrature import integrate_periodic
 
 DEFAULT_TERMS = 4096
 DEFAULT_CORRECTION_ORDER = 128
 DEFAULT_TAIL_TERMS = 500_000
-# triples touched by the cubic correction sums before a cost warning fires
-CORRECTION_COST_BUDGET = 40_000_000
+# index triples the cubic correction tables may touch, (2 M + 1)^3 at
+# correction order M: order 1024 (about 25 s for the tables) is the largest
+# that runs, and a larger one raises CostBudgetError before any table exists
+CORRECTION_COST_BUDGET = (2 * 1024 + 1) ** 3
 # Cox-de Boor work (images times (k+1)^2) allowed for one antipodal count
 MAX_SPLINE_OPS = 1 << 21
 # harmonics one truncated series may hold or sum (64 MiB per float array)
@@ -56,10 +60,6 @@ _ZETA_THREE_BOUND = 1.2021
 UNIT_ROUNDOFF = 2.0 ** -53
 
 CURVE_MODES = ("leading", "full", "quadrature", "mc")
-
-
-class CorrectionCostWarning(Warning):
-    """Cubic correction sums were requested beyond the cost budget."""
 
 
 class UncertainValue(NamedTuple):
@@ -74,53 +74,6 @@ class AntipodalChainCount(NamedTuple):
 
     value: UncertainValue
     normalized: UncertainValue
-
-
-@dataclass(frozen=True)
-class FourierSeries:
-    """Truncated cosine expansion of an even real periodic function.
-
-    Only the non-negative-index coefficients are stored; the function value
-    is ``coeffs[0] + 2 * sum(coeffs[n] * cos(n * phi))``.  Coefficients past
-    the stored order are treated as zero everywhere in this module.
-    """
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        array = np.array(self.coeffs, dtype=float)
-        if array.ndim != 1:
-            raise ValueError("series coefficients must be a flat sequence")
-        if not array.size:
-            raise ValueError("a series needs at least the constant coefficient")
-        if not np.all(np.isfinite(array)):
-            raise ValueError("series coefficients must be finite")
-        array.setflags(write=False)
-        object.__setattr__(self, "coeffs", tuple(array.tolist()))
-        # the same values as an array, for the vectorised power sums
-        object.__setattr__(self, "_array", array)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def evaluate(self, angle):
-        """Value of the expansion at ``angle`` (array friendly)."""
-        phi = np.asarray(angle, dtype=float)
-        scalar = phi.ndim == 0
-        flat = np.atleast_1d(phi).ravel()
-        a = self._array
-        out = np.full(flat.shape, a[0])
-        if self.order:
-            harmonics = np.arange(1, self.order + 1)
-            # blockwise so a long grid times a long series stays in memory
-            for start in range(0, flat.size, 4096):
-                block = flat[start:start + 4096]
-                table = np.cos(block[:, None] * harmonics[None, :])
-                out[start:start + 4096] += 2.0 * np.einsum(
-                    "gk,k->g", table, a[1:], optimize=False)
-        out = out.reshape(np.atleast_1d(phi).shape)
-        return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -270,10 +223,8 @@ def _effective_correction_order(series: FourierSeries, correction_order: int) ->
     mc = min(correction_order, series.order)
     cost = (2 * mc + 1) ** 3
     if cost > CORRECTION_COST_BUDGET:
-        warnings.warn(
-            f"cubic correction sums touch {cost} index triples, over the "
-            f"budget of {CORRECTION_COST_BUDGET}; expect a slow evaluation",
-            CorrectionCostWarning, stacklevel=3)
+        raise CostBudgetError(f"cubic correction sums at order {mc}", cost,
+                              CORRECTION_COST_BUDGET)
     return mc
 
 
@@ -314,7 +265,9 @@ def chain_count_two(series: FourierSeries, radius: float, gap: float,
     a cubic triple sum.  ``correction_order`` truncates those two sums; zero
     switches them off entirely, which reduces the result to the leading
     count times the no-direct-link factor, exactly.  Positive orders are
-    clamped to the stored series order.
+    clamped to the stored series order; a clamped order M whose tables
+    would touch (2 M + 1)^3 > ``CORRECTION_COST_BUDGET`` index triples
+    raises ``CostBudgetError`` before any table is built.
     """
     if not 0.0 <= direct_prob <= 1.0:
         raise ValueError("direct link probability must lie in [0, 1]")

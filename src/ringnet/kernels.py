@@ -113,13 +113,26 @@ class CosineSeries:
     ``coeffs[k]`` multiplies cos(k*phi) with weight 2 for k >= 1, so the
     value at angle phi is ``coeffs[0] + 2*sum_k coeffs[k]*cos(k*phi)``.  The
     stored half determines the full symmetric expansion because the kernel
-    is even.
+    is even.  The same object is the truncated expansion whose coefficient
+    power sums the series routes in :mod:`ringnet.fourier` evaluate (there
+    also named ``FourierSeries``); coefficients past the stored order count
+    as zero.  An empty, nested or non-finite coefficient list is refused.
     """
 
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        array = np.array(self.coeffs, dtype=float)
+        if array.ndim != 1:
+            raise KernelValidationError("cosine coefficients must be a flat sequence")
+        if not array.size:
+            raise KernelValidationError("empty coefficient list")
+        if not np.all(np.isfinite(array)):
+            raise KernelValidationError("non-finite coefficient")
+        array.setflags(write=False)
+        object.__setattr__(self, "coeffs", tuple(array.tolist()))
+        # the same values as an array, for evaluation and the power sums
+        object.__setattr__(self, "_array", array)
 
     @property
     def dimension(self) -> int:
@@ -134,10 +147,10 @@ class CosineSeries:
         """Link probability at the given angular separation(s)."""
         scalar = np.ndim(angle) == 0
         phi = np.atleast_1d(np.asarray(angle, dtype=float)).ravel()
-        weights = np.full(len(self.coeffs), 2.0)
+        weights = np.full(self._array.size, 2.0)
         weights[0] = 1.0
-        harmonics = np.arange(len(self.coeffs))
-        values = np.cos(phi[:, None] * harmonics[None, :]) @ (weights * np.asarray(self.coeffs))
+        harmonics = np.arange(self._array.size)
+        values = np.cos(phi[:, None] * harmonics[None, :]) @ (weights * self._array)
         values = values.reshape(np.shape(angle)) if not scalar else values
         return _scalar_or_array(values[0] if scalar else values, scalar)
 
@@ -147,11 +160,6 @@ class CosineSeries:
         return ()
 
     def violations(self) -> list[str]:
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.size == 0:
-            return ["empty coefficient list"]
-        if not np.all(np.isfinite(coeffs)):
-            return ["non-finite coefficient"]
         problems = []
         count = 4 * max(self.order, 1) + DENSE_CHECK_EXTRA
         grid = np.linspace(-math.pi, math.pi, count, endpoint=False)
@@ -345,7 +353,7 @@ def kernel_from_config(doc: dict):
         return UniformWindow(p=float(doc["p"]), half_width=float(doc["half_width"]))
     if kind == "cosine":
         _require_keys(doc, {"type", "coeffs"}, "cosine kernel")
-        return CosineSeries(coeffs=tuple(float(c) for c in doc["coeffs"]))
+        return CosineSeries(coeffs=doc["coeffs"])
     if kind == "product":
         _require_keys(doc, {"type", "factors"}, "product kernel")
         return ProductKernel(factors=tuple(kernel_from_config(f) for f in doc["factors"]))

@@ -38,6 +38,12 @@ _SMOOTH_COUNTS = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 # inner points evaluated together in one batch of a nested integral: a
 # fixed bound on the memory of its temporaries, not a tuning option
 MAX_BATCH_POINTS = 1 << 15
+# breakpoints closer together than this become one panel edge
+BREAK_RESOLUTION = 1e-12
+# narrowest kernel feature the rules resolve.  Merged edges moved the
+# clustering of a window of half-width 4.6e-11 by 1.7e-3 of its value, and
+# at 4.6e-12 by more than its achieved difference; from 7e-11 on it was exact
+MIN_FEATURE = 100 * BREAK_RESOLUTION
 
 
 class QuadratureError(RuntimeError):
@@ -107,7 +113,7 @@ def _inner_breaks(candidates):
     ordered = np.sort(np.where(inside, wrapped, np.inf), axis=1)
     keep = np.isfinite(ordered)
     with np.errstate(invalid="ignore"):  # inf - inf in the padding
-        keep[:, 1:] &= np.diff(ordered, axis=1) > 1e-12
+        keep[:, 1:] &= np.diff(ordered, axis=1) > BREAK_RESOLUTION
     return np.sort(np.where(keep, ordered, np.inf), axis=1), keep.sum(axis=1)
 
 
@@ -241,6 +247,8 @@ def _nested_integral(axes, outer_shifts, outer_factor, inner_shifts, integrand,
     points, weights = _tensor_rule(axes, outer_shifts, level)
     factor = outer_factor(points)
     live = np.flatnonzero((factor != 0.0) & (weights != 0.0))
+    if not live.size:
+        return 0.0, points.shape[0]  # the outer factor vanishes at every node
     outer = points[live]
     shifts = [np.column_stack([np.tile(np.asarray(fixed, dtype=float), (live.size, 1)),
                                outer[:, axis]]) for axis, fixed in enumerate(inner_shifts)]
@@ -254,6 +262,22 @@ def _nested_integral(axes, outer_shifts, outer_factor, inner_shifts, integrand,
     for term in (weights[live] * factor[live] * inner).tolist():
         total += term  # one node at a time in grid order, as a per-node loop adds
     return total, evaluations
+
+
+def _check_resolved(axes):
+    """Refuse a kernel whose breakpoints, or a breakpoint and 0, lie within
+    ``MIN_FEATURE`` of each other.  Panel edges derive from exactly these
+    points, shifted, and edges closer than ``BREAK_RESOLUTION`` merge: a
+    window of half-width 1e-12 has no node left inside it and would
+    integrate to 0."""
+    for _, kernel in axes:
+        # breakpoints lie in (-pi, pi); np.sort, not np.unique, which loads
+        # numpy.ma on its first call
+        gaps = np.diff(np.sort([*kernel.breakpoints(), 0.0]))
+        if np.any(gaps <= MIN_FEATURE):
+            raise QuadratureError(
+                f"a kernel feature {gaps.min():.1e} wide is below the "
+                f"quadrature resolution of {MIN_FEATURE:.0e}")
 
 
 def _converge(value_at, tol, label, levels=6):
@@ -273,6 +297,7 @@ def _converge(value_at, tol, label, levels=6):
 
 
 def _chain_integral(axes, k, gaps, with_exclusion, tol):
+    _check_resolved(axes)
     if k == 1:
         # integral over x of Q(x) * Q(gap - x); the only exclusion factor for
         # one intermediary is the direct-link term the callers apply
@@ -309,6 +334,7 @@ def _triangle_integral(axes, anchor, tol):
     # iterated integral over x, y of Q(x - anchor) Q(y - x) Q(y - anchor),
     # one anchor angle per axis; inner refinement is locked to the outer
     # level, see _chain_integral for the rationale
+    _check_resolved(axes)
     outer = [[a] + [a + 2.0 * b for b in kernel.breakpoints()]
              for (_, kernel), a in zip(axes, anchor)]
     return _converge(lambda level: _nested_integral(

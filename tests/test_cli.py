@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -561,3 +565,117 @@ def test_huge_ring_is_refused_before_allocating(capsys):
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: candidate pairs")
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("kernel", [
+    {"type": "uniform", "p": "x", "half_width": 0.5},
+    {"type": "cosine", "coeffs": [0.1, "x"]},
+    {"type": "product", "factors": 3},
+    {"type": "cosine", "coeffs": [0.1, math.nan]},
+], ids=["uniform-string", "cosine-string", "product-int", "cosine-nan"])
+def test_kernel_info_malformed_kernel_exits_2_with_one_line(tmp_path, capsys, kernel):
+    config = write_config(tmp_path, {"kernel": kernel})
+    code = main(["kernel-info", "--config", config])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("config error: bad kernel configuration:")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("clustering", "--p", "0.1", "--phi", "1e-200", "--modes", "closed"),
+    ("clustering", "--p", "0.1", "--phi", "1e-200", "--modes", "leading"),
+    ("separation", "--radius", "1e200", "--modes", "leading"),
+    ("separation", "--radius", "1e200", "--modes", "full"),
+    ("clustering", "--radius", "1e200", "--modes", "leading"),
+], ids=["tiny-width-closed", "tiny-width-leading", "huge-radius-leading",
+        "huge-radius-full", "huge-radius-clustering"])
+def test_float_overflow_and_division_by_zero_exit_3(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL_FAILURE
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure:")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_separation_quadrature_of_zero_window_is_exact_zero(capsys):
+    code, out = run_cli(capsys, "separation", "--p", "0", "--phi", "0.5",
+                        "--modes", "quadrature")
+    assert code == EXIT_OK
+    rows = parse_csv(out)
+    assert len(rows) == 50
+    assert all(r["value"] == "0.0" and r["error_estimate"] == "0.0" for r in rows)
+
+
+@pytest.mark.parametrize("command", ["clustering", "separation"])
+def test_quadrature_refuses_unresolvable_window(capsys, command):
+    code = main([command, "--phi", "1e-13", "--modes", "quadrature"])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL_FAILURE
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: a kernel feature")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_correction_order_over_budget_exits_3(tmp_path, capsys):
+    # the 4096-term default series clamps the order to 4096, far over budget
+    config = write_config(tmp_path, {**CIRCLE, "computation": {
+        "modes": ["full"], "correction_order": 5000}})
+    code = main(["separation", "--config", config])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL_FAILURE
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: cubic correction sums")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+# sha256 of the CSV output for the SMOOTH cosine kernel on a circle of
+# radius 20 in the three analytic modes; a cosine kernel is its own series
+COSINE_OUTPUT_SHA256 = {
+    "clustering": "bec688b89e95348e0db703e9f9d1b057493b23054d7a766181e9127b8639913f",
+    "separation": "8d19438fff8e4a68e1993b0d50c8bb9a7403610db983740df477cec817c20f3f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COSINE_OUTPUT_SHA256))
+def test_cosine_kernel_output_sha_pinned(tmp_path, capsys, command):
+    config = write_config(tmp_path, {"space": {"type": "circle", "radius": 20.0},
+                                     "kernel": SMOOTH})
+    code, out = run_cli(capsys, command, "--config", config,
+                        "--modes", "leading,full,quadrature")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        COSINE_OUTPUT_SHA256[command]
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # scipy is a test dependency only: a fresh process runs every command
+    # and must not have loaded it
+    script = """
+import json, sys
+from ringnet.cli import main
+out, config = sys.argv[1], sys.argv[2]
+codes = [
+    main(["clustering", "--modes", "closed,leading,full,quadrature,mc",
+          "--trials", "2", "--out", out]),
+    main(["separation", "--modes", "leading,full,quadrature,mc",
+          "--trials", "2", "--out", out]),
+    main(["sweep-phi", "--config", config, "--out", out]),
+    main(["mc-validate", "--config", config, "--out", out]),
+    main(["kernel-info", "--out", out]),
+]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+    config = write_config(tmp_path, {"computation": {
+        "phi_points": 4, "tail_terms": 1000, "battery_trials": FAST_BATTERY}})
+    source = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(source), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out.csv"),
+                             config], capture_output=True, text=True, env=env,
+                            check=True)
+    report = json.loads(result.stdout)
+    assert report == {"codes": [EXIT_OK] * 5, "scipy": []}

@@ -592,6 +592,37 @@ def test_antipodal_budget_refuses_before_work(monkeypatch):
     assert refused.value.cost == (order + 1) * order ** 2
 
 
+def test_correction_budget_refuses_before_building_tables(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("built correction tables past the cost budget")
+
+    monkeypatch.setattr(fourier, "_correction_tables", refuse)
+    series = uniform_window_series(UniformWindow(0.1, 0.5), 4096)
+    # order 1024 is the largest within the budget, far above the default
+    assert fourier._effective_correction_order(series, 1024) == 1024
+    assert (2 * fourier.DEFAULT_CORRECTION_ORDER + 1) ** 3 * 500 < \
+        fourier.CORRECTION_COST_BUDGET
+    for call in (
+            lambda: chain_count_two(series, 20.0, 0.3, 0.0, correction_order=1025),
+            lambda: clustering_from_series(series, 20.0, 2.0, mode="full",
+                                           correction_order=5000)):
+        with pytest.raises(CostBudgetError) as refused:
+            call()
+        assert refused.value.budget == fourier.CORRECTION_COST_BUDGET
+    # orders past the stored series are clamped before the budget applies
+    short = uniform_window_series(UniformWindow(0.1, 0.5), 64)
+    assert fourier._effective_correction_order(short, 5000) == 64
+
+
+def test_one_cosine_series_type():
+    import ringnet
+
+    assert ringnet.FourierSeries is ringnet.CosineSeries is fourier.FourierSeries
+    assert "CorrectionCostWarning" not in ringnet.__all__
+    series = uniform_window_series(UniformWindow(0.1, 0.5), 8)
+    assert isinstance(series, CosineSeries)
+
+
 # ---------------------------------------------------------------------------
 # torus factorization
 # ---------------------------------------------------------------------------

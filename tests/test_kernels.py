@@ -137,7 +137,8 @@ def test_validate_negative_cosine_reconstruction():
 
 def test_validate_non_finite():
     assert validate(UniformWindow(math.nan, 1.0)) != []
-    assert validate(CosineSeries((0.1, math.inf))) != []
+    with pytest.raises(KernelValidationError):
+        CosineSeries((0.1, math.inf))
 
 
 def test_model_construction_rejects_invalid_kernel():

@@ -81,6 +81,36 @@ def test_chain_quad_zero_kernel():
     assert chain_count_by_quadrature(model, 2, 0.5) == 0.0
 
 
+def test_chain_quad_zero_window_is_exactly_zero():
+    # no outer node carries a nonzero factor: the nested sum is empty
+    model = CircleModel(20.0, UniformWindow(0.0, 0.5))
+    for gap in (0.0, 0.7, math.pi):
+        for with_exclusion in (False, True):
+            result = chain_count_result(model, 2, gap, with_exclusion)
+            assert (result.value, result.error_estimate) == (0.0, 0.0)
+
+
+def test_window_below_breakpoint_resolution_is_refused():
+    # at 1e-13 the two window edges merge into one panel edge and no node
+    # falls inside: the integrals would read 0 where clustering is 0.75 p;
+    # at 4.6e-12 merged inner edges gave 0.07555 with an achieved
+    # difference of 2.0e-4
+    for width in (1e-13, 1e-12, 4.6e-12, quadrature.MIN_FEATURE):
+        model = CircleModel(20.0, UniformWindow(0.1, width))
+        with pytest.raises(QuadratureError):
+            clustering_by_quadrature(model)
+        for k in (1, 2):
+            with pytest.raises(QuadratureError):
+                chain_count_by_quadrature(model, k, 0.0)
+    for width in (1.5 * quadrature.MIN_FEATURE, 1e-6):
+        model = CircleModel(20.0, UniformWindow(0.1, width))
+        assert clustering_by_quadrature(model) == pytest.approx(0.075, rel=1e-12)
+        # reduced two-intermediary count at gap 0: R^2 p^3 3 w^2
+        expected = 20.0 ** 2 * 0.1 ** 3 * 3.0 * width ** 2
+        assert chain_count_by_quadrature(model, 2, 0.0) == pytest.approx(expected,
+                                                                          rel=1e-12)
+
+
 def test_chain_quad_matches_series_leading():
     kernel = UniformWindow(0.1, 0.8)
     model = CircleModel(20.0, kernel)
