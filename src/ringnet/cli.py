@@ -215,6 +215,8 @@ def _chain_orders(computation, default, least):
     if not isinstance(orders, list) or not all(_is_count(k, least) for k in orders):
         kind = "positive" if least else "non-negative"
         raise ConfigError(f"computation.k_list must be a list of {kind} integers")
+    if len(set(orders)) != len(orders):
+        raise ConfigError("computation.k_list must not repeat a chain order")
     return orders
 
 
@@ -222,20 +224,34 @@ def _chain_orders(computation, default, least):
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _csv_text(config, schema_name, columns, rows):
+def _csv_text(config, schema_name, columns, records):
+    """Header lines, then one line per record in the record's key order."""
     lines = [f"# tool: ringnet {__version__}",
              f"# schema: {schema_name} v{SCHEMA_VERSION}",
              f"# config-digest: sha256:{_config_digest(config)}",
              ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_cell(value) for value in row))
+    for record in records:
+        lines.append(",".join(_cell(value) for value in record.values()))
     return "\n".join(lines) + "\n"
 
 
 def _cell(value):
+    if value is None:
+        return ""
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _require_finite(records):
+    """Refuse to write nan or inf: neither is a result, nor valid JSON."""
+    for record in records:
+        bad = [key for key, value in record.items()
+               if isinstance(value, float) and not math.isfinite(value)]
+        if bad:
+            where = ", ".join(f"{key}={value!r}" for key, value in record.items()
+                              if key not in bad and value is not None)
+            raise FloatingPointError(f"non-finite {' and '.join(bad)} at {where}")
 
 
 def _json_text(config, schema_name, records):
@@ -275,9 +291,19 @@ def _ring_nodes(config):
     return nodes
 
 
+# every record holds its keys in the order of its CSV columns
+CLUSTERING_COLUMNS = ("mode", "value", "error_estimate", "trials")
+SEPARATION_COLUMNS = ("k", "b", "value", "error_estimate", "mode", "trials")
+
+
 def _clustering_record(mode, value, error, trials=None):
     return {"mode": mode, "value": float(value), "error_estimate": float(error),
             "trials": trials}
+
+
+def _separation_record(order, gap, value, error, mode, trials=None):
+    return {"k": order, "gap": float(gap), "value": float(value),
+            "error_estimate": float(error), "mode": mode, "trials": trials}
 
 
 def _uniform_only(model, mode):
@@ -348,10 +374,7 @@ def cmd_clustering(config):
             records.append(_clustering_record(mode, estimate.mean,
                                               estimate.std_error,
                                               estimate.trials))
-    columns = ("mode", "value", "error_estimate", "trials")
-    rows = [(r["mode"], r["value"], r["error_estimate"],
-             "" if r["trials"] is None else r["trials"]) for r in records]
-    return records, columns, rows, "clustering"
+    return records, CLUSTERING_COLUMNS, "clustering"
 
 
 # ---------------------------------------------------------------------------
@@ -371,47 +394,33 @@ def _gap_grid(config):
     return [float(g) for g in grid]
 
 
-def _model_label(model):
-    doc = model_to_config(model)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def _analytic_curve(model, series, order, grid, mode, terms, correction_order,
-                    tolerance):
+def _analytic_records(model, series, order, grid, mode, terms, correction_order,
+                      tolerance):
     kernel = model.kernel
-    values = []
-    errors = []
+    if order > 2 and mode in ("full", "quadrature"):
+        raise ConfigError(f"{mode} mode covers chain orders 1 and 2")
+    tail = (_uniform_tail_bound(kernel, model.radius, order, terms)
+            if order and mode != "quadrature" else 0.0)
+    records = []
     for gap in grid:
         direct = float(np.atleast_1d(kernel.evaluate(np.asarray([gap])))[0])
         if order == 0:
             # zero intermediaries is the direct link itself
-            values.append(direct)
-            errors.append(0.0)
-        elif mode == "leading":
-            values.append(fourier.chain_count_leading(series, model.radius,
-                                                      order, gap))
-            errors.append(_uniform_tail_bound(kernel, model.radius, order, terms))
-        elif mode == "full":
-            if order == 1:
-                values.append(fourier.chain_count_one(series, model.radius,
-                                                      gap, direct))
-            elif order == 2:
-                values.append(fourier.chain_count_two(
-                    series, model.radius, gap, direct,
-                    correction_order=correction_order))
-            else:
-                raise ConfigError("full mode covers chain orders 1 and 2")
-            errors.append(_uniform_tail_bound(kernel, model.radius, order, terms))
-        else:
-            if order not in (1, 2):
-                raise ConfigError("quadrature mode covers chain orders 1 and 2")
+            value, error = direct, 0.0
+        elif mode == "quadrature":
             result = quadrature.chain_count_result(model, order, gap, tol=tolerance)
-            values.append(result.value)
-            errors.append(result.error_estimate)
-    return fourier.SeparationCurve(separation=order, gaps=tuple(grid),
-                                   values=tuple(values), mode=mode,
-                                   model_label=_model_label(model),
-                                   errors=tuple(errors))
+            value, error = result.value, result.error_estimate
+        else:
+            if mode == "leading":
+                value = fourier.chain_count_leading(series, model.radius, order, gap)
+            elif order == 1:
+                value = fourier.chain_count_one(series, model.radius, gap, direct)
+            else:
+                value = fourier.chain_count_two(series, model.radius, gap, direct,
+                                                correction_order=correction_order)
+            error = tail
+        records.append(_separation_record(order, gap, value, error, mode))
+    return records
 
 
 def cmd_separation(config):
@@ -423,31 +432,19 @@ def cmd_separation(config):
         config, ["leading"], quadrature.DEFAULT_TOL)
     orders = _chain_orders(computation, [1, 2], least=0)
     grid = _gap_grid(config)
-    curves = []
-    trial_counts = {}
+    records = []
     for mode in modes:
         if mode not in SEPARATION_MODES:
             raise ConfigError(f"unknown separation mode {mode!r}; "
                               f"expected one of {SEPARATION_MODES}")
         if mode == "mc":
-            mc_curves, mc_trials = _separation_mc(config, model, orders, grid)
-            curves.extend(mc_curves)
-            trial_counts.update({id(c): mc_trials for c in mc_curves})
+            records.extend(_separation_mc(config, model, orders, grid))
             continue
         series = _series_for_kernel(model.kernel, terms)
         for order in orders:
-            curves.append(_analytic_curve(model, series, order, grid, mode,
-                                          terms, correction_order, tolerance))
-    records = []
-    for curve in curves:
-        for gap, value, error in zip(curve.gaps, curve.values, curve.errors):
-            records.append({"k": curve.separation, "gap": gap, "value": value,
-                            "error_estimate": error, "mode": curve.mode,
-                            "trials": trial_counts.get(id(curve))})
-    columns = ("k", "b", "value", "error_estimate", "mode", "trials")
-    rows = [(r["k"], r["gap"], r["value"], r["error_estimate"], r["mode"],
-             "" if r["trials"] is None else r["trials"]) for r in records]
-    return records, columns, rows, "separation"
+            records.extend(_analytic_records(model, series, order, grid, mode,
+                                             terms, correction_order, tolerance))
+    return records, SEPARATION_COLUMNS, "separation"
 
 
 def _uniform_tail_bound(kernel, radius, order, terms):
@@ -472,25 +469,18 @@ def _separation_mc(config, model, orders, grid):
             offsets.append(offset)
     if not offsets:
         raise ConfigError("no gap in the grid maps to a usable node offset")
-    per_order = {order: ([], [], []) for order in orders}
     histograms = montecarlo.estimate_separation_histograms(
         nodes, model.kernel, offsets, max_sep, trials, seed, threads=threads)
-    for offset, histogram in zip(offsets, histograms):
-        attained = 2.0 * math.pi * offset / nodes
-        probabilities = histogram.probabilities()
-        for order in orders:
+    measured = [(2.0 * math.pi * offset / nodes, histogram.probabilities())
+                for offset, histogram in zip(offsets, histograms)]
+    records = []
+    for order in orders:
+        for attained, probabilities in measured:
             fraction = probabilities[order]
             spread = math.sqrt(max(fraction * (1.0 - fraction), 0.0) / trials)
-            gaps, values, errors = per_order[order]
-            gaps.append(attained)
-            values.append(fraction)
-            errors.append(spread)
-    label = _model_label(model)
-    curves = [fourier.SeparationCurve(separation=order, gaps=tuple(gaps),
-                                      values=tuple(values), mode="mc",
-                                      model_label=label, errors=tuple(errors))
-              for order, (gaps, values, errors) in per_order.items()]
-    return curves, trials
+            records.append(_separation_record(order, attained, fraction, spread,
+                                              "mc", trials))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -520,36 +510,29 @@ def cmd_sweep_phi(config):
     ratio_rows = []
     for width in grid:
         estimate = fourier.clustering_uniform(height, width, tail_terms=tail_terms)
-        ratio_rows.append((width, estimate.value / height))
+        ratio_rows.append({"phi": width, "clustering_over_p": estimate.value / height})
 
     curve_rows = []
     for width in grid:
-        row = [width]
+        row = {"phi": width}
         for order in orders:
             result = fourier.antipodal_chain_count_uniform(
                 height, width, 2.0 * height * width, order, tail_terms=tail_terms)
             # the normalization cancels the mean degree, so any consistent
             # positive value works as the degree argument here
-            row.append(result.normalized.value)
-        curve_rows.append(tuple(row))
-
-    ratio_columns = ("phi", "clustering_over_p")
-    curve_columns = ("phi", *[f"ptilde_k{order}" for order in orders])
-    return ratio_rows, ratio_columns, curve_rows, curve_columns, orders
+            row[f"ptilde_k{order}"] = result.normalized.value
+        curve_rows.append(row)
+    return ratio_rows, curve_rows
 
 
-def _emit_sweep(config, parts):
-    ratio_rows, ratio_columns, curve_rows, curve_columns, orders = parts
+def _emit_sweep(config, ratio_rows, curve_rows):
     output = config["output"]
     if output["format"] == "json":
-        records = {
-            "clustering_ratio": [dict(zip(ratio_columns, row)) for row in ratio_rows],
-            "antipodal_curves": [dict(zip(curve_columns, row)) for row in curve_rows],
-        }
+        records = {"clustering_ratio": ratio_rows, "antipodal_curves": curve_rows}
         _emit(_json_text(config, "sweep-phi", records), output.get("path"))
         return
-    ratio_text = _csv_text(config, "sweep-phi-clustering", ratio_columns, ratio_rows)
-    curve_text = _csv_text(config, "sweep-phi-antipodal", curve_columns, curve_rows)
+    ratio_text = _csv_text(config, "sweep-phi-clustering", ratio_rows[0], ratio_rows)
+    curve_text = _csv_text(config, "sweep-phi-antipodal", curve_rows[0], curve_rows)
     path = output.get("path")
     if path:
         root = path[:-4] if path.endswith(".csv") else path
@@ -589,13 +572,12 @@ def cmd_kernel_info(config):
     if output["format"] == "json":
         text = _json_text(config, "kernel-info", record)
     else:
-        columns = ("field", "value")
-        rows = [("valid", str(record["valid"]).lower()),
-                ("violations", ";".join(problems) if problems else "none"),
-                ("mean_degree",
-                 "" if record["mean_degree"] is None else record["mean_degree"]),
-                ("nodes", "" if record["nodes"] is None else record["nodes"])]
-        text = _csv_text(config, "kernel-info", columns, rows)
+        rows = [{"field": "valid", "value": str(record["valid"]).lower()},
+                {"field": "violations",
+                 "value": ";".join(problems) if problems else "none"},
+                {"field": "mean_degree", "value": record["mean_degree"]},
+                {"field": "nodes", "value": record["nodes"]}]
+        text = _csv_text(config, "kernel-info", ("field", "value"), rows)
     _emit(text, output.get("path"))
     return EXIT_OK if not problems else EXIT_CONFIG_ERROR
 
@@ -732,21 +714,14 @@ def _battery_checks(config):
 
 def cmd_mc_validate(config):
     checks = _battery_checks(config)
-    lines = [f"# tool: ringnet {__version__}",
-             f"# schema: mc-validate v{SCHEMA_VERSION}",
-             f"# config-digest: sha256:{_config_digest(config)}",
-             "status,check,left,right,difference,allowed"]
-    failures = 0
-    for name, left, right, gap, allowed, passed in checks:
-        status = "PASS" if passed else "FAIL"
-        if not passed:
-            failures += 1
-        lines.append(",".join([status, name, repr(float(left)),
-                               repr(float(right)), repr(float(gap)),
-                               repr(float(allowed))]))
-    lines.append(f"# result: {'PASS' if failures == 0 else 'FAIL'} "
-                 f"({len(checks) - failures}/{len(checks)} checks)")
-    text = "\n".join(lines) + "\n"
+    rows = [{"status": "PASS" if passed else "FAIL", "check": name,
+             "left": float(left), "right": float(right),
+             "difference": float(gap), "allowed": float(allowed)}
+            for name, left, right, gap, allowed, passed in checks]
+    failures = sum(row["status"] == "FAIL" for row in rows)
+    text = (_csv_text(config, "mc-validate", rows[0], rows)
+            + f"# result: {'PASS' if failures == 0 else 'FAIL'} "
+              f"({len(rows) - failures}/{len(rows)} checks)\n")
     _emit(text, config["output"].get("path"))
     return EXIT_OK if failures == 0 else EXIT_VALIDATION_FAILURE
 
@@ -786,24 +761,25 @@ def main(argv=None) -> int:
             return cmd_mc_validate(config)
         if args.command == "kernel-info":
             return cmd_kernel_info(config)
-        if args.command == "clustering":
-            records, columns, rows, schema = cmd_clustering(config)
-        elif args.command == "separation":
-            records, columns, rows, schema = cmd_separation(config)
-        else:
-            _emit_sweep(config, cmd_sweep_phi(config))
+        if args.command == "sweep-phi":
+            ratio_rows, curve_rows = cmd_sweep_phi(config)
+            _require_finite(ratio_rows + curve_rows)
+            _emit_sweep(config, ratio_rows, curve_rows)
             return EXIT_OK
+        command = cmd_clustering if args.command == "clustering" else cmd_separation
+        records, columns, schema = command(config)
+        _require_finite(records)
         output = config["output"]
         if output["format"] == "json":
             text = _json_text(config, schema, records)
         else:
-            text = _csv_text(config, schema, columns, rows)
+            text = _csv_text(config, schema, columns, records)
         _emit(text, output.get("path"))
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (quadrature.QuadratureError, quadrature.BudgetError, montecarlo.CostBudgetError,
+    except (quadrature.QuadratureError, montecarlo.CostBudgetError,
             montecarlo.EstimateUndefinedError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

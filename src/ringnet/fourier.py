@@ -33,7 +33,6 @@ independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -59,8 +58,6 @@ _ZETA_TWO_BOUND = 1.645
 _ZETA_THREE_BOUND = 1.2021
 UNIT_ROUNDOFF = 2.0 ** -53
 
-CURVE_MODES = ("leading", "full", "quadrature", "mc")
-
 
 class UncertainValue(NamedTuple):
     """A value together with a rigorous bound on its truncation error."""
@@ -74,45 +71,6 @@ class AntipodalChainCount(NamedTuple):
 
     value: UncertainValue
     normalized: UncertainValue
-
-
-@dataclass(frozen=True)
-class SeparationCurve:
-    """Tabulated chain-count values over a grid of angular gaps.
-
-    ``separation`` is the number of intermediaries, ``mode`` records which
-    computation produced the values, and ``model_label`` describes the
-    underlying space and kernel for provenance.
-    """
-
-    separation: int
-    gaps: tuple[float, ...]
-    values: tuple[float, ...]
-    mode: str
-    model_label: str
-    errors: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.separation < 0:
-            raise ValueError("separation must be non-negative")
-        if self.mode not in CURVE_MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {CURVE_MODES}")
-        gaps = tuple(float(g) for g in self.gaps)
-        values = tuple(float(v) for v in self.values)
-        if len(gaps) != len(values) or not gaps:
-            raise ValueError("gap grid and values must be non-empty and equally long")
-        if any(b <= a for a, b in zip(gaps, gaps[1:])):
-            raise ValueError("gap grid must be strictly increasing")
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("curve values must be finite")
-        errors = self.errors
-        if errors is not None:
-            errors = tuple(float(e) for e in errors)
-            if len(errors) != len(values):
-                raise ValueError("error column must match the value column")
-        object.__setattr__(self, "gaps", gaps)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "errors", errors)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ TWO_PI = 2.0 * math.pi
 # four per stored harmonic; violations larger than RANGE_TOLERANCE are caught.
 DENSE_CHECK_EXTRA = 64
 RANGE_TOLERANCE = 1e-9
+# points times harmonics of one block of that check (8 MiB per float table)
+RANGE_CHECK_CELLS = 1 << 20
 
 
 class KernelValidationError(ValueError):
@@ -163,8 +165,13 @@ class CosineSeries:
         problems = []
         count = 4 * max(self.order, 1) + DENSE_CHECK_EXTRA
         grid = np.linspace(-math.pi, math.pi, count, endpoint=False)
-        values = self.evaluate(grid)
-        low, high = float(np.min(values)), float(np.max(values))
+        # row blocks keep each dense cosine table within RANGE_CHECK_CELLS
+        rows = max(1, RANGE_CHECK_CELLS // self._array.size)
+        low, high = math.inf, -math.inf
+        for start in range(0, count, rows):
+            values = self.evaluate(grid[start:start + rows])
+            low = min(low, float(np.min(values)))
+            high = max(high, float(np.max(values)))
         if low < -RANGE_TOLERANCE:
             problems.append(f"negative probability (minimum {low:.3e})")
         if high > 1.0 + RANGE_TOLERANCE:

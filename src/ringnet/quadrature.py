@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (CircleModel, TorusModel, TWO_PI, mean_degree, model_axes,
-                      wrap_angle)
+from .kernels import (CircleModel, CostBudgetError, TorusModel, TWO_PI,
+                      mean_degree, model_axes, wrap_angle)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_TORUS_TOL = 1e-6
@@ -44,6 +44,9 @@ BREAK_RESOLUTION = 1e-12
 # clustering of a window of half-width 4.6e-11 by 1.7e-3 of its value, and
 # at 4.6e-12 by more than its achieved difference; from 7e-11 on it was exact
 MIN_FEATURE = 100 * BREAK_RESOLUTION
+# ring size of the n-by-n link matrix behind the exact two- and
+# three-intermediary counts (128 MiB at the limit)
+MAX_MATRIX_NODES = 4096
 
 
 class QuadratureError(RuntimeError):
@@ -56,10 +59,6 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.achieved = achieved
         self.evaluations = evaluations
-
-
-class BudgetError(ValueError):
-    """A discrete computation would exceed its configured size budget."""
 
 
 @dataclass(frozen=True)
@@ -502,7 +501,7 @@ def discrete_mean_degree(n, kernel):
     return float(np.sum(multiplicity * probabilities))
 
 
-def discrete_chain_count(n, kernel, k, offset, max_nodes=4096):
+def discrete_chain_count(n, kernel, k, offset):
     """Exact expected chain counts between ring nodes 0 and ``offset``.
 
     Sums the product of link probabilities over all ordered tuples of
@@ -513,7 +512,8 @@ def discrete_chain_count(n, kernel, k, offset, max_nodes=4096):
     reduced count is available.
 
     The two- and three-intermediary counts build an n-by-n matrix of link
-    probabilities; ``max_nodes`` bounds ``n`` to keep memory in check.
+    probabilities, so a ring above ``MAX_MATRIX_NODES`` raises
+    ``CostBudgetError`` before the matrix exists.
     """
     if n < 3:
         raise ValueError("need at least three nodes")
@@ -521,9 +521,9 @@ def discrete_chain_count(n, kernel, k, offset, max_nodes=4096):
         raise ValueError(f"offset must be in [1, n), got {offset}")
     if k not in (1, 2, 3):
         raise ValueError(f"supported chain lengths have 1-3 intermediaries, got {k}")
-    if k >= 2 and n > max_nodes:
-        raise BudgetError(
-            f"n={n} exceeds the {max_nodes}-node budget for k={k} chains")
+    if k >= 2 and n > MAX_MATRIX_NODES:
+        raise CostBudgetError(f"link matrix nodes for k={k} chains", n,
+                              MAX_MATRIX_NODES)
 
     indices = np.arange(n)
     ring_values = np.atleast_1d(kernel.evaluate(TWO_PI * indices / n))

@@ -254,9 +254,10 @@ GRID = [0.5, 2.0]
     {"phi_grid": "ab"},
     {"phi_grid": [True]},
     {"phi_grid": [float("nan")]},
+    {"phi_grid": GRID, "k_list": [1, 1]},
 ], ids=["k0", "k-string", "k-float", "k-bool", "tail-zero", "tail-string",
         "tail-negative", "p-string", "p-above-one", "points-zero",
-        "points-float", "grid-string", "grid-bool", "grid-nan"])
+        "points-float", "grid-string", "grid-bool", "grid-nan", "k-repeated"])
 def test_sweep_phi_rejects_bad_computation(tmp_path, capsys, computation):
     config = write_config(tmp_path, {"computation": computation})
     code = main(["sweep-phi", "--config", config])
@@ -400,11 +401,16 @@ SMOOTH = {"type": "cosine", "coeffs": [0.1 * 0.8 ** n for n in range(41)]}
     ("clustering", {"terms": "5"}),
     ("clustering", {"modes": ["full"], "correction_order": -1}),
     ("mc-validate", {"terms": "5"}),
+    ("separation", {"modes": ["sorcery"]}),
+    ("separation", {"gap_grid": [0.5, 0.1]}),
+    ("separation", {"k_list": [1, 1]}),
+    ("separation", {"modes": ["mc"], "k_list": [1, 1]}),
 ], ids=["sep-tolerance-string", "sep-tolerance-negative", "sep-tolerance-zero",
         "sep-gap-points-string", "sep-gap-grid-string", "sep-terms-string",
         "sep-terms-zero", "sep-correction-negative", "clus-tolerance-string",
         "clus-tolerance-zero", "clus-terms-string", "clus-correction-negative",
-        "battery-terms-string"])
+        "battery-terms-string", "sep-unknown-mode", "sep-gap-grid-decreasing",
+        "sep-k-repeated", "sep-mc-k-repeated"])
 def test_bad_computation_exits_2_with_one_line(tmp_path, capsys, command,
                                                computation):
     config = write_config(tmp_path, {**CIRCLE, "computation": computation})
@@ -424,18 +430,6 @@ def test_modes_string_is_not_split_into_characters(tmp_path, capsys, command, mo
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG_ERROR
     assert captured.err == "config error: computation.modes must be a list of mode names\n"
-
-
-def test_budget_error_is_a_numerical_failure(monkeypatch, capsys):
-    def refuse(*_args, **_kwargs):
-        raise quadrature.BudgetError("n=8192 exceeds the 4096-node budget")
-
-    monkeypatch.setattr(quadrature, "clustering_result", refuse)
-    code = main(["clustering", "--modes", "quadrature"])
-    captured = capsys.readouterr()
-    assert code == EXIT_NUMERICAL_FAILURE
-    assert captured.err.startswith("numerical failure:")
-    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_separation_quadrature_error_scales_with_radius(tmp_path, capsys):
@@ -589,14 +583,44 @@ def test_kernel_info_malformed_kernel_exits_2_with_one_line(tmp_path, capsys, ke
     ("separation", "--radius", "1e200", "--modes", "leading"),
     ("separation", "--radius", "1e200", "--modes", "full"),
     ("clustering", "--radius", "1e200", "--modes", "leading"),
+    ("clustering", "--phi", "1e-155", "--modes", "closed,leading"),
+    ("clustering", "--phi", "1e-155", "--modes", "closed,leading", "--format", "json"),
+    ("clustering", "--phi", "1e-160", "--modes", "closed,leading"),
+    ("clustering", "--phi", "1e-160", "--modes", "closed,leading", "--format", "json"),
 ], ids=["tiny-width-closed", "tiny-width-leading", "huge-radius-leading",
-        "huge-radius-full", "huge-radius-clustering"])
+        "huge-radius-full", "huge-radius-clustering", "nan-width-csv",
+        "nan-width-json", "nan-width-1e-160-csv", "nan-width-1e-160-json"])
 def test_float_overflow_and_division_by_zero_exit_3(capsys, argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == EXIT_NUMERICAL_FAILURE
     assert captured.out == ""
     assert captured.err.startswith("numerical failure:")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_non_finite_ratio_exits_3(tmp_path, capsys, fmt):
+    # at 1e-155 the prefactor overflows while its bracket underflows
+    config = write_config(tmp_path, {"computation": {
+        "phi_grid": [1e-155, 1e-100, 0.5]}})
+    code = main(["sweep-phi", "--config", config, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL_FAILURE
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: non-finite clustering_over_p "
+                            "at phi=1e-155\n")
+
+
+def test_separation_non_finite_row_exits_3(monkeypatch, capsys):
+    from ringnet import fourier
+    monkeypatch.setattr(fourier, "chain_count_leading",
+                        lambda *_args: math.nan)
+    code = main(["separation", "--modes", "leading", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL_FAILURE
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: non-finite value at k=1, ")
     assert len(captured.err.strip().splitlines()) == 1
 
 
@@ -648,6 +672,47 @@ def test_cosine_kernel_output_sha_pinned(tmp_path, capsys, command):
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
         COSINE_OUTPUT_SHA256[command]
+
+
+# sha256 of the separation output in all four modes, Monte Carlo rows
+# included, on the uniform CIRCLE window and on the SMOOTH cosine kernel
+# with the direct link as order 0
+SEPARATION_PIN_CONFIGS = {
+    "uniform": {**CIRCLE, "mc": {"trials": 5}, "computation": {
+        "modes": ["leading", "full", "quadrature", "mc"]}},
+    "cosine": {"space": {"type": "circle", "radius": 20.0}, "kernel": SMOOTH,
+               "mc": {"trials": 5}, "computation": {
+                   "modes": ["leading", "full", "quadrature", "mc"],
+                   "k_list": [0, 1, 2]}},
+}
+SEPARATION_OUTPUT_SHA256 = {
+    ("uniform", "csv"): "2a3d233cfa631a6ed812cfbea65ae4e467f1d2abcba5931d2b1669d94e473504",
+    ("uniform", "json"): "b72e5b32e00361fc60b02ccef7594f8b8c07e5717252207bf0bec159f59e2304",
+    ("cosine", "csv"): "8d9eebf377217133f19286dc9f28398308cca9f884cf06ddd773d620937cd6e5",
+    ("cosine", "json"): "7b927ed88dc1a15d96232b17884917a41c9f0c17c69fbc016fbcae819c0b5165",
+}
+
+
+@pytest.mark.parametrize("kernel, fmt", sorted(SEPARATION_OUTPUT_SHA256))
+def test_separation_output_sha_pinned(tmp_path, capsys, kernel, fmt):
+    config = write_config(tmp_path, SEPARATION_PIN_CONFIGS[kernel])
+    code, out = run_cli(capsys, "separation", "--config", config, "--format", fmt)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        SEPARATION_OUTPUT_SHA256[kernel, fmt]
+
+
+# sha256 of the JSON clustering output in all five modes on the default model
+CLUSTERING_JSON_SHA256 = \
+    "ec8361d356ad81dcfa7db26cc8d5fcaff039c3ce7b57bf9fd5ded09355c03911"
+
+
+def test_clustering_json_output_sha_pinned(capsys):
+    code, out = run_cli(capsys, "clustering", "--modes",
+                        "closed,leading,full,quadrature,mc", "--trials", "5",
+                        "--format", "json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLUSTERING_JSON_SHA256
 
 
 def test_no_command_imports_scipy(tmp_path):

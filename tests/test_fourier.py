@@ -13,7 +13,6 @@ from ringnet import (
     CircleModel,
     CosineSeries,
     FourierSeries,
-    SeparationCurve,
     UniformWindow,
     antipodal_chain_count_uniform,
     chain_count_by_quadrature,
@@ -648,14 +647,3 @@ def test_torus_factorized_vs_tensor_grid():
     grid = chain_count_torus_grid(model, 2, (0.7, 0.4))
     assert value == pytest.approx(grid, rel=1e-3)
 
-
-def test_separation_curve_validation():
-    curve = SeparationCurve(separation=1, gaps=(0.0, 0.5), values=(0.1, 0.2),
-                            mode="leading", model_label="test")
-    assert curve.values == (0.1, 0.2)
-    with pytest.raises(ValueError):
-        SeparationCurve(separation=1, gaps=(0.5, 0.1), values=(0.1, 0.2),
-                        mode="leading", model_label="test")
-    with pytest.raises(ValueError):
-        SeparationCurve(separation=1, gaps=(0.0, 0.5), values=(0.1, 0.2),
-                        mode="nonsense", model_label="test")

@@ -2,11 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from ringnet import kernels
 from ringnet import (
     CircleModel,
     CosineSeries,
@@ -133,6 +135,28 @@ def test_validate_negative_cosine_reconstruction():
     # constant 0.005 with a large first harmonic dips below zero
     problems = validate(CosineSeries((0.005, 0.05)))
     assert any("negative probability" in msg for msg in problems)
+
+
+def test_range_check_in_row_blocks_finds_the_same_extremes(monkeypatch):
+    # 0.1 + 0.6 cos(x) + 0.1 cos(2x) dips to -0.4 at x = pi, in the last block
+    kernel = CosineSeries((0.1, 0.3, 0.05))
+    whole = kernel.violations()
+    assert whole == ["negative probability (minimum -4.000e-01)"]
+    monkeypatch.setattr(kernels, "RANGE_CHECK_CELLS", 7)
+    assert kernel.violations() == whole
+
+
+def test_range_check_memory_is_capped():
+    # 2048 harmonics: one dense table over the whole check grid took 258 MiB
+    kernel = CosineSeries([0.25] + [0.1 * 0.5 ** n for n in range(1, 2048)])
+    tracemalloc.start()
+    try:
+        assert kernel.violations() == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the angle-by-harmonic product and its cosine take 16 MiB per block
+    assert peak <= 32 * 2 ** 20
 
 
 def test_validate_non_finite():

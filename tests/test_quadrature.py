@@ -14,6 +14,7 @@ from ringnet.quadrature import IntegrationResult, chain_count_result
 from ringnet import (
     CircleModel,
     CosineSeries,
+    CostBudgetError,
     ProductKernel,
     QuadratureError,
     TorusModel,
@@ -171,6 +172,30 @@ def test_discrete_chain_three_intermediates_complete():
     counts = discrete_chain_count(n, UniformWindow(1.0, math.pi), 3, 4)
     expected = (n - 2) * (n - 3) * (n - 4)
     assert counts.reduced == pytest.approx(expected, rel=1e-14)
+
+
+class _UnevaluatedKernel:
+    def evaluate(self, angles):
+        raise AssertionError("the kernel was evaluated before the budget check")
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_discrete_chain_matrix_budget_refuses_before_any_work(k):
+    n = quadrature.MAX_MATRIX_NODES + 1
+    with pytest.raises(CostBudgetError) as refused:
+        discrete_chain_count(n, _UnevaluatedKernel(), k, 16)
+    assert (refused.value.cost, refused.value.budget) == (4097, 4096)
+
+
+def test_discrete_chain_one_intermediary_needs_no_matrix():
+    kernel = UniformWindow(0.05, 0.5)
+    n = 2 * quadrature.MAX_MATRIX_NODES
+    radius = n / (2.0 * math.pi)
+    offset = 320
+    discrete = discrete_chain_count(n, kernel, 1, offset).reduced
+    continuum = chain_count_leading(uniform_window_series(kernel, 4096), radius, 1,
+                                    2.0 * math.pi * offset / n)
+    assert abs(discrete - continuum) <= 4.0 / (kernel.half_width * radius) * continuum
 
 
 def test_discrete_vs_continuum_gap():
