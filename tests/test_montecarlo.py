@@ -96,6 +96,24 @@ def reference_separation(sample, offset, max_sep, anchor=0):
     return None
 
 
+def reference_chain_count(sample, offset, k, anchor=0):
+    """Simple chains with k intermediaries between the pinned nodes, path by
+    path: every intermediary is new, and none is an endpoint."""
+    n = sample.n
+    source = anchor % n
+    target = (anchor + offset) % n
+    neighbors = [set(row.tolist()) for row in reference_neighbor_lists(sample)]
+    near_target = neighbors[target]
+
+    def chains(path):
+        if len(path) == k:  # the next node is the last intermediary
+            return sum(node not in path for node in neighbors[path[-1]] & near_target)
+        return sum(chains(path + [node]) for node in neighbors[path[-1]]
+                   if node != target and node not in path)
+
+    return chains([source])
+
+
 def networkx_oracle(sample, offsets, max_sep, anchor=0):
     """Triangle corners (3 x triangles) and separations from networkx."""
     nx = pytest.importorskip("networkx")
@@ -601,6 +619,28 @@ def test_kernels_match_references_on_sampled_graphs(shape, kernel):
         expected = [reference_separation(sample, o, 3, anchor=11) for o in offsets]
         assert networkx_oracle(sample, offsets, 3, anchor=11) == (counts[0], expected)
         assert montecarlo._separations(sample, offsets, 3, 11) == expected
+        for offset in offsets:
+            for k in (1, 2, 3):
+                assert chain_count_in_sample(sample, offset, k, anchor=11) == \
+                    reference_chain_count(sample, offset, k, anchor=11)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample=small_graphs(), data=st.data())
+@example(sample=EMPTY, data=None)
+@example(sample=ISOLATED_SOURCE, data=None)
+@example(sample=CYCLE, data=None)
+def test_chain_counts_match_reference(sample, data):
+    n = sample.n
+    if data is None:  # explicit examples: every anchor
+        anchors = range(n)
+    else:
+        anchors = [data.draw(st.integers(0, 2 * n), label="anchor")]
+    for anchor in anchors:
+        for offset in range(1, n // 2 + 1):  # includes n/2 on even rings
+            for k in (1, 2, 3):
+                assert chain_count_in_sample(sample, offset, k, anchor) == \
+                    reference_chain_count(sample, offset, k, anchor)
 
 
 def test_triangle_batches_cover_every_edge(monkeypatch):
