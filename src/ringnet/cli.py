@@ -43,6 +43,7 @@ from .kernels import (
     TorusModel,
     UniformWindow,
     ZeroMeanDegreeWarning,
+    axis_mean_degree,
     kernel_from_config,
     kernel_to_config,
     mean_degree,
@@ -344,10 +345,9 @@ def cmd_clustering(config):
             value = 1.0
             bound = 0.0
             for radius, kernel in model_axes(model):
-                series = _series_for_kernel(kernel, terms)
-                axis_degree = mean_degree(CircleModel(radius, kernel))
                 value *= fourier.clustering_from_series(
-                    series, radius, axis_degree, mode=mode,
+                    _series_for_kernel(kernel, terms), radius,
+                    axis_mean_degree(radius, kernel), mode=mode,
                     correction_order=correction_order)
                 if isinstance(kernel, UniformWindow):
                     # tail of the dropped kernel harmonics
@@ -554,7 +554,14 @@ def cmd_kernel_info(config):
         kernel = kernel_from_config(config["kernel"])
     except _CONFIG_FAULTS as exc:
         raise ConfigError(f"bad kernel configuration: {exc}") from exc
-    problems = validate(kernel)
+    try:
+        model, problems = _build_model(config), []
+    except ConfigError:
+        # building the model validated the kernel; the check runs again
+        # only to report the problems of an invalid kernel
+        problems = validate(kernel)
+        if not problems:
+            raise
     record = {
         "kernel": kernel_to_config(kernel),
         "valid": not problems,
@@ -563,7 +570,6 @@ def cmd_kernel_info(config):
         "nodes": config["mc"].get("nodes"),
     }
     if not problems:
-        model = _build_model(config)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ZeroMeanDegreeWarning)
             record["mean_degree"] = float(mean_degree(model))
@@ -637,9 +643,7 @@ def _battery_checks(config):
     offset = 160
     gap_value = 2.0 * math.pi * offset / nodes
     discrete = quadrature.discrete_chain_count(nodes, chain_window, 1, offset)
-    continuum = fourier.chain_count_leading(
-        fourier.uniform_window_series(chain_window, 4096),
-        ring_radius, 1, gap_value)
+    continuum = fourier.chain_count_leading(chain_series, ring_radius, 1, gap_value)
     check("chain-discrete-vs-continuum", discrete.reduced, continuum,
           0.05, scale=max(abs(continuum), 1e-12))
 

@@ -173,8 +173,6 @@ def _correction_sums(series: FourierSeries, gap: float, correction_order: int):
 
 
 def _effective_correction_order(series: FourierSeries, correction_order: int) -> int:
-    if correction_order < 0:
-        raise ValueError("correction order must be non-negative")
     # indices past the stored order would multiply zero coefficients, so
     # larger requests are clamped; the sums stay active (a constant series
     # still gets its index-zero correction terms)
@@ -184,6 +182,19 @@ def _effective_correction_order(series: FourierSeries, correction_order: int) ->
         raise CostBudgetError(f"cubic correction sums at order {mc}", cost,
                               CORRECTION_COST_BUDGET)
     return mc
+
+
+def _two_step_bracket(series: FourierSeries, gap: float, correction_order: int) -> float:
+    # the leading power sum, less twice the quadratic correction sum plus
+    # the cubic one; order zero switches the corrections off
+    if correction_order < 0:
+        raise ValueError("correction order must be non-negative")
+    bracket = _leading_bracket(series, 2, gap)
+    if correction_order > 0:
+        mc = _effective_correction_order(series, correction_order)
+        double, triple = _correction_sums(series, gap, mc)
+        bracket = bracket - 2.0 * double + triple
+    return bracket
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +236,12 @@ def chain_count_two(series: FourierSeries, radius: float, gap: float,
     count times the no-direct-link factor, exactly.  Positive orders are
     clamped to the stored series order; a clamped order M whose tables
     would touch (2 M + 1)^3 > ``CORRECTION_COST_BUDGET`` index triples
-    raises ``CostBudgetError`` before any table is built.
+    raises ``CostBudgetError`` before any table is built, and a negative
+    order raises ``ValueError``.
     """
     if not 0.0 <= direct_prob <= 1.0:
         raise ValueError("direct link probability must lie in [0, 1]")
-    bracket = _leading_bracket(series, 2, gap)
-    if correction_order > 0:
-        mc = _effective_correction_order(series, correction_order)
-        double, triple = _correction_sums(series, gap, mc)
-        bracket = bracket - 2.0 * double + triple
+    bracket = _two_step_bracket(series, gap, correction_order)
     return (TWO_PI * radius) ** 2 * (1.0 - direct_prob) * bracket
 
 
@@ -253,11 +261,8 @@ def clustering_from_series(series: FourierSeries, radius: float, mean_degree: fl
         raise ValueError("mean degree must be positive to normalize clustering")
     if mode not in ("leading", "full"):
         raise ValueError(f"unknown clustering mode {mode!r}")
-    bracket = _leading_bracket(series, 2, 0.0)
-    if mode == "full" and correction_order > 0:
-        mc = _effective_correction_order(series, correction_order)
-        double, triple = _correction_sums(series, 0.0, mc)
-        bracket = bracket - 2.0 * double + triple
+    bracket = _two_step_bracket(series, 0.0,
+                                correction_order if mode == "full" else 0)
     return (TWO_PI * radius) ** 2 / mean_degree ** 2 * bracket
 
 

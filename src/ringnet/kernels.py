@@ -306,34 +306,32 @@ def model_axes(model) -> list:
     raise TypeError(f"not a network model: {model!r}")
 
 
+def axis_mean_degree(radius: float, kernel) -> float:
+    """Mean degree of a circle of ``radius`` carrying the one-dimensional
+    ``kernel``, from the two alone: no model is built, so the kernel is not
+    validated again, and a zero draws no warning."""
+    if isinstance(kernel, UniformWindow):
+        return 2.0 * radius * kernel.p * kernel.half_width
+    if isinstance(kernel, CosineSeries):
+        return TWO_PI * radius * kernel.coeffs[0]
+    from .quadrature import integrate_periodic
+    result = integrate_periodic(kernel.evaluate, kernel.breakpoints(), tol=1e-10)
+    return radius * result.value
+
+
 def mean_degree(model) -> float:
     """Expected number of neighbours of a node under the model.
 
     Uses closed forms for the built-in kernel variants (window: 2*R*p*w with
     window half-width w; cosine series: 2*pi*R times the constant term) and
-    falls back to numerical integration of the kernel otherwise.  A result of
-    exactly zero triggers :class:`ZeroMeanDegreeWarning`, because clustering
-    and separation normalisations divide by powers of the mean degree.
+    falls back to numerical integration of the kernel otherwise; on a torus
+    it is the product over the axes.  A result of exactly zero triggers
+    :class:`ZeroMeanDegreeWarning`, because clustering and separation
+    normalisations divide by powers of the mean degree.
     """
-    if isinstance(model, TorusModel):
-        total = 1.0
-        for radius, factor in zip(model.radii, model.kernel.factors):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ZeroMeanDegreeWarning)
-                total *= mean_degree(CircleModel(radius, factor))
-        value = total
-    elif isinstance(model, CircleModel):
-        kernel = model.kernel
-        if isinstance(kernel, UniformWindow):
-            value = 2.0 * model.radius * kernel.p * kernel.half_width
-        elif isinstance(kernel, CosineSeries):
-            value = TWO_PI * model.radius * kernel.coeffs[0]
-        else:
-            from .quadrature import integrate_periodic
-            result = integrate_periodic(kernel.evaluate, kernel.breakpoints(), tol=1e-10)
-            value = model.radius * result.value
-    else:
-        raise TypeError(f"not a network model: {model!r}")
+    value = 1.0
+    for radius, kernel in model_axes(model):
+        value *= axis_mean_degree(radius, kernel)
     if value == 0.0:
         warnings.warn("mean degree is zero for this model", ZeroMeanDegreeWarning,
                       stacklevel=2)

@@ -7,8 +7,10 @@ reproducibly and measures on them the quantities the analytic modules
 predict: mean degree, pooled clustering, simple chain counts between two
 pinned nodes, and the empirical distribution of the separation (shortest
 path length minus one).  Measurements run on whole arrays: triangles are
-counted on bitset adjacency rows, and one breadth-first search per trial,
-a whole frontier per step, gives the separation at every requested offset.
+counted on bitset adjacency rows, while chain counts and the separations
+read the sorted edge columns through boolean node masks.  One
+breadth-first search per trial, a whole frontier per step, gives the
+separation at every requested offset.
 
 Reproducibility contract: the random value deciding a candidate pair is a
 pure function of the sample seed and the pair's canonical position (offset
@@ -48,11 +50,8 @@ from .kernels import (
 
 # candidate-pair draws allowed per sample before sampling refuses to run
 MAX_CANDIDATE_DRAWS = 1 << 26
-# cells allowed in a transient adjacency matrix (a byte each when dense,
-# a bit each when packed into bitset rows)
+# cells allowed in the bitset adjacency rows of one sample, a bit each
 MAX_ADJACENCY_CELLS = 1 << 28
-# index operations allowed in one three-intermediary chain count
-MAX_CHAIN_OPS = 1 << 32
 # uniform values fetched per generator call while sampling (8 bytes each)
 MAX_RUN_DRAWS = 1 << 14
 # 64-bit words per gathered array of bitset rows while counting triangles
@@ -400,18 +399,6 @@ def sample_graph(shape, kernel, seed: int) -> GraphSample:
 # per-sample measurements
 # ---------------------------------------------------------------------------
 
-def _dense_adjacency(sample: GraphSample) -> np.ndarray:
-    n = sample.n
-    if n * n > MAX_ADJACENCY_CELLS:
-        raise CostBudgetError("dense adjacency for this graph",
-                              n * n, MAX_ADJACENCY_CELLS)
-    dense = np.zeros((n, n), dtype=bool)
-    edges = sample.edges
-    dense[edges[:, 0], edges[:, 1]] = True
-    dense[edges[:, 1], edges[:, 0]] = True
-    return dense
-
-
 def _packed_adjacency(sample: GraphSample) -> np.ndarray:
     # adjacency rows as bitsets: bit j % 64 of word j // 64 in row i is set
     # when i and j are linked
@@ -479,6 +466,20 @@ def _chain_endpoints(sample: GraphSample, offset: int, anchor: int):
     return source, target
 
 
+def _node_set(n: int, nodes) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[nodes] = True
+    return mask
+
+
+def _far_ends(edges: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    # the far end of every link that leaves the node set ``nodes`` (a
+    # boolean mask), once per link and direction: a link inside the set
+    # gives both of its ends
+    low, high = edges.T
+    return np.concatenate((high[nodes[low]], low[nodes[high]]))
+
+
 def chain_count_in_sample(sample: GraphSample, offset: int, k: int,
                           anchor: int = 0) -> int:
     """Number of simple k-intermediary chains between two pinned nodes.
@@ -489,31 +490,27 @@ def chain_count_in_sample(sample: GraphSample, offset: int, k: int,
     if k not in (1, 2, 3):
         raise ValueError("chain counting supports 1, 2, or 3 intermediaries")
     source, target = _chain_endpoints(sample, offset, anchor)
-    dense = _dense_adjacency(sample)
+    n = sample.n
+    _require_sampleable(n, "nodes of this graph")
+    edges = sample.edges
+    near_source = _node_set(n, _far_ends(edges, _node_set(n, source)))
+    near_target = _node_set(n, _far_ends(edges, _node_set(n, target)))
+    # a first intermediary is not the target, a last one not the source
+    near_source[target] = False
+    near_target[source] = False
     if k == 1:
-        return int(np.count_nonzero(dense[source] & dense[target]))
-    near_source = np.nonzero(dense[source])[0]
-    near_source = near_source[near_source != target]
-    near_target = np.nonzero(dense[target])[0]
-    near_target = near_target[near_target != source]
-    if near_source.size == 0 or near_target.size == 0:
-        return 0
+        return int(np.count_nonzero(near_source & near_target))
     if k == 2:
-        block = dense[np.ix_(near_source, near_target)]
-        # the adjacency diagonal is empty, so equal intermediaries drop out
-        return int(np.count_nonzero(block))
-    cost = near_source.size * sample.n * near_target.size
-    if cost > MAX_CHAIN_OPS:
-        raise CostBudgetError("three-intermediary chain count", cost, MAX_CHAIN_OPS)
-    rows_source = dense[near_source].astype(np.int64)
-    rows_target = dense[near_target].astype(np.int64)
-    common = np.einsum("ij,kj->ik", rows_source, rows_target, optimize=False)
-    # middles running through an endpoint are not chains
-    common -= np.outer(rows_source[:, source], rows_target[:, source])
-    common -= np.outer(rows_source[:, target], rows_target[:, target])
-    # first and last intermediary must differ
-    common[np.equal.outer(near_source, near_target)] = 0
-    return int(common.sum())
+        # a link is never a loop, so its two intermediaries differ
+        return int(np.count_nonzero(near_target[_far_ends(edges, near_source)]))
+    # a middle node j with a_j links to first and b_j links to last
+    # intermediaries closes a_j * b_j chains, c_j of which use a single node
+    # as first and last intermediary; no chain runs through an endpoint
+    a, b, c = (np.bincount(_far_ends(edges, nodes), minlength=n)
+               for nodes in (near_source, near_target, near_source & near_target))
+    a[[source, target]] = 0
+    c[[source, target]] = 0
+    return int(a @ b - c.sum())
 
 
 def _reduce_counts(values: Iterable[int]) -> McEstimate:
@@ -543,16 +540,11 @@ def _separations(sample: GraphSample, offsets: Sequence[int], max_sep: int,
                           for offset in offsets], dtype=np.int64)
     n = sample.n
     _require_sampleable(n, "nodes of this graph")
-    low, high = sample.edges.T
     distance = np.full(n, -1, dtype=np.int64)
-    frontier = np.zeros(n, dtype=bool)
-    frontier[anchor % n] = True
-    distance[anchor % n] = 0
+    frontier = _node_set(n, anchor % n)
+    distance[frontier] = 0
     for depth in range(1, max_sep + 2):
-        reached = np.zeros(n, dtype=bool)
-        reached[high[frontier[low]]] = True
-        reached[low[frontier[high]]] = True
-        frontier = reached & (distance < 0)
+        frontier = _node_set(n, _far_ends(sample.edges, frontier)) & (distance < 0)
         distance[frontier] = depth
         if not frontier.any() or np.all(distance[targets] >= 0):
             break

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (CircleModel, CostBudgetError, TorusModel, TWO_PI,
+from .kernels import (CostBudgetError, TorusModel, TWO_PI, axis_mean_degree,
                       mean_degree, model_axes, wrap_angle)
 
 DEFAULT_TOL = 1e-9
@@ -444,7 +444,7 @@ def clustering_result(model, tol=None, anchor=0.0):
     value, terms = 1.0, []
     for radius, kernel in axes:
         triangle = _triangle_integral([(radius, kernel)], np.array([anchor]), tol)
-        axis_degree = mean_degree(CircleModel(radius, kernel))
+        axis_degree = axis_mean_degree(radius, kernel)
         terms.append((radius ** 2 / axis_degree ** 2, triangle))
         value *= radius ** 2 * triangle.value / axis_degree ** 2
     return IntegrationResult(value, _product_error(terms),

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ringnet import CircleModel, quadrature
+from ringnet import CircleModel, CosineSeries, quadrature
 from ringnet.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_NUMERICAL_FAILURE,
@@ -672,6 +672,37 @@ def test_cosine_kernel_output_sha_pinned(tmp_path, capsys, command):
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
         COSINE_OUTPUT_SHA256[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ("kernel-info",),
+    ("clustering", "--modes", "leading,full"),
+], ids=["kernel-info", "clustering"])
+def test_cosine_kernel_is_range_checked_once(tmp_path, capsys, monkeypatch, argv):
+    calls = []
+    range_check = CosineSeries.violations
+
+    def counted(kernel):
+        calls.append(kernel)
+        return range_check(kernel)
+
+    monkeypatch.setattr(CosineSeries, "violations", counted)
+    config = write_config(tmp_path, {"space": {"type": "circle", "radius": 20.0},
+                                     "kernel": SMOOTH})
+    code, _ = run_cli(capsys, *argv, "--config", config)
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_kernel_info_valid_kernel_in_bad_model_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, {"space": {"type": "circle", "radius": -1.0},
+                                     "kernel": SMOOTH})
+    code = main(["kernel-info", "--config", config])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("config error: bad model configuration: radius")
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 # sha256 of the separation output in all four modes, Monte Carlo rows

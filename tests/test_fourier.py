@@ -613,6 +613,17 @@ def test_correction_budget_refuses_before_building_tables(monkeypatch):
     assert fourier._effective_correction_order(short, 5000) == 64
 
 
+@pytest.mark.parametrize("call", [
+    lambda series: chain_count_two(series, 20.0, 0.3, 0.0, correction_order=-1),
+    lambda series: clustering_from_series(series, 20.0, 2.0, mode="full",
+                                          correction_order=-5),
+], ids=["chain-count-two", "clustering-full"])
+def test_negative_correction_order_is_refused(call):
+    series = uniform_window_series(UniformWindow(0.1, 0.5), 64)
+    with pytest.raises(ValueError, match="correction order must be non-negative"):
+        call(series)
+
+
 def test_one_cosine_series_type():
     import ringnet
 

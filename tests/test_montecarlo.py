@@ -3,6 +3,7 @@
 import math
 import threading
 import time
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -396,12 +397,25 @@ def test_chain_count_anchor_invariance():
 
 def test_chain_count_budget_guard():
     sample = ring_sample(4, [(0, 1)])
+    # chains are counted on the edge list, so a large ring needs no n x n
+    # matrix and no budget of its own
     big = GraphSample(shape=(100_000,), seed=0,
                       edges=np.zeros((0, 2), dtype=np.int64))
-    with pytest.raises(CostBudgetError):
-        chain_count_in_sample(big, 50_000, 3)
-    # small graphs stay affordable
+    assert chain_count_in_sample(big, 50_000, 3) == 0
     assert chain_count_in_sample(sample, 2, 3) == 0
+
+
+def test_chain_count_memory_is_linear_in_nodes():
+    n = 1 << 20
+    edgeless = GraphSample(shape=(n,), seed=0,
+                           edges=np.zeros((0, 2), dtype=np.int64))
+    tracemalloc.start()
+    try:
+        assert chain_count_in_sample(edgeless, n // 2, 3) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +572,9 @@ def test_measurements_refuse_huge_graph_before_allocating():
         separation_in_sample(huge, 5, 3)
     with pytest.raises(CostBudgetError):
         empirical_clustering([huge])
+    for k in (1, 2, 3):
+        with pytest.raises(CostBudgetError):
+            chain_count_in_sample(huge, 5, k)
 
 
 # ---------------------------------------------------------------------------
