@@ -556,10 +556,12 @@ def cmd_kernel_info(config):
         raise ConfigError(f"bad kernel configuration: {exc}") from exc
     try:
         model, problems = _build_model(config), []
-    except ConfigError:
-        # building the model validated the kernel; the check runs again
-        # only to report the problems of an invalid kernel
-        problems = validate(kernel)
+    except ConfigError as exc:
+        # a model that checked its kernel carries the kernel's violations;
+        # the kernel is checked here only if the model refused before that
+        problems = getattr(exc.__cause__, "kernel_problems", None)
+        if problems is None:
+            problems = validate(kernel)
         if not problems:
             raise
     record = {

@@ -303,7 +303,9 @@ def clustering_uniform(p: float, half_width: float,
         s_n = (n w + 8) u, which moves a cube by at most 3 s_n (1 + s_n)^2
         / n^3; summed with sum 1/n^2 < 1.645 and sum 1/n^3 < 1.2021;
       * gamma_{N+16} times (w^3 + 2 sum |cube|), covering the divide and
-        the two multiplies of every term, the sum and the prefactor.
+        the two multiplies of every term, the sum and the prefactor;
+    and, outside that scaling and for p > 0, 2 ulp(0) (1 + w^3 + 2 sum |cube|)
+    for a subnormal prefactor or value, whose rounding is absolute.
     Here u = 2^-53 and gamma_k = k u / (1 - k u).  At w = pi every sine
     term vanishes and the value is p.  ``tail_terms`` above
     ``MAX_SERIES_TERMS`` raises ``CostBudgetError`` before any work.
@@ -332,7 +334,9 @@ def clustering_uniform(p: float, half_width: float,
                   * (half_width * _ZETA_TWO_BOUND + 8.0 * _ZETA_THREE_BOUND))
     rounding = (_gamma(tail_terms + 16) * (head + 2.0 * magnitude)
                 + 2.0 * sine_slack)
-    return UncertainValue(float(value), float(prefactor * (tail + rounding)))
+    # underflow rounds absolutely; a zero height gives an exact zero
+    subnormal = 2.0 * math.ulp(0.0) * (1.0 + head + 2.0 * magnitude) if p else 0.0
+    return UncertainValue(float(value), float(prefactor * (tail + rounding) + subnormal))
 
 
 def chain_count_uniform(p: float, half_width: float, mean_degree: float,

@@ -27,7 +27,15 @@ RANGE_CHECK_CELLS = 1 << 20
 
 
 class KernelValidationError(ValueError):
-    """A kernel or model failed validation."""
+    """A kernel or model failed validation.
+
+    ``kernel_problems`` lists the kernel's own violations when a model
+    checked its kernel before refusing, and is ``None`` otherwise.
+    """
+
+    def __init__(self, message, kernel_problems=None):
+        super().__init__(message)
+        self.kernel_problems = kernel_problems
 
 
 class DimensionError(ValueError):
@@ -240,9 +248,9 @@ def validate(kernel) -> list[str]:
 # network models
 # ---------------------------------------------------------------------------
 
-def _check_or_raise(messages):
+def _check_or_raise(messages, kernel_problems):
     if messages:
-        raise KernelValidationError("; ".join(messages))
+        raise KernelValidationError("; ".join(messages), kernel_problems)
 
 
 @dataclass(frozen=True)
@@ -257,11 +265,13 @@ class CircleModel:
         if not (isinstance(self.radius, (int, float)) and math.isfinite(self.radius)
                 and self.radius > 0):
             problems.append(f"radius must be positive and finite: {self.radius!r}")
+        kernel_problems = None
         if isinstance(self.kernel, ProductKernel):
             problems.append("product kernel requires a torus model")
         else:
-            problems.extend(validate(self.kernel))
-        _check_or_raise(problems)
+            kernel_problems = validate(self.kernel)
+            problems.extend(kernel_problems)
+        _check_or_raise(problems, kernel_problems)
 
     @property
     def dimension(self) -> int:
@@ -282,15 +292,17 @@ class TorusModel:
             problems.append("no radii")
         if any(not (math.isfinite(r) and r > 0) for r in self.radii):
             problems.append(f"radii must be positive and finite: {self.radii!r}")
+        kernel_problems = None
         if not isinstance(self.kernel, ProductKernel):
             problems.append("torus model requires a product kernel")
         else:
-            problems.extend(validate(self.kernel))
+            kernel_problems = validate(self.kernel)
+            problems.extend(kernel_problems)
             if self.radii and self.kernel.dimension != len(self.radii):
                 problems.append(
                     f"kernel dimension {self.kernel.dimension} does not match "
                     f"{len(self.radii)} radii")
-        _check_or_raise(problems)
+        _check_or_raise(problems, kernel_problems)
 
     @property
     def dimension(self) -> int:

@@ -15,9 +15,10 @@ so that its results can serve as an independent cross-check.  It offers
 Every nested integral runs through one batched core, :func:`_nested_integral`:
 the inner integrals of all outer nodes with a nonzero factor are evaluated
 together, rows with equal panel counts in batches of at most
-``MAX_BATCH_POINTS`` inner points, and the outer sum is accumulated node by
-node, so values are bit for bit those of a loop over the outer nodes.
-Gauss-Legendre rules are computed once per order and process.
+``MAX_BATCH_POINTS`` inner points, each kernel at the nodes of its own axis
+and multiplied out on the tensor grid in axis order.  The outer sum is
+accumulated node by node, so values are bit for bit those of a per-point
+loop.  Gauss-Legendre rules are computed once per order and process.
 """
 
 import functools
@@ -190,24 +191,29 @@ def integrate_periodic(f, breakpoints=(), tol=DEFAULT_TOL, max_evaluations=2_000
     return _converge(value_at, tol, "periodic integral", levels)
 
 
-def _grid(rules):
-    """Tensor grids of per-axis (nodes, weights) pairs, each (R, n_a): points
-    (R, N, K) and weights (R, N), the first axis varying slowest."""
-    rows, dim = rules[0][0].shape[0], len(rules)
-    shapes = [[rows] + [-1 if b == a else 1 for b in range(dim)] for a in range(dim)]
-    points = np.stack(np.broadcast_arrays(
-        *[nodes.reshape(shape) for (nodes, _), shape in zip(rules, shapes)]), axis=-1)
-    weights = np.ones(points.shape[:-1])
-    for (_, axis_weights), shape in zip(rules, shapes):
-        weights = weights * axis_weights.reshape(shape)
-    return points.reshape(rows, -1, dim), weights.reshape(rows, -1)
+def _outer(per_axis):
+    """Row-wise outer product (G, N) of per-axis arrays (G, n_a), the first
+    axis slowest, multiplied from 1.0 in axis order: bit for bit the product
+    a loop over the axes forms at each point of the full grid."""
+    product = np.ones((per_axis[0].shape[0], 1))
+    for values in per_axis:
+        product = (product[:, :, None] * values[:, None, :]).reshape(len(product), -1)
+    return product
+
+
+def _kernel_product(axes, ends, starts=None):
+    """Product (G, N) of the per-axis kernels at the angles ``ends - starts``,
+    each an array (G, n_a) or a value per axis; each kernel sees only the
+    n_a angles of its own axis, not the N points of the tensor grid."""
+    ends = ends if starts is None else [e - s for e, s in zip(ends, starts)]
+    return _outer([kernel.evaluate(a) for (_, kernel), a in zip(axes, ends)])
 
 
 def _tensor_rules(axes, shifts, level):
     """Tensor-grid rules for R rows of shifts, ``shifts[a]`` (R, S_a) per axis,
     in batches of rows with equal panel counts on every axis and at most
-    ``MAX_BATCH_POINTS`` points (or one row).  Yields the row indices, points
-    (G, N, K) and weights (G, N) of each batch."""
+    ``MAX_BATCH_POINTS`` points (or one row).  Yields the row indices, the
+    per-axis nodes (G, n_a) and the grid weights (G, N) of each batch."""
     per_axis = [_inner_breaks(_derived_breaks(kernel.breakpoints(), s))
                 for (_, kernel), s in zip(axes, shifts)]
     counts = np.stack([axis_counts for _, axis_counts in per_axis], axis=1)
@@ -218,23 +224,15 @@ def _tensor_rules(axes, shifts, level):
         step = max(1, MAX_BATCH_POINTS // size)
         for start in range(0, members.size, step):
             rows = members[start:start + step]
-            yield (rows, *_grid([_panel_rule(breaks[rows, :count], level)
-                                 for (breaks, _), count in zip(per_axis, shape)]))
+            rules = [_panel_rule(breaks[rows, :count], level)
+                     for (breaks, _), count in zip(per_axis, shape)]
+            yield rows, [nodes for nodes, _ in rules], _outer([w for _, w in rules])
 
 
 def _tensor_rule(axes, shifts, level):
-    """Points (N, K) and weights (N,) of the tensor grid for one row of shifts."""
-    ((_, points, weights),) = _tensor_rules(
-        axes, [np.asarray([s], dtype=float) for s in shifts], level)
-    return points[0], weights[0]
-
-
-def _eval_axes(axes, points):
-    """Product of the per-axis kernels at angle vectors along the last axis."""
-    values = np.ones(points.shape[:-1])
-    for axis, (_, kernel) in enumerate(axes):
-        values = values * kernel.evaluate(points[..., axis])
-    return values
+    """Per-axis nodes (1, n_a) and grid weights (N,) for one row of shifts."""
+    ((_, nodes, weights),) = _tensor_rules(axes, [np.array([s], float) for s in shifts], level)
+    return nodes, weights[0]
 
 
 def _nested_integral(axes, outer_shifts, outer_factor, inner_shifts, integrand,
@@ -242,19 +240,21 @@ def _nested_integral(axes, outer_shifts, outer_factor, inner_shifts, integrand,
     """Iterated integral at one level: the outer grid sum of ``weight *
     outer_factor(x) * inner(x)``, inner(x) the integral over y of
     ``integrand(x, y)`` on panels from ``inner_shifts`` and x's coordinates.
-    Returns the value and the number of points evaluated."""
-    points, weights = _tensor_rule(axes, outer_shifts, level)
-    factor = outer_factor(points)
+    Both take per-axis nodes, x (G, 1) and y (G, n_a), and return (G, N)
+    values on the tensor grid.  Returns the value and the points evaluated."""
+    nodes, weights = _tensor_rule(axes, outer_shifts, level)
+    factor = outer_factor(nodes)[0]
     live = np.flatnonzero((factor != 0.0) & (weights != 0.0))
     if not live.size:
-        return 0.0, points.shape[0]  # the outer factor vanishes at every node
-    outer = points[live]
+        return 0.0, weights.size  # the outer factor vanishes at every node
+    outer = [axis_nodes[0, index] for axis_nodes, index in  # (L,) per axis
+             zip(nodes, np.unravel_index(live, [n.shape[1] for n in nodes]))]
     shifts = [np.column_stack([np.tile(np.asarray(fixed, dtype=float), (live.size, 1)),
-                               outer[:, axis]]) for axis, fixed in enumerate(inner_shifts)]
+                               x]) for fixed, x in zip(inner_shifts, outer)]
     inner = np.empty(live.size)
-    evaluations = points.shape[0]
+    evaluations = weights.size
     for rows, grid, grid_weights in _tensor_rules(axes, shifts, level):
-        values = integrand(outer[rows, None, :], grid)
+        values = integrand([x[rows, None] for x in outer], grid)
         inner[rows] = np.sum(grid_weights * values, axis=1)
         evaluations += values.size
     total = 0.0
@@ -301,8 +301,8 @@ def _chain_integral(axes, k, gaps, with_exclusion, tol):
         # integral over x of Q(x) * Q(gap - x); the only exclusion factor for
         # one intermediary is the direct-link term the callers apply
         def value_at(level):
-            points, weights = _tensor_rule(axes, [(0.0, g) for g in gaps], level)
-            values = _eval_axes(axes, points) * _eval_axes(axes, gaps - points)
+            nodes, weights = _tensor_rule(axes, [(0.0, g) for g in gaps], level)
+            values = _kernel_product(axes, nodes) * _kernel_product(axes, gaps, nodes)
             return float(np.sum(weights * values)), values.size
 
         return _converge(value_at, tol, "one-intermediate chain integral")
@@ -312,12 +312,12 @@ def _chain_integral(axes, k, gaps, with_exclusion, tol):
     # level runs at the same refinement level as the outer one; convergence
     # is judged on the composed value, so both resolutions double together.
     def outer_factor(x):
-        factor = _eval_axes(axes, x)
-        return factor * (1.0 - _eval_axes(axes, x - gaps)) if with_exclusion else factor
+        factor = _kernel_product(axes, x)
+        return factor * (1.0 - _kernel_product(axes, x, gaps)) if with_exclusion else factor
 
     def integrand(x, y):
-        values = _eval_axes(axes, y - x) * _eval_axes(axes, gaps - y)
-        return values * (1.0 - _eval_axes(axes, y)) if with_exclusion else values
+        values = _kernel_product(axes, y, x) * _kernel_product(axes, gaps, y)
+        return values * (1.0 - _kernel_product(axes, y)) if with_exclusion else values
 
     # the composed outer integrand changes slope wherever a moving edge of
     # the inner window crosses a fixed break, so the outer panel edges are
@@ -337,8 +337,8 @@ def _triangle_integral(axes, anchor, tol):
     outer = [[a] + [a + 2.0 * b for b in kernel.breakpoints()]
              for (_, kernel), a in zip(axes, anchor)]
     return _converge(lambda level: _nested_integral(
-        axes, outer, lambda x: _eval_axes(axes, x - anchor), [(a,) for a in anchor],
-        lambda x, y: _eval_axes(axes, y - x) * _eval_axes(axes, y - anchor), level),
+        axes, outer, lambda x: _kernel_product(axes, x, anchor), [(a,) for a in anchor],
+        lambda x, y: _kernel_product(axes, y, x) * _kernel_product(axes, y, anchor), level),
         tol, "triangle integral")
 
 
@@ -413,7 +413,7 @@ def chain_count_result(model, k, gap, with_exclusion=False, tol=None):
         value *= radius ** k * integral.value
     error = _product_error(terms)
     if with_exclusion:
-        direct = _eval_axes(axes, gaps[None, :])[0]
+        direct = _kernel_product(axes, gaps[:, None, None])[0, 0]
         value = value * (1.0 - direct)
         error = error * abs(1.0 - direct)
     return IntegrationResult(value, error, sum(r.evaluations for _, r in terms))

@@ -1,6 +1,10 @@
-"""The public names of the package."""
+"""The public names of the package and the import edges between its routes."""
 
+import ast
 import collections
+from pathlib import Path
+
+import pytest
 
 import ringnet
 
@@ -11,3 +15,39 @@ def test_every_public_name_imports_once():
     assert repeated == []
     missing = [name for name in ringnet.__all__ if not hasattr(ringnet, name)]
     assert missing == []
+
+
+def _imported_modules(module):
+    """The ringnet modules that ``module`` imports anywhere in its source,
+    function bodies included, in relative or absolute form."""
+    tree = ast.parse((Path(ringnet.__file__).parent / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            source = ("ringnet" + (f".{node.module}" if node.module else "")
+                      if node.level else node.module or "")
+            names = ([f"ringnet.{alias.name}" for alias in node.names]
+                     if source == "ringnet" else [source])
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names
+                     if name.startswith("ringnet."))
+    return found
+
+
+# The three routes are trusted when they agree, so none may borrow another's
+# numbers: quadrature never uses the series machinery or Monte Carlo, and
+# Monte Carlo never uses an analytic route.  fourier -> quadrature is still
+# allowed: series_from_kernel integrates each harmonic with
+# integrate_periodic, and the edge goes when that function is deleted.
+FORBIDDEN_IMPORTS = {"quadrature": {"fourier", "montecarlo"},
+                     "montecarlo": {"fourier", "quadrature"}}
+
+
+@pytest.mark.parametrize("module", sorted(FORBIDDEN_IMPORTS))
+def test_routes_do_not_import_each_other(module):
+    imported = _imported_modules(module)
+    assert "kernels" in imported  # the parse sees the module's relative imports
+    assert imported & FORBIDDEN_IMPORTS[module] == set()

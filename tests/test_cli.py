@@ -674,11 +674,14 @@ def test_cosine_kernel_output_sha_pinned(tmp_path, capsys, command):
         COSINE_OUTPUT_SHA256[command]
 
 
-@pytest.mark.parametrize("argv", [
-    ("kernel-info",),
-    ("clustering", "--modes", "leading,full"),
-], ids=["kernel-info", "clustering"])
-def test_cosine_kernel_is_range_checked_once(tmp_path, capsys, monkeypatch, argv):
+@pytest.mark.parametrize("argv, kernel, exit_code", [
+    (("kernel-info",), SMOOTH, EXIT_OK),
+    (("clustering", "--modes", "leading,full"), SMOOTH, EXIT_OK),
+    # 0.1 + 2 * 0.3 cos(phi) dips to -0.5: reported, exit 2
+    (("kernel-info",), {"type": "cosine", "coeffs": [0.1, 0.3]}, EXIT_CONFIG_ERROR),
+], ids=["kernel-info", "clustering", "kernel-info-invalid"])
+def test_cosine_kernel_is_range_checked_once(tmp_path, capsys, monkeypatch, argv,
+                                             kernel, exit_code):
     calls = []
     range_check = CosineSeries.violations
 
@@ -688,10 +691,14 @@ def test_cosine_kernel_is_range_checked_once(tmp_path, capsys, monkeypatch, argv
 
     monkeypatch.setattr(CosineSeries, "violations", counted)
     config = write_config(tmp_path, {"space": {"type": "circle", "radius": 20.0},
-                                     "kernel": SMOOTH})
-    code, _ = run_cli(capsys, *argv, "--config", config)
-    assert code == EXIT_OK
+                                     "kernel": kernel})
+    code, out = run_cli(capsys, *argv, "--config", config)
+    assert code == exit_code
     assert len(calls) == 1
+    if exit_code != EXIT_OK:
+        rows = {r["field"]: r["value"] for r in parse_csv(out)}
+        assert rows["valid"] == "false"
+        assert rows["violations"] == "negative probability (minimum -5.000e-01)"
 
 
 def test_kernel_info_valid_kernel_in_bad_model_exits_2(tmp_path, capsys):

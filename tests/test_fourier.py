@@ -383,6 +383,8 @@ def test_clustering_uniform_matches_oracle_on_sweep_grid(width):
 @example(p=0.1, width=math.pi, terms=1_000)
 @example(p=1.0, width=2.0 * math.pi / 3.0, terms=1_000_000)
 @example(p=0.1, width=1.0, terms=200_000)
+# a subnormal prefactor: its rounding is absolute, 7e-323 here
+@example(p=2.2250738585e-313, width=3.1415926535897927, terms=16_374)
 def test_clustering_uniform_within_bound_of_oracle(p, width, terms):
     _assert_clustering_matches_oracle(p, width, terms)
 

@@ -473,15 +473,18 @@ def test_inner_batches_respect_the_cap(monkeypatch):
                 chain_count_torus_grid(torus, 2, (0.7, 0.4)))
     cap = 500
     batches = []
-    evaluate = quadrature._eval_axes
+    nested = quadrature._nested_integral
 
-    def recording(axes, points):
-        if points.ndim == 3:  # inner points of a batch of outer nodes
-            batches.append(points.shape[:2])
-        return evaluate(axes, points)
+    def recording(axes, outer_shifts, outer_factor, inner_shifts, integrand, level):
+        def recorded(x, y):  # called once per batch of outer nodes
+            values = integrand(x, y)
+            batches.append(values.shape)
+            return values
+
+        return nested(axes, outer_shifts, outer_factor, inner_shifts, recorded, level)
 
     monkeypatch.setattr(quadrature, "MAX_BATCH_POINTS", cap)
-    monkeypatch.setattr(quadrature, "_eval_axes", recording)
+    monkeypatch.setattr(quadrature, "_nested_integral", recording)
     got = (chain_count_by_quadrature(circle, 2, 0.7, with_exclusion=True),
            clustering_by_quadrature(circle, anchor=1.0),
            chain_count_torus_grid(torus, 2, (0.7, 0.4)))
@@ -489,6 +492,27 @@ def test_inner_batches_respect_the_cap(monkeypatch):
     assert any(rows > 1 for rows, _ in batches)
     assert all(rows * size <= cap or rows == 1 for rows, size in batches)
     assert any(rows == 1 and size > cap for rows, size in batches)
+
+
+@pytest.mark.parametrize("integral, budget, value", [
+    (lambda model: chain_count_torus_grid(model, 2, (0.7, 0.4)), 1_000_000,
+     48.468960000000095),
+    (clustering_torus_grid, 200_000, 0.1124999999999999),
+], ids=["chain", "clustering"])
+def test_torus_grid_evaluates_kernels_per_axis(monkeypatch, integral, budget, value):
+    # on a tensor grid each axis argument takes n_a values per row of outer
+    # nodes; evaluating the kernels at all N grid points instead would cost
+    # 27,872,160 kernel points for the chain and 3,422,208 for clustering
+    points = []
+    evaluate = UniformWindow.evaluate
+
+    def counted(kernel, angle):
+        points.append(np.size(angle))
+        return evaluate(kernel, angle)
+
+    monkeypatch.setattr(UniformWindow, "evaluate", counted)
+    assert integral(TorusModel((6.0, 5.0), TORUS_KERNELS["windows"])) == value
+    assert sum(points) <= budget
 
 
 def test_error_estimate_is_scaled_achieved_difference():
