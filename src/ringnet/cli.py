@@ -349,9 +349,7 @@ def cmd_clustering(config):
                     _series_for_kernel(kernel, terms), radius,
                     axis_mean_degree(radius, kernel), mode=mode,
                     correction_order=correction_order)
-                if isinstance(kernel, UniformWindow):
-                    # tail of the dropped kernel harmonics
-                    bound += kernel.p / (np.pi * kernel.half_width ** 2) / terms ** 2
+                bound += fourier.clustering_tail_bound(kernel, terms)
             records.append(_clustering_record(mode, value, bound))
         elif mode == "quadrature":
             result = quadrature.clustering_result(model, tol=tolerance)
@@ -394,33 +392,31 @@ def _gap_grid(config):
     return [float(g) for g in grid]
 
 
-def _analytic_records(model, series, order, grid, mode, terms, correction_order,
-                      tolerance):
-    kernel = model.kernel
+def _analytic_records(model, series, order, gaps, direct, mode, terms,
+                      correction_order, tolerance):
+    """One chain order's rows of a series or quadrature mode, each route
+    called once for the whole grid; ``direct`` is the kernel at each gap."""
+    kernel, radius = model.kernel, model.radius
     if order > 2 and mode in ("full", "quadrature"):
         raise ConfigError(f"{mode} mode covers chain orders 1 and 2")
-    tail = (_uniform_tail_bound(kernel, model.radius, order, terms)
-            if order and mode != "quadrature" else 0.0)
-    records = []
-    for gap in grid:
-        direct = float(np.atleast_1d(kernel.evaluate(np.asarray([gap])))[0])
-        if order == 0:
-            # zero intermediaries is the direct link itself
-            value, error = direct, 0.0
-        elif mode == "quadrature":
-            result = quadrature.chain_count_result(model, order, gap, tol=tolerance)
-            value, error = result.value, result.error_estimate
-        else:
-            if mode == "leading":
-                value = fourier.chain_count_leading(series, model.radius, order, gap)
-            elif order == 1:
-                value = fourier.chain_count_one(series, model.radius, gap, direct)
-            else:
-                value = fourier.chain_count_two(series, model.radius, gap, direct,
-                                                correction_order=correction_order)
-            error = tail
-        records.append(_separation_record(order, gap, value, error, mode))
-    return records
+    errors = [fourier.chain_tail_bound(kernel, radius, order, terms)
+              if order and mode != "quadrature" else 0.0] * gaps.size
+    if order == 0:
+        values = direct  # zero intermediaries is the direct link itself
+    elif mode == "quadrature":
+        results = quadrature.chain_count_curve(model, order, gaps, tol=tolerance)
+        values = [result.value for result in results]
+        errors = [result.error_estimate for result in results]
+    elif mode == "leading":
+        values = fourier.chain_count_leading(series, radius, order, gaps)
+    elif order == 1:
+        values = fourier.chain_count_one(series, radius, gaps, direct)
+    else:
+        values = fourier.chain_count_two(series, radius, gaps, direct,
+                                         correction_order=correction_order)
+    # a route that returns one value gives it at every gap
+    return [_separation_record(order, gap, value, error, mode) for gap, value, error
+            in zip(gaps, np.broadcast_to(values, gaps.shape), errors)]
 
 
 def cmd_separation(config):
@@ -432,6 +428,11 @@ def cmd_separation(config):
         config, ["leading"], quadrature.DEFAULT_TOL)
     orders = _chain_orders(computation, [1, 2], least=0)
     grid = _gap_grid(config)
+    gaps = np.asarray(grid)
+    # one kernel call per gap: a cosine kernel's bits depend on how many
+    # angles one call gets
+    direct = np.array([np.atleast_1d(model.kernel.evaluate(gaps[i:i + 1]))[0]
+                       for i in range(gaps.size)])
     records = []
     for mode in modes:
         if mode not in SEPARATION_MODES:
@@ -442,17 +443,9 @@ def cmd_separation(config):
             continue
         series = _series_for_kernel(model.kernel, terms)
         for order in orders:
-            records.extend(_analytic_records(model, series, order, grid, mode,
+            records.extend(_analytic_records(model, series, order, gaps, direct, mode,
                                              terms, correction_order, tolerance))
     return records, SEPARATION_COLUMNS, "separation"
-
-
-def _uniform_tail_bound(kernel, radius, order, terms):
-    if not isinstance(kernel, UniformWindow):
-        return 0.0
-    degree = 2.0 * radius * kernel.p * kernel.half_width
-    prefactor = (kernel.p / np.pi) * (degree / kernel.half_width) ** order
-    return prefactor * 2.0 / (order * float(terms) ** order)
 
 
 def _separation_mc(config, model, orders, grid):

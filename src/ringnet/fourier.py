@@ -38,9 +38,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .kernels import TWO_PI, CostBudgetError, DimensionError, UniformWindow
+from .kernels import (TWO_PI, CostBudgetError, DimensionError, UniformWindow,
+                      axis_mean_degree)
 from .kernels import CosineSeries as FourierSeries
-from .quadrature import integrate_periodic
 
 DEFAULT_TERMS = 4096
 DEFAULT_CORRECTION_ORDER = 128
@@ -53,6 +53,9 @@ CORRECTION_COST_BUDGET = (2 * 1024 + 1) ** 3
 MAX_SPLINE_OPS = 1 << 21
 # harmonics one truncated series may hold or sum (64 MiB per float array)
 MAX_SERIES_TERMS = 1 << 23
+# gaps times harmonics in one block of a power-sum cosine table: a fixed
+# bound on the memory of a curve's temporaries (512 KiB), not an option
+MAX_TABLE_CELLS = 1 << 16
 # upper bounds on sum 1/n^2 = pi^2/6 = 1.64493... and sum 1/n^3 = 1.20205...
 _ZETA_TWO_BOUND = 1.645
 _ZETA_THREE_BOUND = 1.2021
@@ -91,27 +94,6 @@ def uniform_window_series(window: UniformWindow, terms: int = DEFAULT_TERMS) -> 
     return FourierSeries(np.concatenate(([head], tail)))
 
 
-def series_from_kernel(kernel, terms: int, tol: float = 1e-12) -> FourierSeries:
-    """Expansion coefficients by direct integration against each harmonic.
-
-    Works for any 1-d kernel; the integrals split at the kernel's jump
-    points.  Cost grows with the harmonic index (the integrand oscillates),
-    so this route is meant for moderate orders; sharp windows have the
-    closed form above for large ones.
-    """
-    if terms < 1:
-        raise ValueError("need at least one harmonic")
-    breaks = kernel.breakpoints()
-    coeffs = []
-    for n in range(terms + 1):
-        def integrand(phi, n=n):
-            return kernel.evaluate(phi) * np.cos(n * phi)
-
-        result = integrate_periodic(integrand, breakpoints=breaks, tol=tol)
-        coeffs.append(result.value / TWO_PI)
-    return FourierSeries(tuple(coeffs))
-
-
 # ---------------------------------------------------------------------------
 # coefficient power sums
 # ---------------------------------------------------------------------------
@@ -126,14 +108,21 @@ def _coeff_lookup(series: FourierSeries, index_array):
     return out
 
 
-def _leading_bracket(series: FourierSeries, k: int, gap: float) -> float:
-    # symmetric-index power sum: a_0^(k+1) + 2 sum a_n^(k+1) cos(n gap)
+def _leading_bracket(series: FourierSeries, k: int, gap):
+    """Power sum a_0^(k+1) + 2 sum a_n^(k+1) cos(n gap) at a gap (a float) or
+    each of a 1-D array of gaps (an array): powers formed once, cosines in
+    blocks of ``MAX_TABLE_CELLS``, each row summed alone as one gap is."""
     a = series._array
-    total = a[0] ** (k + 1)
+    gaps = np.asarray(gap, dtype=float).reshape(-1)
+    totals = np.full(gaps.size, a[0] ** (k + 1))
     if series.order:
-        n = np.arange(1, series.order + 1)
-        total += 2.0 * float(np.sum(a[1:] ** (k + 1) * np.cos(n * gap)))
-    return float(total)
+        powers, n = a[1:] ** (k + 1), np.arange(1, series.order + 1)
+        block = max(1, MAX_TABLE_CELLS // series.order)
+        for start in range(0, gaps.size, block):
+            table = np.cos(gaps[start:start + block, None] * n)
+            table *= powers
+            totals[start:start + block] += 2.0 * np.sum(table, axis=1)
+    return float(totals[0]) if np.ndim(gap) == 0 else totals
 
 
 @lru_cache(maxsize=8)
@@ -157,19 +146,20 @@ def _correction_tables(series: FourierSeries, correction_order: int):
     return m_idx, m_val, pair_weight, inner
 
 
-def _correction_sums(series: FourierSeries, gap: float, correction_order: int):
-    """Quadratic and cubic correction sums at one gap, in real form.
+def _correction_sums(series: FourierSeries, gaps, correction_order: int):
+    """Quadratic and cubic correction sums at each of ``gaps``, in real form.
 
     All indices run over -correction_order..correction_order; the imaginary
     parts cancel by the evenness symmetry and are never formed.
     """
     m_idx, m_val, pair_weight, inner = _correction_tables(series, correction_order)
-    cos_vec = m_val * np.cos(m_idx * gap)
-    sin_vec = m_val * np.sin(m_idx * gap)
-    double = float(np.sum(cos_vec * pair_weight))
-    triple = float(np.einsum("m,mp,p->", cos_vec, inner, cos_vec, optimize=False)
-                   - np.einsum("m,mp,p->", sin_vec, inner, sin_vec, optimize=False))
-    return double, triple
+    for gap in gaps:
+        cos_vec = m_val * np.cos(m_idx * gap)
+        sin_vec = m_val * np.sin(m_idx * gap)
+        double = float(np.sum(cos_vec * pair_weight))
+        triple = float(np.einsum("m,mp,p->", cos_vec, inner, cos_vec, optimize=False)
+                       - np.einsum("m,mp,p->", sin_vec, inner, sin_vec, optimize=False))
+        yield double, triple
 
 
 def _effective_correction_order(series: FourierSeries, correction_order: int) -> int:
@@ -184,49 +174,52 @@ def _effective_correction_order(series: FourierSeries, correction_order: int) ->
     return mc
 
 
-def _two_step_bracket(series: FourierSeries, gap: float, correction_order: int) -> float:
+def _two_step_bracket(series: FourierSeries, gap, correction_order: int):
     # the leading power sum, less twice the quadratic correction sum plus
-    # the cubic one; order zero switches the corrections off
+    # the cubic one, like _leading_bracket at a gap or an array of gaps;
+    # order zero switches the corrections off
     if correction_order < 0:
         raise ValueError("correction order must be non-negative")
-    bracket = _leading_bracket(series, 2, gap)
+    gaps = np.asarray(gap, dtype=float).reshape(-1)
+    bracket = _leading_bracket(series, 2, gaps)
     if correction_order > 0:
         mc = _effective_correction_order(series, correction_order)
-        double, triple = _correction_sums(series, gap, mc)
-        bracket = bracket - 2.0 * double + triple
-    return bracket
+        for index, (double, triple) in enumerate(_correction_sums(series, gaps, mc)):
+            bracket[index] = bracket[index] - 2.0 * double + triple
+    return float(bracket[0]) if np.ndim(gap) == 0 else bracket
 
 
 # ---------------------------------------------------------------------------
 # chain counts and clustering from a series
 # ---------------------------------------------------------------------------
 
-def chain_count_leading(series: FourierSeries, radius: float, k: int, gap: float) -> float:
+def chain_count_leading(series: FourierSeries, radius: float, k: int, gap):
     """Expected k-intermediary chain count, leading order.
 
     The reduced expectation without any non-link factors: exact by linearity
     for the truncated kernel the series represents, and free to exceed 1.
+    ``gap`` is a float, or a 1-D array of gaps for an array of counts, each
+    bit for bit its one-gap count; ``chain_count_one`` and
+    ``chain_count_two`` take gap arrays the same way.
     """
     if k < 1:
         raise ValueError("chain counts need at least one intermediary")
     return (TWO_PI * radius) ** k * _leading_bracket(series, k, gap)
 
 
-def chain_count_one(series: FourierSeries, radius: float, gap: float,
-                    direct_prob: float) -> float:
+def chain_count_one(series: FourierSeries, radius: float, gap, direct_prob):
     """One-intermediary chain count with the no-direct-link factor.
 
-    ``direct_prob`` is the kernel value at ``gap``, supplied by the caller
-    so the series truncation never leaks into the factor.
+    ``direct_prob`` is the kernel value at ``gap`` (one per gap), supplied
+    by the caller so the series truncation never leaks into the factor.
     """
-    if not 0.0 <= direct_prob <= 1.0:
+    if not np.all((0.0 <= direct_prob) & (direct_prob <= 1.0)):
         raise ValueError("direct link probability must lie in [0, 1]")
     return (1.0 - direct_prob) * chain_count_leading(series, radius, 1, gap)
 
 
-def chain_count_two(series: FourierSeries, radius: float, gap: float,
-                    direct_prob: float,
-                    correction_order: int = DEFAULT_CORRECTION_ORDER) -> float:
+def chain_count_two(series: FourierSeries, radius: float, gap, direct_prob,
+                    correction_order: int = DEFAULT_CORRECTION_ORDER):
     """Two-intermediary chain count with all non-link factors.
 
     On top of the leading power sum, the no-skip factors contribute a
@@ -239,7 +232,7 @@ def chain_count_two(series: FourierSeries, radius: float, gap: float,
     raises ``CostBudgetError`` before any table is built, and a negative
     order raises ``ValueError``.
     """
-    if not 0.0 <= direct_prob <= 1.0:
+    if not np.all((0.0 <= direct_prob) & (direct_prob <= 1.0)):
         raise ValueError("direct link probability must lie in [0, 1]")
     bracket = _two_step_bracket(series, gap, correction_order)
     return (TWO_PI * radius) ** 2 * (1.0 - direct_prob) * bracket
@@ -339,6 +332,14 @@ def clustering_uniform(p: float, half_width: float,
     return UncertainValue(float(value), float(prefactor * (tail + rounding) + subnormal))
 
 
+def clustering_tail_bound(kernel, terms: int) -> float:
+    """Tail p/(pi w^2) / terms^2 of :func:`clustering_uniform`, the bound on
+    the harmonics a series mode drops; 0 for a cosine kernel (exact)."""
+    if not isinstance(kernel, UniformWindow):
+        return 0.0
+    return kernel.p / (np.pi * kernel.half_width ** 2) / terms ** 2
+
+
 def chain_count_uniform(p: float, half_width: float, mean_degree: float,
                         k: int, gap: float,
                         tail_terms: int = DEFAULT_TAIL_TERMS) -> UncertainValue:
@@ -374,6 +375,17 @@ def chain_count_uniform(p: float, half_width: float, mean_degree: float,
                 + 2.0 * float(np.sum(arguments)))
     return UncertainValue(float(prefactor * bracket),
                           float(prefactor * (tail + rounding)))
+
+
+def chain_tail_bound(kernel, radius: float, k: int, terms: int) -> float:
+    """Tail (p/pi) (N/w)^k 2 / (k terms^k) of :func:`chain_count_uniform` at
+    N = 2 R p w, the bound on the harmonics a k-intermediary series chain
+    count drops; 0 for a cosine kernel (exact)."""
+    if not isinstance(kernel, UniformWindow):
+        return 0.0
+    degree = axis_mean_degree(radius, kernel)
+    prefactor = (kernel.p / np.pi) * (degree / kernel.half_width) ** k
+    return prefactor * 2.0 / (k * float(terms) ** k)
 
 
 def _check_series_terms(what: str, terms: int) -> None:

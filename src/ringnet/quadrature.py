@@ -12,16 +12,20 @@ so that its results can serve as an independent cross-check.  It offers
 * exact expected chain counts on a finite ring of equally spaced nodes,
   obtained by brute-force summation over intermediate nodes.
 
-Every nested integral runs through one batched core, :func:`_nested_integral`:
-the inner integrals of all outer nodes with a nonzero factor are evaluated
-together, rows with equal panel counts in batches of at most
-``MAX_BATCH_POINTS`` inner points, each kernel at the nodes of its own axis
-and multiplied out on the tensor grid in axis order.  The outer sum is
-accumulated node by node, so values are bit for bit those of a per-point
-loop.  Gauss-Legendre rules are computed once per order and process.
+Chain and triangle integrals run through one core that refines a set of
+points (the gaps of a curve, or one gap or anchor) in lockstep, each until
+it converges; per level the points share breakpoints, grouping and panel
+rules.  Kernels are still evaluated per point, on its outer nodes and on
+batches of its inner rows with equal panel counts and at most
+``MAX_BATCH_POINTS`` points, each kernel at the nodes of its own axis and
+multiplied out on the tensor grid in axis order, since a cosine kernel's
+bits depend on how many angles one call gets.  The outer sums run node by
+node, so values are bit for bit those of a per-point loop.
+Gauss-Legendre rules are computed once per order and process.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,9 +40,11 @@ DEFAULT_TORUS_TOL = 1e-6
 _GAUSS_ORDERS = (4, 8, 16, 32, 64, 128, 256, 512)
 _SMOOTH_COUNTS = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 
-# inner points evaluated together in one batch of a nested integral: a
-# fixed bound on the memory of its temporaries, not a tuning option
+# inner points evaluated together in one batch of a nested integral, and
+# inner rows of a curve's gaps stacked for one pass of rule construction:
+# fixed bounds on the memory of their temporaries, not tuning options
 MAX_BATCH_POINTS = 1 << 15
+MAX_STACKED_ROWS = 1 << 12
 # breakpoints closer together than this become one panel edge
 BREAK_RESOLUTION = 1e-12
 # narrowest kernel feature the rules resolve.  Merged edges moved the
@@ -137,10 +143,11 @@ def _panel_rule(breaks, level):
     between consecutive breakpoints; without any it is the equispaced
     midpoint rule, which converges spectrally for smooth periodic integrands.
     """
-    rows = breaks.shape[0]
-    if breaks.shape[1]:
+    rows, count = breaks.shape
+    if count:
         base_x, base_w = _gauss_rule(_GAUSS_ORDERS[min(level, len(_GAUSS_ORDERS) - 1)])
-        edges = np.pad(breaks, ((0, 0), (1, 1)), constant_values=(-math.pi, math.pi))
+        edges = np.empty((rows, count + 2))
+        edges[:, 0], edges[:, 1:-1], edges[:, -1] = -math.pi, breaks, math.pi
         left, right = edges[:, :-1, None], edges[:, 1:, None]
         half = 0.5 * (right - left)
         nodes = 0.5 * (left + right) + half * base_x
@@ -184,11 +191,11 @@ def integrate_periodic(f, breakpoints=(), tol=DEFAULT_TOL, max_evaluations=2_000
     sizes = [_rule_size(counts[0], level) for level in range(len(_SMOOTH_COUNTS))]
     levels = int(np.searchsorted(np.cumsum(sizes), max_evaluations, side="right"))
 
-    def value_at(level):
+    def value_at(level, _):
         nodes, weights = _panel_rule(breaks, level)
-        return float(np.sum(weights[0] * np.asarray(f(nodes[0]), dtype=float))), nodes.size
+        return [float(np.sum(weights[0] * np.asarray(f(nodes[0]), dtype=float)))], [nodes.size]
 
-    return _converge(value_at, tol, "periodic integral", levels)
+    return _checked(_converge(value_at, 1, tol, "periodic integral", levels)[0])
 
 
 def _outer(per_axis):
@@ -209,58 +216,86 @@ def _kernel_product(axes, ends, starts=None):
     return _outer([kernel.evaluate(a) for (_, kernel), a in zip(axes, ends)])
 
 
-def _tensor_rules(axes, shifts, level):
+def _tensor_rules(axes, shifts, level, owners):
     """Tensor-grid rules for R rows of shifts, ``shifts[a]`` (R, S_a) per axis,
-    in batches of rows with equal panel counts on every axis and at most
-    ``MAX_BATCH_POINTS`` points (or one row).  Yields the row indices, the
-    per-axis nodes (G, n_a) and the grid weights (G, N) of each batch."""
+    in the batches a call per owner would form: rows with equal panel
+    counts, at most ``MAX_BATCH_POINTS`` points (or one row).  Consecutive
+    batches of one shape share their rule construction, up to the same cap.
+    Yields the owner, rows, per-axis nodes (G, n_a) and weights (G, N)."""
     per_axis = [_inner_breaks(_derived_breaks(kernel.breakpoints(), s))
                 for (_, kernel), s in zip(axes, shifts)]
-    counts = np.stack([axis_counts for _, axis_counts in per_axis], axis=1)
-    shapes, group_of_row = np.unique(counts, axis=0, return_inverse=True)
-    for group, shape in enumerate(shapes):
-        members = np.flatnonzero(group_of_row.ravel() == group)
-        size = math.prod(_rule_size(count, level) for count in shape)
-        step = max(1, MAX_BATCH_POINTS // size)
-        for start in range(0, members.size, step):
-            rows = members[start:start + step]
-            rules = [_panel_rule(breaks[rows, :count], level)
-                     for (breaks, _), count in zip(per_axis, shape)]
-            yield rows, [nodes for nodes, _ in rules], _outer([w for _, w in rules])
+    # rows by panel counts, first axis first, then by owner; the sort is
+    # stable, so each group keeps its row order
+    keys = np.stack([owners, *[counts for _, counts in reversed(per_axis)]])
+    order = np.lexsort(keys)
+    keys = keys[:, order]
+    edges = (np.flatnonzero(np.any(keys[:, 1:] != keys[:, :-1], axis=0)) + 1).tolist()
+    batches = []  # (shape, rows per batch, start, end)
+    for start, end in zip([0, *edges], [*edges, order.size]):
+        shape = tuple(keys[:0:-1, start].tolist())
+        step = max(1, MAX_BATCH_POINTS // math.prod(_rule_size(c, level) for c in shape))
+        batches += [(shape, step, s, min(s + step, end)) for s in range(start, end, step)]
+    while batches:
+        shape, step, begin, _ = batches[0]
+        chunk = list(itertools.takewhile(
+            lambda batch: batch[0] == shape and batch[3] - begin <= step, batches))
+        batches = batches[len(chunk):]
+        rows = order[begin:chunk[-1][3]]
+        rules = [_panel_rule(breaks[rows, :count], level)
+                 for (breaks, _), count in zip(per_axis, shape)]
+        weights = _outer([w for _, w in rules])
+        for _, _, start, end in chunk:
+            local = slice(start - begin, end - begin)
+            yield (keys[0, start], order[start:end], [n[local] for n, _ in rules],
+                   weights[local])
 
 
-def _tensor_rule(axes, shifts, level):
-    """Per-axis nodes (1, n_a) and grid weights (N,) for one row of shifts."""
-    ((_, nodes, weights),) = _tensor_rules(axes, [np.array([s], float) for s in shifts], level)
-    return nodes, weights[0]
-
-
-def _nested_integral(axes, outer_shifts, outer_factor, inner_shifts, integrand,
+def _nested_integral(axes, points, outer_shifts, outer_factor, inner_shifts, integrand,
                      level):
-    """Iterated integral at one level: the outer grid sum of ``weight *
-    outer_factor(x) * inner(x)``, inner(x) the integral over y of
-    ``integrand(x, y)`` on panels from ``inner_shifts`` and x's coordinates.
-    Both take per-axis nodes, x (G, 1) and y (G, n_a), and return (G, N)
-    values on the tensor grid.  Returns the value and the points evaluated."""
-    nodes, weights = _tensor_rule(axes, outer_shifts, level)
-    factor = outer_factor(nodes)[0]
-    live = np.flatnonzero((factor != 0.0) & (weights != 0.0))
-    if not live.size:
-        return 0.0, weights.size  # the outer factor vanishes at every node
-    outer = [axis_nodes[0, index] for axis_nodes, index in  # (L,) per axis
-             zip(nodes, np.unravel_index(live, [n.shape[1] for n in nodes]))]
-    shifts = [np.column_stack([np.tile(np.asarray(fixed, dtype=float), (live.size, 1)),
-                               x]) for fixed, x in zip(inner_shifts, outer)]
-    inner = np.empty(live.size)
-    evaluations = weights.size
-    for rows, grid, grid_weights in _tensor_rules(axes, shifts, level):
-        values = integrand([x[rows, None] for x in outer], grid)
+    """Iterated integrals at one level per row of ``points``: the outer grid
+    sum of ``weight * outer_factor(point, x) * inner(x)``, inner(x) the
+    integral over y of ``integrand(point, x, y)`` on panels from the point's
+    ``inner_shifts`` and x's coordinates.  Both take the point's row and
+    per-axis nodes, x (G, 1) and y (G, n_a), the arrays of a one-point call,
+    and return (G, N) values.  The inner rows of consecutive points are
+    stacked up to ``MAX_STACKED_ROWS`` (or one point's rows).  Returns the
+    values and the points evaluated."""
+    totals, evaluations, stack, stacked = [0.0] * len(points), [0] * len(points), [], 0
+    for owner, _, nodes, weights in _tensor_rules(axes, outer_shifts, level,
+                                                  np.arange(len(points))):
+        factor, weights = outer_factor(points[owner], nodes)[0], weights[0]
+        evaluations[owner] = weights.size
+        live = np.flatnonzero((factor != 0.0) & (weights != 0.0))
+        if stack and stacked + live.size > MAX_STACKED_ROWS:
+            _inner_sums(axes, points, inner_shifts, integrand, level, stack, totals,
+                        evaluations)
+            stack, stacked = [], 0
+        index = np.unravel_index(live, [n.shape[1] for n in nodes])
+        stack.append((owner, weights[live] * factor[live],
+                      [n[0, i] for n, i in zip(nodes, index)]))
+        stacked += live.size
+    _inner_sums(axes, points, inner_shifts, integrand, level, stack, totals, evaluations)
+    return totals, evaluations
+
+
+def _inner_sums(axes, points, inner_shifts, integrand, level, stack, totals, evaluations):
+    """The inner integrals at the live outer nodes of the points in ``stack``,
+    (owner, outer terms, per-axis nodes) each, added up into ``totals``."""
+    row_owner = np.concatenate([np.full(terms.size, owner) for owner, terms, _ in stack])
+    if not row_owner.size:
+        return  # the outer factors vanish at every node: each total is 0
+    x = [np.concatenate(axis) for axis in zip(*[nodes for _, _, nodes in stack])]
+    inner = np.empty(row_owner.size)
+    shifts = [np.column_stack([fixed[row_owner], xa]) for fixed, xa in zip(inner_shifts, x)]
+    for owner, rows, grid, grid_weights in _tensor_rules(axes, shifts, level, row_owner):
+        values = integrand(points[owner], [xa[rows, None] for xa in x], grid)
         inner[rows] = np.sum(grid_weights * values, axis=1)
-        evaluations += values.size
-    total = 0.0
-    for term in (weights[live] * factor[live] * inner).tolist():
-        total += term  # one node at a time in grid order, as a per-node loop adds
-    return total, evaluations
+        evaluations[owner] += values.size
+    start = 0
+    for owner, terms, _ in stack:
+        for term in (terms * inner[start:start + terms.size]).tolist():
+            totals[owner] += term  # one node at a time in grid order, as a per-node loop adds
+        start += terms.size
 
 
 def _check_resolved(axes):
@@ -279,67 +314,94 @@ def _check_resolved(axes):
                 f"quadrature resolution of {MIN_FEATURE:.0e}")
 
 
-def _converge(value_at, tol, label, levels=6):
-    """Refine until two successive values agree to within ``tol``;
-    ``value_at(level)`` returns a value and its evaluation count."""
-    previous, difference, evaluations = None, math.inf, 0
+def _converge(value_at, count, tol, label, levels=6):
+    """Refine ``count`` integrals in lockstep, each until two successive
+    values agree to within ``tol``: ``value_at(level, active)`` returns the
+    values and evaluation counts of the integrals indexed by ``active``.
+    Returns per integral an IntegrationResult or its QuadratureError."""
+    outcomes, previous = [None] * count, [None] * count
+    difference, evaluations = [math.inf] * count, [0] * count
+    active = list(range(count))
     for level in range(levels):
-        value, count = value_at(level)
-        evaluations += count
-        if previous is not None:
-            difference = abs(value - previous)
-            if difference <= tol:
-                return IntegrationResult(value, difference, evaluations)
-        previous = value
-    raise QuadratureError(f"{label} did not converge to {tol:.1e}",
-                          achieved=difference, evaluations=evaluations)
+        if not active:
+            break
+        for index, value, evaluated in zip(active, *value_at(level, np.array(active))):
+            evaluations[index] += evaluated
+            if level:  # every active integral has a value at each level so far
+                difference[index] = abs(value - previous[index])
+                if difference[index] <= tol:
+                    outcomes[index] = IntegrationResult(value, difference[index],
+                                                        evaluations[index])
+            previous[index] = value
+        active = [index for index in active if outcomes[index] is None]
+    for index in active:
+        outcomes[index] = QuadratureError(f"{label} did not converge to {tol:.1e}",
+                                          achieved=difference[index],
+                                          evaluations=evaluations[index])
+    return outcomes
 
 
-def _chain_integral(axes, k, gaps, with_exclusion, tol):
+def _checked(outcome):
+    """A result of :func:`_converge`, or its error raised."""
+    if isinstance(outcome, QuadratureError):
+        raise outcome
+    return outcome
+
+
+def _chain_integral(axes, k, points, with_exclusion, tol):
+    # chain integrals at the per-axis gaps of each row of ``points`` (P, K)
     _check_resolved(axes)
+    fixed = [np.column_stack([np.zeros(len(points)), gaps]) for gaps in points.T]
     if k == 1:
         # integral over x of Q(x) * Q(gap - x); the only exclusion factor for
         # one intermediary is the direct-link term the callers apply
-        def value_at(level):
-            nodes, weights = _tensor_rule(axes, [(0.0, g) for g in gaps], level)
-            values = _kernel_product(axes, nodes) * _kernel_product(axes, gaps, nodes)
-            return float(np.sum(weights * values)), values.size
+        def value_at(level, active):
+            values, evaluations = [0.0] * active.size, [0] * active.size
+            for owner, _, nodes, weights in _tensor_rules(
+                    axes, [s[active] for s in fixed], level, np.arange(active.size)):
+                gaps = points[active[owner]]
+                product = _kernel_product(axes, nodes) * _kernel_product(axes, gaps, nodes)
+                values[owner] = float(np.sum(weights * product))
+                evaluations[owner] = product.size
+            return values, evaluations
 
-        return _converge(value_at, tol, "one-intermediate chain integral")
+        return _converge(value_at, len(points), tol, "one-intermediate chain integral")
 
     # Iterated integral over x, y of Q(x) Q(y-x) Q(gap-y) [1-Q(y)] [1-Q(x-gap)],
     # the bracketed factors only when exclusions are requested.  The inner
     # level runs at the same refinement level as the outer one; convergence
     # is judged on the composed value, so both resolutions double together.
-    def outer_factor(x):
+    def outer_factor(gaps, x):
         factor = _kernel_product(axes, x)
         return factor * (1.0 - _kernel_product(axes, x, gaps)) if with_exclusion else factor
 
-    def integrand(x, y):
+    def integrand(gaps, x, y):
         values = _kernel_product(axes, y, x) * _kernel_product(axes, gaps, y)
         return values * (1.0 - _kernel_product(axes, y)) if with_exclusion else values
 
     # the composed outer integrand changes slope wherever a moving edge of
     # the inner window crosses a fixed break, so the outer panel edges are
     # the sumset of the fixed breaks with the window edges
-    outer = [_derived_breaks(kernel.breakpoints(), [[0.0, g]])[0]
-             for (_, kernel), g in zip(axes, gaps)]
-    return _converge(lambda level: _nested_integral(
-        axes, outer, outer_factor, [(0.0, g) for g in gaps], integrand, level),
-        tol, "two-intermediate chain integral")
+    outer = [_derived_breaks(kernel.breakpoints(), s) for (_, kernel), s in zip(axes, fixed)]
+    return _converge(lambda level, active: _nested_integral(
+        axes, points[active], [s[active] for s in outer], outer_factor,
+        [s[active] for s in fixed], integrand, level),
+        len(points), tol, "two-intermediate chain integral")
 
 
-def _triangle_integral(axes, anchor, tol):
+def _triangle_integral(axes, anchors, tol):
     # iterated integral over x, y of Q(x - anchor) Q(y - x) Q(y - anchor),
-    # one anchor angle per axis; inner refinement is locked to the outer
-    # level, see _chain_integral for the rationale
+    # one anchor angle per axis in each row of ``anchors``; inner refinement
+    # is locked to the outer level, see _chain_integral for the rationale
     _check_resolved(axes)
-    outer = [[a] + [a + 2.0 * b for b in kernel.breakpoints()]
-             for (_, kernel), a in zip(axes, anchor)]
-    return _converge(lambda level: _nested_integral(
-        axes, outer, lambda x: _kernel_product(axes, x, anchor), [(a,) for a in anchor],
-        lambda x, y: _kernel_product(axes, y, x) * _kernel_product(axes, y, anchor), level),
-        tol, "triangle integral")
+    outer = [np.column_stack([a, *(a + 2.0 * b for b in kernel.breakpoints())])
+             for (_, kernel), a in zip(axes, anchors.T)]
+    inner = [a[:, None] for a in anchors.T]
+    return _converge(lambda level, active: _nested_integral(
+        axes, anchors[active], [s[active] for s in outer],
+        lambda anchor, x: _kernel_product(axes, x, anchor), [s[active] for s in inner],
+        lambda anchor, x, y: _kernel_product(axes, y, x) * _kernel_product(axes, y, anchor),
+        level), len(anchors), tol, "triangle integral")
 
 
 def _product_error(terms):
@@ -357,47 +419,45 @@ def _product_error(terms):
 # chain and clustering integrals
 # ---------------------------------------------------------------------------
 
-def _chain_setup(model, k, gap, tol):
+def _chain_setup(model, k, gaps, tol):
     if k not in (1, 2):
         raise ValueError(f"chain quadrature supports 1 or 2 intermediaries, got {k}")
     axes = model_axes(model)
-    gaps = np.atleast_1d(np.asarray(gap, dtype=float))
-    if gaps.shape[0] != len(axes):
-        raise ValueError(f"expected {len(axes)} gap components, got {gaps.shape[0]}")
+    points = np.asarray(gaps, dtype=float).reshape(len(gaps), -1)
+    if points.shape[1] != len(axes):
+        raise ValueError(f"expected {len(axes)} gap components, got {points.shape[-1]}")
     if tol is None:
         tol = DEFAULT_TOL if len(axes) == 1 else DEFAULT_TORUS_TOL
-    return axes, gaps, tol
+    return axes, points, tol
 
 
 def chain_count_result(model, k, gap, with_exclusion=False, tol=None):
-    """Expected k-intermediary chain count between nodes a fixed distance apart.
+    """Expected k-intermediary chain count between nodes a fixed distance
+    apart: :func:`chain_count_curve` at the one gap ``gap``."""
+    return chain_count_curve(model, k, [gap], with_exclusion, tol)[0]
 
-    Parameters
-    ----------
-    model : CircleModel or TorusModel
-        Geometry and kernel.  For a torus, ``gap`` is a per-axis sequence of
-        angular separations.
-    k : int
-        Number of intermediaries along the chain (1 or 2).
-    gap : float or sequence of float
-        Angular separation of the two endpoint nodes.
-    with_exclusion : bool
-        If true, include the non-link factors that mark the chain as the
-        shortest connection: no direct link between the endpoints and, for
-        two intermediaries, no skip links past either one.
-    tol : float
-        Absolute tolerance passed to the nested integrations; defaults to
-        1e-9 for circles and 1e-6 for tori.
 
-    Returns
-    -------
-    IntegrationResult
-        The expected chain count; reduced values (``with_exclusion=False``)
-        are plain expectations and may exceed 1.  ``error_estimate`` is the
-        achieved difference of the last two refinement levels, scaled like
-        the value (``R**k`` per axis, the direct-link factor).
+def chain_count_curve(model, k, gaps, with_exclusion=False, tol=None):
+    """Expected k-intermediary chain counts between nodes at each of ``gaps``.
+
+    ``model`` is a CircleModel or a TorusModel, ``k`` the number of
+    intermediaries along the chain (1 or 2) and each gap the angular
+    separation of the two endpoint nodes, a per-axis sequence on a torus.
+    ``with_exclusion`` includes the non-link factors that mark the chain as
+    the shortest connection: no direct link between the endpoints and, for
+    two intermediaries, no skip links past either one.  ``tol`` is the
+    absolute tolerance of the nested integrations, by default 1e-9 for
+    circles and 1e-6 for tori.
+
+    Returns an IntegrationResult per gap, bit for bit that of the gap alone:
+    the gaps share each level's rules and retire where they would stop
+    alone.  Reduced values (``with_exclusion=False``) are plain expectations
+    and may exceed 1.  ``error_estimate`` is the achieved difference of the
+    last two refinement levels, scaled like the value (``R**k`` per axis,
+    the direct-link factor).  If a gap does not converge, raises the
+    QuadratureError of the first such gap in grid order.
     """
-    axes, gaps, tol = _chain_setup(model, k, gap, tol)
+    axes, points, tol = _chain_setup(model, k, gaps, tol)
     if with_exclusion and len(axes) > 1:
         raise ValueError("exclusion factors do not factorise over torus axes; "
                          "they are supported for circle models only")
@@ -405,18 +465,21 @@ def chain_count_result(model, k, gap, with_exclusion=False, tol=None):
     # the integrand factorises over the axes, so each axis is integrated on
     # its own and the results multiplied (cross-check: the *_torus_grid
     # routines evaluate the same integrals without factorising)
-    value, terms = 1.0, []
-    for (radius, kernel), axis_gap in zip(axes, gaps):
-        integral = _chain_integral([(radius, kernel)], k, np.array([axis_gap]),
-                                   with_exclusion, tol)
-        terms.append((radius ** k, integral))
-        value *= radius ** k * integral.value
-    error = _product_error(terms)
-    if with_exclusion:
-        direct = _kernel_product(axes, gaps[:, None, None])[0, 0]
-        value = value * (1.0 - direct)
-        error = error * abs(1.0 - direct)
-    return IntegrationResult(value, error, sum(r.evaluations for _, r in terms))
+    per_axis = [_chain_integral([axis], k, axis_gaps[:, None], with_exclusion, tol)
+                for axis, axis_gaps in zip(axes, points.T)]
+    results = []
+    for point, integrals in zip(points, zip(*per_axis)):
+        terms = [(radius ** k, _checked(integral))
+                 for (radius, _), integral in zip(axes, integrals)]
+        value = math.prod(scale * integral.value for scale, integral in terms)
+        error = _product_error(terms)
+        if with_exclusion:
+            direct = _kernel_product(axes, point[:, None, None])[0, 0]
+            value = value * (1.0 - direct)
+            error = error * abs(1.0 - direct)
+        results.append(IntegrationResult(value, error,
+                                         sum(r.evaluations for _, r in terms)))
+    return results
 
 
 def chain_count_by_quadrature(model, k, gap, with_exclusion=False, tol=None):
@@ -443,9 +506,9 @@ def clustering_result(model, tol=None, anchor=0.0):
         raise ValueError("mean degree is zero; clustering is undefined")
     value, terms = 1.0, []
     for radius, kernel in axes:
-        triangle = _triangle_integral([(radius, kernel)], np.array([anchor]), tol)
+        (triangle,) = _triangle_integral([(radius, kernel)], np.array([[anchor]], float), tol)
         axis_degree = axis_mean_degree(radius, kernel)
-        terms.append((radius ** 2 / axis_degree ** 2, triangle))
+        terms.append((radius ** 2 / axis_degree ** 2, _checked(triangle)))
         value *= radius ** 2 * triangle.value / axis_degree ** 2
     return IntegrationResult(value, _product_error(terms),
                              sum(r.evaluations for _, r in terms))
@@ -470,8 +533,8 @@ def clustering_torus_grid(model, tol=DEFAULT_TORUS_TOL):
     degree = mean_degree(model)
     if degree == 0.0:
         raise ValueError("mean degree is zero; clustering is undefined")
-    integral = _triangle_integral(model_axes(model), np.zeros(model.dimension), tol)
-    return float(np.prod(model.radii)) ** 2 * integral.value / degree ** 2
+    (integral,) = _triangle_integral(model_axes(model), np.zeros((1, model.dimension)), tol)
+    return float(np.prod(model.radii)) ** 2 * _checked(integral).value / degree ** 2
 
 
 def chain_count_torus_grid(model, k, gaps, tol=DEFAULT_TORUS_TOL):
@@ -480,9 +543,9 @@ def chain_count_torus_grid(model, k, gaps, tol=DEFAULT_TORUS_TOL):
     K-dimensional grids, as its cross-check."""
     if not isinstance(model, TorusModel):
         raise TypeError("chain_count_torus_grid expects a torus model")
-    axes, gaps, tol = _chain_setup(model, k, gaps, tol)
-    integral = _chain_integral(axes, k, gaps, False, tol)
-    return float(np.prod(model.radii)) ** k * integral.value
+    axes, points, tol = _chain_setup(model, k, [gaps], tol)
+    (integral,) = _chain_integral(axes, k, points, False, tol)
+    return float(np.prod(model.radii)) ** k * _checked(integral).value
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,11 @@ def _imported_modules(module):
 
 
 # The three routes are trusted when they agree, so none may borrow another's
-# numbers: quadrature never uses the series machinery or Monte Carlo, and
-# Monte Carlo never uses an analytic route.  fourier -> quadrature is still
-# allowed: series_from_kernel integrates each harmonic with
-# integrate_periodic, and the edge goes when that function is deleted.
-FORBIDDEN_IMPORTS = {"quadrature": {"fourier", "montecarlo"},
+# numbers: the series machinery never uses quadrature or Monte Carlo,
+# quadrature never uses the series machinery or Monte Carlo, and Monte Carlo
+# never uses an analytic route.
+FORBIDDEN_IMPORTS = {"fourier": {"quadrature", "montecarlo"},
+                     "quadrature": {"fourier", "montecarlo"},
                      "montecarlo": {"fourier", "quadrature"}}
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ringnet import CircleModel, CosineSeries, quadrature
@@ -631,6 +632,34 @@ def test_separation_quadrature_of_zero_window_is_exact_zero(capsys):
     rows = parse_csv(out)
     assert len(rows) == 50
     assert all(r["value"] == "0.0" and r["error_estimate"] == "0.0" for r in rows)
+
+
+def test_separation_routes_take_the_whole_grid_at_once(monkeypatch, capsys):
+    # one quadrature curve and one leading power sum per mode and chain
+    # order; no per-gap quadrature call and no row-wise np.unique grouping
+    from ringnet import fourier
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("called per gap")
+
+    counted(quadrature, "chain_count_curve")
+    counted(fourier, "_leading_bracket")
+    monkeypatch.setattr(quadrature, "chain_count_result", refused)
+    monkeypatch.setattr(np, "unique", refused)
+    code, out = run_cli(capsys, "separation", "--modes", "leading,full,quadrature")
+    assert code == EXIT_OK
+    assert len(parse_csv(out)) == 3 * 2 * 25
+    assert sorted(calls) == ["_leading_bracket"] * 4 + ["chain_count_curve"] * 2
 
 
 @pytest.mark.parametrize("command", ["clustering", "separation"])

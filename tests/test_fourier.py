@@ -1,11 +1,13 @@
 """Series analytics: coefficients, chain counts, clustering, closed forms."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import integrate
 
 from ringnet import fourier
 from ringnet import (
@@ -27,7 +29,6 @@ from ringnet import (
     discrete_chain_count,
     ProductKernel,
     TorusModel,
-    series_from_kernel,
     uniform_window_series,
 )
 
@@ -52,24 +53,34 @@ def test_uniform_coeffs_constant_term():
     assert series.coeffs[0] == pytest.approx(0.3 * 0.7 / math.pi, rel=1e-14)
 
 
+def quad_coeffs(kernel, terms):
+    """Cosine coefficients (1/2pi) int Q(phi) cos(n phi) dphi for n = 0..terms
+    by scipy's adaptive cosine-weighted quadrature, split at the kernel's
+    breakpoints: an oracle that shares no code with ringnet."""
+    edges = [-math.pi, *sorted(kernel.breakpoints()), math.pi]
+    return [sum(integrate.quad(lambda phi: float(kernel.evaluate(phi)), left, right,
+                               weight="cos", wvar=n, epsabs=1e-14, epsrel=1e-12)[0]
+                for left, right in zip(edges[:-1], edges[1:])) / (2.0 * math.pi)
+            for n in range(terms + 1)]
+
+
 def test_numeric_coeffs_match_closed_form():
     window = UniformWindow(0.25, 0.9)
-    numeric = series_from_kernel(window, 64)
+    numeric = quad_coeffs(window, 64)
     closed = uniform_window_series(window, 64)
-    np.testing.assert_allclose(numeric.coeffs, closed.coeffs, rtol=1e-10,
-                               atol=1e-13)
+    np.testing.assert_allclose(numeric, closed.coeffs, rtol=1e-10, atol=1e-13)
 
 
 def test_numeric_coeffs_idempotent_on_cosine():
     kernel = CosineSeries((0.3, 0.1, 0.04))
-    series = series_from_kernel(kernel, 6)
-    np.testing.assert_allclose(series.coeffs[:3], kernel.coeffs, atol=1e-12)
-    np.testing.assert_allclose(series.coeffs[3:], 0.0, atol=1e-12)
+    coeffs = quad_coeffs(kernel, 6)
+    np.testing.assert_allclose(coeffs[:3], kernel.coeffs, atol=1e-12)
+    np.testing.assert_allclose(coeffs[3:], 0.0, atol=1e-12)
 
 
 def test_numeric_coeffs_zero_kernel():
-    series = series_from_kernel(UniformWindow(0.0, 1.0), 8)
-    assert all(c == 0.0 for c in series.coeffs)
+    coeffs = quad_coeffs(UniformWindow(0.0, 1.0), 8)
+    assert all(c == 0.0 for c in coeffs)
 
 
 def test_coefficient_decay_bound():
@@ -189,6 +200,46 @@ def test_leading_matches_uniform_closed_route():
                                          tail_terms=terms)
             assert by_series == pytest.approx(closed.value, rel=1e-12,
                                               abs=1e-15)
+
+
+@pytest.mark.parametrize("series", [
+    uniform_window_series(UniformWindow(0.1, 0.5), 4096),
+    FourierSeries(tuple(0.1 * 0.8 ** n for n in range(41))),
+    FourierSeries((0.3,)),
+], ids=["window-4096", "smooth-41", "constant"])
+def test_gap_arrays_give_the_one_gap_bits(series):
+    # 37 gaps, repeats and both ends included, span several cosine-table
+    # blocks of the 4096-term series
+    gaps = np.concatenate([np.random.default_rng(5).uniform(0.0, math.pi, 33),
+                           [0.0, math.pi, 0.7, 0.7]])
+    direct = np.linspace(0.0, 1.0, gaps.size)
+    for k in (1, 2, 5):
+        counts = chain_count_leading(series, 20.0, k, gaps)
+        assert counts.tolist() == [chain_count_leading(series, 20.0, k, g) for g in gaps]
+    ones = chain_count_one(series, 20.0, gaps, direct)
+    twos = chain_count_two(series, 20.0, gaps, direct, correction_order=8)
+    for gap, d, one, two in zip(gaps, direct, ones, twos):
+        assert one == chain_count_one(series, 20.0, float(gap), float(d))
+        assert two == chain_count_two(series, 20.0, float(gap), float(d),
+                                      correction_order=8)
+    with pytest.raises(ValueError):
+        chain_count_one(series, 20.0, gaps[:2], np.array([0.5, 1.5]))
+
+
+def test_leading_curve_memory_is_capped():
+    # the cosine table is built in blocks of MAX_TABLE_CELLS; unblocked, 2,000
+    # gaps at 4,096 harmonics would hold two 62.5 MiB temporaries
+    series = uniform_window_series(UniformWindow(0.1, 0.5), 4096)
+    gaps = np.linspace(0.0, math.pi, 2000)
+    tracemalloc.start()
+    try:
+        counts = chain_count_leading(series, 20.0, 2, gaps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
+    for index in (0, 1234, 1999):
+        assert counts[index] == chain_count_leading(series, 20.0, 2, gaps[index])
 
 
 def test_leading_vs_discrete_two_chain_oracle():

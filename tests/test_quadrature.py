@@ -475,13 +475,15 @@ def test_inner_batches_respect_the_cap(monkeypatch):
     batches = []
     nested = quadrature._nested_integral
 
-    def recording(axes, outer_shifts, outer_factor, inner_shifts, integrand, level):
-        def recorded(x, y):  # called once per batch of outer nodes
-            values = integrand(x, y)
+    def recording(axes, points, outer_shifts, outer_factor, inner_shifts, integrand,
+                  level):
+        def recorded(point, x, y):  # called once per batch of outer nodes
+            values = integrand(point, x, y)
             batches.append(values.shape)
             return values
 
-        return nested(axes, outer_shifts, outer_factor, inner_shifts, recorded, level)
+        return nested(axes, points, outer_shifts, outer_factor, inner_shifts, recorded,
+                      level)
 
     monkeypatch.setattr(quadrature, "MAX_BATCH_POINTS", cap)
     monkeypatch.setattr(quadrature, "_nested_integral", recording)
@@ -534,3 +536,99 @@ def test_product_error_propagates_factor_errors():
     error = quadrature._product_error([(5.0, first), (-1.0, second)])
     # |(10 +- 0.5)(-3 +- 0.2)| deviates from 30 by at most 10.5*3.2 - 30
     assert error == pytest.approx(10.5 * 3.2 - 30.0, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# curves: every gap of a grid through the core at once
+# ---------------------------------------------------------------------------
+
+SMOOTH = CosineSeries(tuple(0.1 * 0.8 ** n for n in range(41)))
+
+
+@st.composite
+def gap_grids(draw):
+    """1-40 gaps in any order, repeats included, drawn from a few values."""
+    values = draw(st.lists(st.floats(0.0, math.pi), min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(values), min_size=1, max_size=40))
+
+
+@settings(max_examples=15, deadline=None)
+@given(kernel=st.one_of(st.builds(UniformWindow, p=st.floats(0.01, 1.0),
+                                  half_width=st.floats(0.05, math.pi)),
+                        st.just(SMOOTH)),
+       gaps=gap_grids(), k=st.sampled_from([1, 2]), with_exclusion=st.booleans())
+def test_curve_bit_identical_to_one_gap_calls_property(kernel, gaps, k, with_exclusion):
+    model = CircleModel(10.0, kernel)
+    curve = quadrature.chain_count_curve(model, k, gaps, with_exclusion, tol=1e-7)
+    assert len(curve) == len(gaps)
+    single, reference = {}, {}
+    for gap, result in zip(gaps, curve):
+        if gap not in single:
+            single[gap] = chain_count_result(model, k, gap, with_exclusion, tol=1e-7)
+            reference[gap] = ref_chain_circle(model, k, gap, with_exclusion, tol=1e-7)
+        assert result == single[gap]  # value, error_estimate and evaluations
+        assert result.value == reference[gap]
+
+
+def test_curve_raises_the_first_failing_gap_in_grid_order():
+    # at tol 0 a level must repeat the previous value bit for bit: of these
+    # gaps only 1.178 and 1.963 never do, and each fails with its own numbers
+    model = CircleModel(20.0, SMOOTH)
+    grid = [math.pi / 4.0, 3.0 * math.pi / 8.0, math.pi / 2.0, 5.0 * math.pi / 8.0]
+    alone = {}
+    for gap in grid:
+        try:
+            chain_count_result(model, 1, gap, tol=0.0)
+        except QuadratureError as error:
+            alone[gap] = (error.achieved, error.evaluations)
+    assert sorted(alone) == [grid[1], grid[3]]
+    assert alone[grid[1]] != alone[grid[3]]
+    for gaps in (grid[:3], grid):
+        with pytest.raises(QuadratureError) as info:
+            quadrature.chain_count_curve(model, 1, gaps, tol=0.0)
+        assert (info.value.achieved, info.value.evaluations) == alone[grid[1]]
+
+
+def test_curve_derives_breakpoints_once_per_level(monkeypatch):
+    # the gaps of a curve share each level's rule construction: 97 gaps call
+    # _inner_breaks as often as the one gap that needs the most levels
+    model = CircleModel(20.0, UniformWindow(0.1, 0.5))
+    grid = np.linspace(0.0, math.pi, 97)
+    calls = []
+    inner_breaks = quadrature._inner_breaks
+
+    def counted(candidates):
+        calls.append(len(candidates))
+        return inner_breaks(candidates)
+
+    monkeypatch.setattr(quadrature, "_inner_breaks", counted)
+
+    def call_count(gaps, k):
+        calls.clear()
+        quadrature.chain_count_curve(model, k, gaps, with_exclusion=True)
+        return len(calls)
+
+    for k in (1, 2):
+        alone = [call_count([gap], k) for gap in grid]
+        slowest = grid[int(np.argmax(alone))]
+        assert call_count(grid, k) == call_count([grid[0], slowest], k) == max(alone)
+
+
+def test_curve_stacks_inner_rows_up_to_the_cap(monkeypatch):
+    # how many gaps share one pass of inner rule construction moves no bit
+    model = CircleModel(20.0, UniformWindow(0.1, 0.5))
+    grid = np.linspace(0.0, math.pi, 13)
+    expected = [chain_count_result(model, 2, gap, with_exclusion=True) for gap in grid]
+    cap, stacks = 40, []
+    tensor_rules = quadrature._tensor_rules
+
+    def recording(axes, shifts, level, owners):
+        if shifts[0].shape[1] == 3:  # inner rows: 0, the gap and the outer node
+            stacks.append((owners.size, len(set(owners.tolist()))))
+        return tensor_rules(axes, shifts, level, owners)
+
+    monkeypatch.setattr(quadrature, "MAX_STACKED_ROWS", cap)
+    monkeypatch.setattr(quadrature, "_tensor_rules", recording)
+    assert quadrature.chain_count_curve(model, 2, grid, with_exclusion=True) == expected
+    assert any(gaps > 1 for _, gaps in stacks)
+    assert all(rows <= cap or gaps == 1 for rows, gaps in stacks)
