@@ -671,10 +671,9 @@ def _battery_checks(config):
 
     chain_nodes = 128
     chain_trials = trials.get("chain", 6000)
-    for order in (1, 2):
-        mc_estimate = montecarlo.estimate_chain_count(
-            chain_nodes, chain_window, 16, order, chain_trials, seed,
-            threads=threads)
+    chain_estimates = montecarlo.estimate_chain_counts(
+        chain_nodes, chain_window, 16, (1, 2), chain_trials, seed, threads=threads)
+    for order, mc_estimate in zip((1, 2), chain_estimates):
         exact = quadrature.discrete_chain_count(chain_nodes, chain_window,
                                                 order, 16).reduced
         check(f"mc-chain-k{order}", mc_estimate.mean, exact, 3.5,

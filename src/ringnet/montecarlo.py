@@ -8,9 +8,9 @@ predict: mean degree, pooled clustering, simple chain counts between two
 pinned nodes, and the empirical distribution of the separation (shortest
 path length minus one).  Measurements run on whole arrays: triangles are
 counted on bitset adjacency rows, while chain counts and the separations
-read the sorted edge columns through boolean node masks.  One
-breadth-first search per trial, a whole frontier per step, gives the
-separation at every requested offset.
+read the edge columns through boolean node masks.  One breadth-first
+search, a whole frontier per step, gives the separation at every requested
+offset.
 
 Reproducibility contract: the random value deciding a candidate pair is a
 pure function of the sample seed and the pair's canonical position (offset
@@ -24,14 +24,26 @@ What does not depend on the seed is worked out once per (shape, kernel)
 and cached as a read-only sampling plan: the link probability of every
 offset block, the counter skips and draw sizes of the generator calls,
 and on a torus the coordinates of every node.  A sample keys its Philox
-stream with its seed, walks the plan and sorts its edges once as integer
-keys low * n + high.  The plan changes no random value and no edge.
+stream with its seed and walks the plan.  The plan changes no random value
+and no edge.
+
+The estimators run each worker's contiguous run of trials in batches of up
+to ``MAX_BATCH_DRAWS`` candidate draws.  A batch is the disjoint union of
+its graphs: node i of the batch's graph t is the union node t * n + i.
+Every graph still draws from its own stream, writing its values into its
+row of one buffer per generator call of the plan, and the batch is linked
+and measured in a few array passes over the union, with per-graph results
+split off by node number.  A graph's random values, edges and measurements
+do not depend on the batch it is in, so batching changes no result.  A
+:class:`GraphSample` is the batch of one, its edges sorted once as integer
+keys low * n + high.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -56,6 +68,11 @@ MAX_ADJACENCY_CELLS = 1 << 28
 MAX_RUN_DRAWS = 1 << 14
 # 64-bit words per gathered array of bitset rows while counting triangles
 MAX_BITSET_WORDS = 1 << 16
+# candidate draws (8 bytes each) of the trials sampled and measured as one
+# batch: a fixed bound on a batch's memory, not a tuning option.  A batch
+# of more than one trial also holds at most this many nodes (and, counting
+# triangles, bitset words), so its union node numbers stay below it
+MAX_BATCH_DRAWS = 1 << 16
 
 
 class EstimateUndefinedError(Exception):
@@ -133,10 +150,70 @@ class SeparationHistogram:
         return (*head, 1.0 - math.fsum(head))
 
 
+# ---------------------------------------------------------------------------
+# trial seeds and the trial pool
+# ---------------------------------------------------------------------------
+
+# the 32-bit hash constants of numpy's SeedSequence
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_step(values: np.ndarray, hash_const: int, multiplier: int):
+    # one seed-sequence hash of uint32 ``values``, and the next constant
+    values = values ^ np.uint32(hash_const)
+    hash_const = hash_const * multiplier & _MASK32
+    values = values * np.uint32(hash_const)
+    return values ^ (values >> np.uint32(16)), hash_const
+
+
+@functools.lru_cache(maxsize=16)
+def _master_pool(master_seed: int) -> tuple:
+    # the pool of SeedSequence(master_seed) and the hash constant that its
+    # mixing leaves: 4 steps to fill the pool, 12 to mix it and 4 per
+    # master word past the fourth
+    words = max(1, -(-master_seed.bit_length() // 32))
+    steps = 16 + 4 * max(0, words - 4)
+    return (tuple(np.random.SeedSequence(master_seed).pool.tolist()),
+            _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32)
+
+
+def _trial_seeds(master_seed: int, indices) -> np.ndarray:
+    """``trial_seed(master_seed, t)`` for every trial index t below 2**64 in
+    ``indices``, as uint64 in one pass of array operations.
+
+    The spawn key enters only the last mixing stage of
+    ``SeedSequence(master_seed, spawn_key=(t,))``.  The stages before it
+    see the master seed's words, padded with zero words, and a zero word
+    hashes like a missing one, so they leave the pool of
+    ``SeedSequence(master_seed)``.  The index's 32-bit words (one below
+    2**32, else two) are mixed into copies of that pool, and the seed is
+    hashed from the first two pool words.
+    """
+    indices = np.atleast_1d(np.asarray(indices, dtype=np.uint64))
+    words, hash_const = _master_pool(operator.index(master_seed))
+    pool = [np.full(indices.shape, word, dtype=np.uint32) for word in words]
+    for shift in (0, 32):
+        key_word = (indices >> np.uint64(shift)).astype(np.uint32)  # low 32 bits
+        mixed = []
+        for value in pool:
+            hashed, hash_const = _hash_step(key_word, hash_const, _MULT_A)
+            value = np.uint32(_MIX_MULT_L) * value - np.uint32(_MIX_MULT_R) * hashed
+            mixed.append(value ^ (value >> np.uint32(16)))
+        two_words = indices >> np.uint64(32) != 0
+        pool = mixed if shift == 0 else [np.where(two_words, m, p) for m, p in zip(mixed, pool)]
+    low, hash_const = _hash_step(pool[0], _INIT_B, _MULT_B)
+    high, _ = _hash_step(pool[1], hash_const, _MULT_B)
+    return low.astype(np.uint64) | high.astype(np.uint64) << np.uint64(32)
+
+
 def trial_seed(master_seed: int, trial_index: int) -> int:
-    """Derived 64-bit seed of one trial, a pure function of its inputs."""
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(trial_index,))
-    return int(seq.generate_state(1, np.uint64)[0])
+    """Derived 64-bit seed of one trial, a pure function of its inputs: the
+    first 64-bit word of ``SeedSequence(master_seed,
+    spawn_key=(trial_index,))``, for trial indices below 2**64."""
+    return int(_trial_seeds(master_seed, trial_index)[0])
 
 
 def _available_cpus() -> int:
@@ -146,6 +223,22 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _map_runs(task, trials: int, threads: int) -> list:
+    # ``task(start, stop)`` returns a list of results for the trials in
+    # [start, stop); one contiguous run of trials per worker, since a
+    # future per trial costs more than a whole small-graph trial
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    workers = min(threads, _available_cpus())
+    if workers <= 1:
+        return task(0, trials)
+    size = -(-trials // workers)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        runs = pool.map(lambda start: task(start, min(start + size, trials)),
+                        range(0, trials, size))
+        return [result for run in runs for result in run]
+
+
 def run_trials(worker, trials: int, master_seed: int, threads: int = 1) -> list:
     """Run ``worker(seed)`` once per trial and collect results in trial order.
 
@@ -153,19 +246,11 @@ def run_trials(worker, trials: int, master_seed: int, threads: int = 1) -> list:
     makes the output independent of the thread count.  The pool never has
     more workers than the CPUs this process may run on.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    seeds = [trial_seed(master_seed, t) for t in range(trials)]
-    workers = min(threads, _available_cpus())
-    if workers <= 1:
-        return [worker(s) for s in seeds]
-    # one contiguous run of trials per worker: a future per trial costs
-    # more than a whole small-graph trial
-    size = -(-trials // workers)
-    runs = [seeds[start:start + size] for start in range(0, trials, size)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(lambda run: [worker(s) for s in run], runs)
-        return [result for run in results for result in run]
+    def run(start, stop):
+        seeds = _trial_seeds(master_seed, np.arange(start, stop)).tolist()
+        return [worker(seed) for seed in seeds]
+
+    return _map_runs(run, trials, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +262,11 @@ def _philox_key_type():
     # numpy loads np.random on first use, so the class is made on the first
     # sample rather than on every import of ringnet
     class PhiloxKey(np.random.bit_generator.ISeedSequence):
-        # hands Philox its 128-bit key, the sample seed in the low word, as
-        # is; ``Philox(key=...)`` would first build a seed sequence from
-        # operating system entropy and then discard it
-        def __init__(self, seed: int):
-            self._words = np.array([seed, 0], dtype=np.uint64)
+        # hands Philox its 128-bit key, two uint64 words with the sample
+        # seed in the low one, as is; ``Philox(key=...)`` would first build
+        # a seed sequence from operating system entropy and then discard it
+        def __init__(self, words: np.ndarray):
+            self._words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
             if n_words != 2 or np.dtype(dtype) != np.uint64:
@@ -325,59 +410,94 @@ def _cached_plan(shape: tuple, kernel) -> _SamplingPlan:
 _PLAN_LOCK = threading.Lock()
 
 
-def _sampling_plan(shape: tuple, kernel) -> _SamplingPlan:
+def _sampling_plan(shape, kernel) -> _SamplingPlan:
     # trial threads share one plan; the lock keeps them from building it twice
+    shape = tuple(int(s) for s in np.atleast_1d(shape))
     with _PLAN_LOCK:
         return _cached_plan(shape, kernel)
 
 
-def _hits(plan: _SamplingPlan, seed: int):
-    # (chunk, block rows, candidate nodes) of the links drawn by each
-    # generator call of one sample
-    bits = np.random.Philox(_philox_key_type()(seed))
-    generator = np.random.Generator(bits)
-    width = plan.width
+class _Batch(NamedTuple):
+    # the disjoint union of ``size`` graphs of ``n`` nodes each: node i of
+    # graph t is the union node t * n + i.  Each link is stored once, by
+    # its lower and its higher union node, in no particular order
+    n: int
+    size: int
+    low: np.ndarray
+    high: np.ndarray
+
+
+def _batch_keys(plan: _SamplingPlan, seeds: np.ndarray) -> list:
+    # the links of the graphs with the given seeds, one key array per
+    # generator call, each link as the key low * N + high of its union
+    # nodes (N of them).  Each graph draws from its own Philox stream as a
+    # sample alone does, writing the values of each generator call into its
+    # row of the call's buffer; the links of all graphs are then found in
+    # one pass per call
+    size, width = seeds.size, plan.width
+    n = math.prod(plan.shape)
+    words = np.zeros((size, 2), dtype=np.uint64)
+    words[:, 0] = seeds
+    streams = []
+    for key in words:
+        bits = np.random.Philox(_philox_key_type()(key))
+        streams.append((bits, np.random.Generator(bits)))
+    keys = []
     for chunk in plan.chunks:
-        if chunk.skip:
-            bits.advance(chunk.skip)
-        draws = generator.random(chunk.blocks * width).reshape(chunk.blocks, width)
-        linked = np.flatnonzero(draws < chunk.probs)
-        rows = linked // width
+        draws = np.empty((size, chunk.blocks * width))
+        for (bits, generator), row in zip(streams, draws):
+            if chunk.skip:
+                bits.advance(chunk.skip)
+            generator.random(out=row)
+        linked = np.flatnonzero(draws.reshape(size, chunk.blocks, width) < chunk.probs)
+        rows = linked // width  # graph * blocks + block
         hits = linked - rows * width
         if chunk.columns < width:  # draws past the block's candidates
             keep = hits < chunk.columns
             rows, hits = rows[keep], hits[keep]
-        yield chunk, rows, hits
-
-
-def _ring_keys(plan: _SamplingPlan, seed: int) -> list:
-    n = plan.shape[0]
-    keys = []
-    for chunk, rows, hits in _hits(plan, seed):
-        partner = (hits + chunk.offsets[rows]) % n
-        keys.append(np.minimum(hits, partner) * n + np.maximum(hits, partner))
+        if size > 1:
+            graphs, rows = np.divmod(rows, chunk.blocks)
+        if plan.components is None:
+            partner = (hits + chunk.offsets[rows]) % n
+            low, high = np.minimum(hits, partner), np.maximum(hits, partner)
+        else:
+            partner = np.zeros_like(hits)
+            for length, node_axis, delta_axis in zip(plan.shape, plan.components,
+                                                     chunk.offsets):
+                partner = partner * length + (node_axis[hits] + delta_axis[rows]) % length
+            # each unordered pair shows up under an offset and its negation;
+            # keeping source < partner picks exactly one of the two
+            keep = hits < partner
+            low, high = hits[keep], partner[keep]
+            if size > 1:
+                graphs = graphs[keep]
+        if size > 1:  # node i of graph g is the union node g * n + i
+            graphs *= n
+            low, high = low + graphs, high + graphs
+        keys.append(low * (size * n) + high)
     return keys
 
 
-def _torus_keys(plan: _SamplingPlan, seed: int) -> list:
-    shape = plan.shape
-    total_nodes = math.prod(shape)
-    keys = []
-    for chunk, rows, hits in _hits(plan, seed):
-        partner = np.zeros_like(hits)
-        for length, node_axis, delta_axis in zip(shape, plan.components, chunk.offsets):
-            partner = partner * length + (node_axis[hits] + delta_axis[rows]) % length
-        # each unordered pair shows up under an offset and its negation;
-        # keeping source < partner picks exactly one of the two
-        keep = hits < partner
-        keys.append(hits[keep] * total_nodes + partner[keep])
-    return keys
+def _sample_batch(plan: _SamplingPlan, seeds: np.ndarray) -> _Batch:
+    n = math.prod(plan.shape)
+    nodes = seeds.size * n
+    keys = _joined(_batch_keys(plan, seeds))
+    low = keys // nodes
+    return _Batch(n, seeds.size, low, keys - low * nodes)
+
+
+def _joined(parts: list) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def _single(sample: GraphSample) -> _Batch:
+    return _Batch(sample.n, 1, sample.edges[:, 0], sample.edges[:, 1])
 
 
 def _canonical_edges(keys: list, n: int) -> np.ndarray:
     # a pair (low, high) has the key low * n + high, so the sorted keys are
     # the lexicographically sorted pairs
-    keys = np.sort(np.concatenate(keys)) if keys else np.empty(0, dtype=np.int64)
+    keys = np.sort(_joined(keys))
     low = keys // n
     return np.stack((low, keys - low * n), axis=1)
 
@@ -389,47 +509,60 @@ def sample_graph(shape, kernel, seed: int) -> GraphSample:
     a torus grid paired with a product kernel.  The seed-independent part
     of the work, the sampling plan, is built once per (shape, kernel).
     """
-    shape = tuple(int(s) for s in np.atleast_1d(shape))
     plan = _sampling_plan(shape, kernel)
-    keys = (_ring_keys if plan.components is None else _torus_keys)(plan, seed)
-    return GraphSample(shape, seed, _canonical_edges(keys, math.prod(shape)))
+    keys = _batch_keys(plan, np.array([seed], dtype=np.uint64))
+    return GraphSample(plan.shape, seed, _canonical_edges(keys, math.prod(plan.shape)))
 
 
 # ---------------------------------------------------------------------------
-# per-sample measurements
+# measurements on a batch of graphs, and on one sample as a batch of one
 # ---------------------------------------------------------------------------
 
-def _packed_adjacency(sample: GraphSample) -> np.ndarray:
-    # adjacency rows as bitsets: bit j % 64 of word j // 64 in row i is set
-    # when i and j are linked
-    n = sample.n
+def _bitset_words(n: int) -> int:
+    # 64-bit words of one node's adjacency row
+    return -(-n // 64)
+
+
+def _triangle_counts(batch: _Batch):
+    # pooled numerator and denominator per graph: linked neighbour pairs
+    # and all neighbour pairs, summed over nodes.  A linked pair (u, v) of
+    # neighbours of w is a triangle, so the numerator is the sum over
+    # edges (u, v) of |N(u) & N(v)|, counted on bitset adjacency rows (bit
+    # j % 64 of word j // 64 in row u is set when u and the node j of its
+    # graph are linked) in batches of edges
+    n, size = batch.n, batch.size
     if n * n > MAX_ADJACENCY_CELLS:
         raise CostBudgetError("packed adjacency for this graph",
                               n * n, MAX_ADJACENCY_CELLS)
-    words = -(-n // 64)
-    src, dst = np.concatenate([sample.edges, sample.edges[:, ::-1]]).T
-    rows = np.zeros(n * words, dtype=np.uint64)
-    # every pair is stored once, so no bit is set twice and adding is or-ing
-    np.add.at(rows, src * words + (dst >> 6),
-              np.left_shift(np.uint64(1), (dst & 63).astype(np.uint64)))
-    return rows.reshape(n, words)
+    words = _bitset_words(n)
+    rows = np.zeros(size * n * words, dtype=np.uint64)
+    degrees = np.zeros(size * n, dtype=np.int64)
+    for src, dst in ((batch.low, batch.high), (batch.high, batch.low)):
+        if size > 1:
+            dst = dst % n  # the node's number within its graph
+        # every pair is stored once, so no bit is set twice and adding is or-ing
+        np.add.at(rows, src * words + (dst >> 6),
+                  np.left_shift(np.uint64(1), (dst & 63).astype(np.uint64)))
+        degrees += np.bincount(src, minlength=size * n)
+    rows = rows.reshape(size * n, words)
+    degrees = degrees.reshape(size, n)
+    pairs = np.sum(degrees * (degrees - 1) // 2, axis=1)
+    per_batch = max(1, MAX_BITSET_WORDS // words)
+    linked = np.zeros(size, dtype=np.int64)
+    for start in range(0, batch.low.size, per_batch):
+        low = batch.low[start:start + per_batch]
+        common = np.bitwise_count(rows[low] & rows[batch.high[start:start + per_batch]])
+        if size > 1:  # exact: every per-graph sum stays far below 2**53
+            linked += np.bincount(low // n, weights=common.sum(axis=1),
+                                  minlength=size).astype(np.int64)
+        else:
+            linked += int(common.sum())
+    return linked, pairs
 
 
 def _clustering_counts(sample: GraphSample) -> tuple[int, int]:
-    # pooled numerator and denominator: linked neighbour pairs and all
-    # neighbour pairs, summed over nodes.  A linked pair (u, v) of
-    # neighbours of w is a triangle, so the numerator is the sum over
-    # edges (u, v) of |N(u) & N(v)|, counted on bitset rows in batches
-    rows = _packed_adjacency(sample)
-    degrees = sample.degrees()
-    pairs = int(np.sum(degrees * (degrees - 1) // 2))
-    per_batch = max(1, MAX_BITSET_WORDS // rows.shape[1])
-    linked = 0
-    for start in range(0, sample.edges.shape[0], per_batch):
-        batch = sample.edges[start:start + per_batch]
-        common = rows[batch[:, 0]] & rows[batch[:, 1]]
-        linked += int(np.bitwise_count(common).sum())
-    return linked, pairs
+    linked, pairs = _triangle_counts(_single(sample))
+    return int(linked[0]), int(pairs[0])
 
 
 def _reduce_clustering(counts: Iterable[tuple[int, int]]) -> McEstimate:
@@ -457,13 +590,16 @@ def empirical_clustering(samples: Iterable[GraphSample]) -> McEstimate:
     return _reduce_clustering(_clustering_counts(s) for s in samples)
 
 
-def _chain_endpoints(sample: GraphSample, offset: int, anchor: int):
-    n = sample.n
-    if not 0 < offset <= n // 2:
+def _pinned_nodes(batch: _Batch, offsets, anchor: int):
+    # each graph's anchor and the node ``offset`` past it, for every offset
+    # (graphs x offsets), as union nodes
+    n = batch.n
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if np.any((offsets <= 0) | (offsets > n // 2)):
         raise ValueError("offset must lie in (0, n/2]")
-    source = anchor % n
-    target = (anchor + offset) % n
-    return source, target
+    _require_sampleable(n, "nodes of this graph")
+    first = np.arange(0, batch.size * n, n)
+    return first + anchor % n, first[:, None] + (anchor + offsets) % n
 
 
 def _node_set(n: int, nodes) -> np.ndarray:
@@ -472,12 +608,50 @@ def _node_set(n: int, nodes) -> np.ndarray:
     return mask
 
 
-def _far_ends(edges: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+def _far_ends(batch: _Batch, nodes: np.ndarray) -> np.ndarray:
     # the far end of every link that leaves the node set ``nodes`` (a
     # boolean mask), once per link and direction: a link inside the set
     # gives both of its ends
-    low, high = edges.T
-    return np.concatenate((high[nodes[low]], low[nodes[high]]))
+    return np.concatenate((batch.high[nodes[batch.low]], batch.low[nodes[batch.high]]))
+
+
+def _check_orders(orders):
+    if not set(orders) <= {1, 2, 3}:
+        raise ValueError("chain counting supports 1, 2, or 3 intermediaries")
+
+
+def _chain_counts(batch: _Batch, offset: int, orders: Sequence[int],
+                  anchor: int) -> np.ndarray:
+    # simple chains between each graph's pinned nodes (graphs x orders)
+    source, target = _pinned_nodes(batch, (offset,), anchor)
+    target = target[:, 0]
+    n, nodes = batch.n, batch.size * batch.n
+    near_source = _node_set(nodes, _far_ends(batch, _node_set(nodes, source)))
+    near_target = _node_set(nodes, _far_ends(batch, _node_set(nodes, target)))
+    # a first intermediary is not the target, a last one not the source
+    near_source[target] = False
+    near_target[source] = False
+    counts = np.empty((batch.size, len(orders)), dtype=np.int64)
+    for column, k in enumerate(orders):
+        if k == 1:
+            middles = np.flatnonzero(near_source & near_target)
+        elif k == 2:
+            # a link is never a loop, so its two intermediaries differ
+            middles = _far_ends(batch, near_source)
+            middles = middles[near_target[middles]]
+        else:
+            # a middle node j with a_j links to first and b_j links to last
+            # intermediaries closes a_j * b_j chains, c_j of which use a
+            # single node as first and last intermediary; no chain runs
+            # through an endpoint
+            a, b, c = (np.bincount(_far_ends(batch, ends), minlength=nodes)
+                       for ends in (near_source, near_target, near_source & near_target))
+            a[source] = a[target] = 0
+            c[source] = c[target] = 0
+            counts[:, column] = np.sum((a * b - c).reshape(batch.size, n), axis=1)
+            continue
+        counts[:, column] = np.bincount(middles // n, minlength=batch.size)
+    return counts
 
 
 def chain_count_in_sample(sample: GraphSample, offset: int, k: int,
@@ -487,34 +661,12 @@ def chain_count_in_sample(sample: GraphSample, offset: int, k: int,
     The endpoints are ``anchor`` and ``anchor + offset`` (wrapped); the
     intermediaries are pairwise distinct and avoid both endpoints.
     """
-    if k not in (1, 2, 3):
-        raise ValueError("chain counting supports 1, 2, or 3 intermediaries")
-    source, target = _chain_endpoints(sample, offset, anchor)
-    n = sample.n
-    _require_sampleable(n, "nodes of this graph")
-    edges = sample.edges
-    near_source = _node_set(n, _far_ends(edges, _node_set(n, source)))
-    near_target = _node_set(n, _far_ends(edges, _node_set(n, target)))
-    # a first intermediary is not the target, a last one not the source
-    near_source[target] = False
-    near_target[source] = False
-    if k == 1:
-        return int(np.count_nonzero(near_source & near_target))
-    if k == 2:
-        # a link is never a loop, so its two intermediaries differ
-        return int(np.count_nonzero(near_target[_far_ends(edges, near_source)]))
-    # a middle node j with a_j links to first and b_j links to last
-    # intermediaries closes a_j * b_j chains, c_j of which use a single node
-    # as first and last intermediary; no chain runs through an endpoint
-    a, b, c = (np.bincount(_far_ends(edges, nodes), minlength=n)
-               for nodes in (near_source, near_target, near_source & near_target))
-    a[[source, target]] = 0
-    c[[source, target]] = 0
-    return int(a @ b - c.sum())
+    _check_orders((k,))
+    return int(_chain_counts(_single(sample), offset, (k,), anchor)[0, 0])
 
 
-def _reduce_counts(values: Iterable[int]) -> McEstimate:
-    values = np.asarray(list(values), dtype=float)
+def _reduce_counts(values) -> McEstimate:
+    values = np.asarray(values, dtype=float)
     mean = float(np.mean(values))
     if values.size > 1:
         std_error = float(np.std(values, ddof=1) / math.sqrt(values.size))
@@ -526,29 +678,35 @@ def _reduce_counts(values: Iterable[int]) -> McEstimate:
 def empirical_chain_count(samples: Iterable[GraphSample], offset: int, k: int,
                           anchor: int = 0) -> McEstimate:
     """Mean simple chain count over a stream of samples."""
-    return _reduce_counts(chain_count_in_sample(s, offset, k, anchor)
-                          for s in samples)
+    return _reduce_counts([chain_count_in_sample(s, offset, k, anchor)
+                           for s in samples])
+
+
+def _separation_table(batch: _Batch, offsets: Sequence[int], max_sep: int,
+                      anchor: int) -> np.ndarray:
+    # separation from each graph's anchor to each offset's node (graphs x
+    # offsets, negative beyond max_sep) from one breadth-first search over
+    # the union, a whole frontier per step, that stops once every target is
+    # reached.  A step reads the edge columns through boolean node masks,
+    # so no adjacency index is built
+    source, targets = _pinned_nodes(batch, offsets, anchor)
+    nodes = batch.size * batch.n
+    distance = np.full(nodes, -1, dtype=np.int64)
+    frontier = _node_set(nodes, source)
+    distance[frontier] = 0
+    for depth in range(1, max_sep + 2):
+        frontier = _node_set(nodes, _far_ends(batch, frontier)) & (distance < 0)
+        distance[frontier] = depth
+        if not frontier.any() or np.all(distance[targets] >= 0):
+            break
+    return distance[targets] - 1
 
 
 def _separations(sample: GraphSample, offsets: Sequence[int], max_sep: int,
                  anchor: int) -> list:
-    # separation from the anchor to each offset's node (None beyond max_sep)
-    # from one breadth-first search, a whole frontier per step, that stops
-    # once every target is reached.  A step reads the canonical edge
-    # columns through boolean node masks, so no adjacency index is built
-    targets = np.asarray([_chain_endpoints(sample, offset, anchor)[1]
-                          for offset in offsets], dtype=np.int64)
-    n = sample.n
-    _require_sampleable(n, "nodes of this graph")
-    distance = np.full(n, -1, dtype=np.int64)
-    frontier = _node_set(n, anchor % n)
-    distance[frontier] = 0
-    for depth in range(1, max_sep + 2):
-        frontier = _node_set(n, _far_ends(sample.edges, frontier)) & (distance < 0)
-        distance[frontier] = depth
-        if not frontier.any() or np.all(distance[targets] >= 0):
-            break
-    return [int(d) - 1 if d > 0 else None for d in distance[targets]]
+    # separation to each offset's node in one sample (None beyond max_sep)
+    table = _separation_table(_single(sample), offsets, max_sep, anchor)
+    return [sep if sep >= 0 else None for sep in table[0].tolist()]
 
 
 def separation_in_sample(sample: GraphSample, offset: int, max_sep: int,
@@ -561,9 +719,10 @@ def separation_in_sample(sample: GraphSample, offset: int, max_sep: int,
     return _separations(sample, (offset,), max_sep, anchor)[0]
 
 
-def _reduce_separations(separations: Iterable, max_sep: int) -> SeparationHistogram:
-    buckets = np.asarray([max_sep + 1 if sep is None else sep for sep in separations],
-                         dtype=np.int64)
+def _reduce_separations(separations, max_sep: int) -> SeparationHistogram:
+    # ``separations`` negative where the target was not reached
+    separations = np.asarray(separations, dtype=np.int64)
+    buckets = np.where(separations < 0, max_sep + 1, separations)
     return SeparationHistogram(tuple(np.bincount(buckets, minlength=max_sep + 2)),
                                buckets.size, max_sep)
 
@@ -574,7 +733,7 @@ def empirical_separation_histogram(samples: Iterable[GraphSample], offset: int,
     if max_sep < 0:
         raise ValueError("max_sep must be non-negative")
     return _reduce_separations(
-        (separation_in_sample(s, offset, max_sep, anchor) for s in samples),
+        [_separation_table(_single(s), (offset,), max_sep, anchor)[0, 0] for s in samples],
         max_sep)
 
 
@@ -582,34 +741,68 @@ def empirical_separation_histogram(samples: Iterable[GraphSample], offset: int,
 # trial drivers (sampling and measuring fused, thread friendly)
 # ---------------------------------------------------------------------------
 
+def _run_batches(shape, kernel, measure, trials: int, master_seed: int,
+                 threads: int, bitset_rows: bool = False) -> np.ndarray:
+    # ``measure(batch)`` on every batch of freshly sampled trials, its rows
+    # (one per graph) stacked in trial order.  A batch holds as many trials
+    # as keep its draws and nodes, and with ``bitset_rows`` the words of its
+    # bitset adjacency rows, within MAX_BATCH_DRAWS, or one trial
+    plan = _sampling_plan(shape, kernel)
+    n = math.prod(plan.shape)
+    draws = plan.width * sum(chunk.blocks for chunk in plan.chunks)
+    cost = max(draws, n * _bitset_words(n) if bitset_rows else n)
+    per_batch = max(1, MAX_BATCH_DRAWS // cost)
+
+    def run(start, stop):
+        seeds = _trial_seeds(master_seed, np.arange(start, stop))
+        return [measure(_sample_batch(plan, seeds[first:first + per_batch]))
+                for first in range(0, stop - start, per_batch)]
+
+    return np.concatenate(_map_runs(run, trials, threads))
+
+
 def estimate_mean_degree(shape, kernel, trials: int, master_seed: int,
                          threads: int = 1) -> McEstimate:
     """Mean degree over freshly sampled trials."""
-    def worker(seed):
-        sample = sample_graph(shape, kernel, seed)
-        return 2.0 * sample.edges.shape[0] / sample.n
+    def degrees(batch):
+        return 2.0 * np.bincount(batch.low // batch.n, minlength=batch.size) / batch.n
 
-    return _reduce_counts(run_trials(worker, trials, master_seed, threads))
+    return _reduce_counts(_run_batches(shape, kernel, degrees, trials, master_seed,
+                                       threads))
 
 
 def estimate_clustering(shape, kernel, trials: int, master_seed: int,
                         threads: int = 1) -> McEstimate:
     """Pooled clustering over freshly sampled trials."""
-    def worker(seed):
-        return _clustering_counts(sample_graph(shape, kernel, seed))
+    counts = _run_batches(shape, kernel,
+                          lambda batch: np.stack(_triangle_counts(batch), axis=1),
+                          trials, master_seed, threads, bitset_rows=True)
+    return _reduce_clustering(counts.tolist())
 
-    return _reduce_clustering(run_trials(worker, trials, master_seed, threads))
+
+def estimate_chain_counts(shape, kernel, offset: int, orders: Sequence[int],
+                          trials: int, master_seed: int, threads: int = 1,
+                          anchor: int = 0) -> tuple[McEstimate, ...]:
+    """One mean simple chain count per number of intermediaries in
+    ``orders``, all measured on the same trials.
+
+    Each estimate equals the :func:`estimate_chain_count` call for its
+    order, but every trial graph is sampled once.
+    """
+    orders = tuple(orders)
+    _check_orders(orders)
+    table = _run_batches(shape, kernel,
+                         lambda batch: _chain_counts(batch, offset, orders, anchor),
+                         trials, master_seed, threads)
+    return tuple(_reduce_counts(column) for column in table.T)
 
 
 def estimate_chain_count(shape, kernel, offset: int, k: int, trials: int,
                          master_seed: int, threads: int = 1,
                          anchor: int = 0) -> McEstimate:
     """Mean simple chain count over freshly sampled trials."""
-    def worker(seed):
-        return chain_count_in_sample(sample_graph(shape, kernel, seed),
-                                     offset, k, anchor)
-
-    return _reduce_counts(run_trials(worker, trials, master_seed, threads))
+    return estimate_chain_counts(shape, kernel, offset, (k,), trials, master_seed,
+                                 threads, anchor)[0]
 
 
 def estimate_separation_histograms(shape, kernel, offsets: Sequence[int],
@@ -624,13 +817,10 @@ def estimate_separation_histograms(shape, kernel, offsets: Sequence[int],
     if max_sep < 0:
         raise ValueError("max_sep must be non-negative")
     offsets = tuple(offsets)
-
-    def worker(seed):
-        return _separations(sample_graph(shape, kernel, seed), offsets,
-                            max_sep, anchor)
-
-    per_trial = run_trials(worker, trials, master_seed, threads)
-    return tuple(_reduce_separations(column, max_sep) for column in zip(*per_trial))
+    table = _run_batches(shape, kernel,
+                         lambda batch: _separation_table(batch, offsets, max_sep, anchor),
+                         trials, master_seed, threads)
+    return tuple(_reduce_separations(column, max_sep) for column in table.T)
 
 
 def estimate_separation_histogram(shape, kernel, offset: int, max_sep: int,

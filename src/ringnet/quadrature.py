@@ -45,6 +45,9 @@ _SMOOTH_COUNTS = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 # fixed bounds on the memory of their temporaries, not tuning options
 MAX_BATCH_POINTS = 1 << 15
 MAX_STACKED_ROWS = 1 << 12
+# points of a curve whose outer rules one pass of rule construction builds,
+# a fixed bound on the memory of their breakpoint tables
+MAX_OUTER_POINTS = 1 << 8
 # breakpoints closer together than this become one panel edge
 BREAK_RESOLUTION = 1e-12
 # narrowest kernel feature the rules resolve.  Merged edges moved the
@@ -250,6 +253,19 @@ def _tensor_rules(axes, shifts, level, owners):
                    weights[local])
 
 
+def _outer_rules(axes, shifts, level):
+    """The one-row rules of the points whose shifts are ``shifts[a]`` (P, S_a)
+    per axis, built for ``MAX_OUTER_POINTS`` points at a time: row for row
+    the rules of one pass over all points.  Yields the point's index, its
+    per-axis nodes (1, n_a) and its weights (1, N)."""
+    count = len(shifts[0])
+    for start in range(0, count, MAX_OUTER_POINTS):
+        stop = min(start + MAX_OUTER_POINTS, count)
+        for point, _, nodes, weights in _tensor_rules(
+                axes, [s[start:stop] for s in shifts], level, np.arange(start, stop)):
+            yield point, nodes, weights
+
+
 def _nested_integral(axes, points, outer_shifts, outer_factor, inner_shifts, integrand,
                      level):
     """Iterated integrals at one level per row of ``points``: the outer grid
@@ -261,8 +277,7 @@ def _nested_integral(axes, points, outer_shifts, outer_factor, inner_shifts, int
     stacked up to ``MAX_STACKED_ROWS`` (or one point's rows).  Returns the
     values and the points evaluated."""
     totals, evaluations, stack, stacked = [0.0] * len(points), [0] * len(points), [], 0
-    for owner, _, nodes, weights in _tensor_rules(axes, outer_shifts, level,
-                                                  np.arange(len(points))):
+    for owner, nodes, weights in _outer_rules(axes, outer_shifts, level):
         factor, weights = outer_factor(points[owner], nodes)[0], weights[0]
         evaluations[owner] = weights.size
         live = np.flatnonzero((factor != 0.0) & (weights != 0.0))
@@ -357,8 +372,8 @@ def _chain_integral(axes, k, points, with_exclusion, tol):
         # one intermediary is the direct-link term the callers apply
         def value_at(level, active):
             values, evaluations = [0.0] * active.size, [0] * active.size
-            for owner, _, nodes, weights in _tensor_rules(
-                    axes, [s[active] for s in fixed], level, np.arange(active.size)):
+            for owner, nodes, weights in _outer_rules(axes, [s[active] for s in fixed],
+                                                      level):
                 gaps = points[active[owner]]
                 product = _kernel_product(axes, nodes) * _kernel_product(axes, gaps, nodes)
                 values[owner] = float(np.sum(weights * product))

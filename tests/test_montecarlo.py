@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ringnet import (
     empirical_clustering,
     empirical_separation_histogram,
     estimate_chain_count,
+    estimate_chain_counts,
     estimate_clustering,
     estimate_mean_degree,
     estimate_separation_histogram,
@@ -689,19 +691,167 @@ def test_multi_offset_histograms_match_per_offset_references():
         assert histogram.counts == tuple(counts)
 
 
+def counting_philox_streams(monkeypatch):
+    """The stream seed of every Philox generator made from now on."""
+    streams = []
+    original = np.random.Philox
+
+    def counting(key):
+        streams.append(int(key.generate_state(2, np.uint64)[0]))
+        return original(key)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    return streams
+
+
 def test_multi_offset_call_samples_each_trial_once(monkeypatch):
-    calls = []
-    original = montecarlo.sample_graph
-
-    def counting(shape, kernel, seed):
-        calls.append(seed)
-        return original(shape, kernel, seed)
-
-    monkeypatch.setattr(montecarlo, "sample_graph", counting)
+    streams = counting_philox_streams(monkeypatch)
     histograms = estimate_separation_histograms(
         96, UniformWindow(0.2, 0.9), range(1, 49), 2, 7, 9)
     assert len(histograms) == 48
-    assert calls == [trial_seed(9, t) for t in range(7)]
+    assert streams == [trial_seed(9, t) for t in range(7)]
+
+
+def test_chain_orders_share_one_sampling_pass(monkeypatch):
+    shape, kernel, offset, trials, seed = 128, UniformWindow(0.05, 0.5), 16, 300, 4
+    single = [estimate_chain_count(shape, kernel, offset, k, trials, seed, anchor=5)
+              for k in (1, 2, 3)]
+    streams = counting_philox_streams(monkeypatch)
+    assert estimate_chain_counts(shape, kernel, offset, (3, 1, 2, 1), trials, seed,
+                                 anchor=5) == (single[2], single[0], single[1], single[0])
+    assert streams == [trial_seed(seed, t) for t in range(trials)]
+    assert estimate_chain_counts(shape, kernel, offset, (), trials, seed) == ()
+    with pytest.raises(ValueError):
+        estimate_chain_counts(shape, kernel, offset, (1, 4), trials, seed)
+
+
+# ---------------------------------------------------------------------------
+# batches of trials against per-trial references
+# ---------------------------------------------------------------------------
+
+BATCH_CASES = [
+    (16, UniformWindow(0.6, math.pi)),     # dense: every offset active
+    (41, UniformWindow(0.3, 1.3)),         # odd ring
+    (96, UniformWindow(0.25, 0.7)),        # several offset blocks per call
+    ((6, 5), ProductKernel((UniformWindow(0.7, 0.9), UniformWindow(0.6, 1.0)))),
+    ((4, 4, 3), ProductKernel((UniformWindow(0.5, 1.6), interior_zero_kernel(),
+                               UniformWindow(0.4, 1.3)))),
+]
+
+
+def reference_estimate(values):
+    values = np.asarray(values, dtype=float)
+    error = float(np.std(values, ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+    return montecarlo.McEstimate(float(np.mean(values)), error, values.size)
+
+
+def reference_pooled_clustering(counts):
+    ratios = [linked / pairs for linked, pairs in counts if pairs]
+    error = float(np.std(ratios, ddof=1) / math.sqrt(len(ratios))) if len(ratios) > 1 else 0.0
+    return montecarlo.McEstimate(sum(c[0] for c in counts) / sum(c[1] for c in counts),
+                                 error, len(counts))
+
+
+def batch_budget(shape, kernel, per_batch, bitset_rows):
+    """A draw budget that puts ``per_batch`` trials in each batch."""
+    plan = montecarlo._sampling_plan(shape, kernel)
+    n = math.prod(plan.shape)
+    draws = plan.width * sum(chunk.blocks for chunk in plan.chunks)
+    return per_batch * max(draws, n * -(-n // 64) if bitset_rows else n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(BATCH_CASES), trials=st.integers(1, 7),
+       per_batch=st.integers(1, 3), seed=st.integers(0, 2 ** 40), data=st.data())
+@example(case=BATCH_CASES[2], trials=7, per_batch=3, seed=20260822, data=None)
+@example(case=BATCH_CASES[3], trials=5, per_batch=2, seed=1, data=None)
+@example(case=BATCH_CASES[0], trials=4, per_batch=1, seed=2, data=None)
+def test_batched_estimators_match_per_trial_references(case, trials, per_batch, seed, data):
+    shape, kernel = case
+    samples = [sample_graph(shape, kernel, trial_seed(seed, t)) for t in range(trials)]
+    n = samples[0].n
+    if data is None:
+        offsets, anchor, max_sep = [1, n // 2, 3, 3], 5, 2
+    else:
+        offsets = data.draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=4),
+                            label="offsets")
+        anchor = data.draw(st.integers(0, 2 * n), label="anchor")
+        max_sep = data.draw(st.integers(0, 3), label="max_sep")
+    sizes = []
+    original = montecarlo._sample_batch
+
+    def recording(plan, seeds):
+        sizes.append(seeds.size)
+        return original(plan, seeds)
+
+    def batches(bitset_rows=False):
+        # the budget of one trial per batch, or of ``per_batch`` trials and
+        # a shorter last batch when they do not divide the trial count
+        budget = 1 if per_batch == 1 else batch_budget(shape, kernel, per_batch, bitset_rows)
+        sizes.clear()
+        return mock.patch.multiple(montecarlo, MAX_BATCH_DRAWS=budget,
+                                   _sample_batch=recording)
+
+    expected_sizes = [per_batch] * (trials // per_batch) + [trials % per_batch] * (
+        trials % per_batch > 0)
+    with batches():
+        degree = estimate_mean_degree(shape, kernel, trials, seed)
+    assert sizes == expected_sizes
+    assert degree == reference_estimate([2.0 * s.edges.shape[0] / s.n for s in samples])
+
+    with batches(bitset_rows=True):
+        counts = [reference_clustering_counts(s) for s in samples]
+        if sum(pairs for _, pairs in counts):
+            assert estimate_clustering(shape, kernel, trials, seed) == \
+                reference_pooled_clustering(counts)
+        else:
+            with pytest.raises(EstimateUndefinedError):
+                estimate_clustering(shape, kernel, trials, seed)
+    assert sizes == expected_sizes
+
+    with batches():
+        chains = estimate_chain_counts(shape, kernel, offsets[0], (1, 2, 3), trials,
+                                       seed, anchor=anchor)
+    assert sizes == expected_sizes
+    for k, estimate in zip((1, 2, 3), chains):
+        assert estimate == reference_estimate(
+            [reference_chain_count(s, offsets[0], k, anchor) for s in samples])
+
+    with batches():
+        histograms = estimate_separation_histograms(shape, kernel, offsets, max_sep,
+                                                    trials, seed, anchor=anchor)
+    assert sizes == expected_sizes
+    for offset, histogram in zip(offsets, histograms):
+        buckets = [0] * (max_sep + 2)
+        for sample in samples:
+            sep = reference_separation(sample, offset, max_sep, anchor)
+            buckets[-1 if sep is None else sep] += 1
+        assert histogram.counts == tuple(buckets)
+
+
+def test_batched_chain_count_memory_does_not_grow_with_trials():
+    kernel = UniformWindow(0.05, 0.5)
+    for trials in (2_000, 20_000):
+        tracemalloc.start()
+        try:
+            estimate_chain_count(128, kernel, 16, 2, trials, master_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2 ** 20
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 7, 20260822, 2 ** 32 + 5,
+                                         2 ** 70 + 12345, 2 ** 200 + 3])
+def test_trial_seeds_match_seed_sequence(master_seed):
+    # one-word and two-word trial indices; master seeds of one to seven
+    # 32-bit words, past the seed sequence's four-word pool
+    indices = [*range(3000), 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 7, 2 ** 64 - 1]
+    expected = [int(np.random.SeedSequence(master_seed, spawn_key=(t,))
+                    .generate_state(1, np.uint64)[0]) for t in indices]
+    assert montecarlo._trial_seeds(master_seed, indices).tolist() == expected
+    assert [trial_seed(master_seed, t) for t in indices[::300]] == expected[::300]
+    assert trial_seed(master_seed, indices[-1]) == expected[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -632,3 +633,28 @@ def test_curve_stacks_inner_rows_up_to_the_cap(monkeypatch):
     assert quadrature.chain_count_curve(model, 2, grid, with_exclusion=True) == expected
     assert any(gaps > 1 for _, gaps in stacks)
     assert all(rows <= cap or gaps == 1 for rows, gaps in stacks)
+
+
+def test_curve_memory_does_not_grow_with_gaps():
+    # the outer rules of a curve's gaps are built a block of gaps at a time,
+    # so 4,000 gaps peak no higher than 1,000 do
+    model = CircleModel(20.0, UniformWindow(0.1, 0.5))
+    for count in (1_000, 4_000):
+        tracemalloc.start()
+        try:
+            quadrature.chain_count_curve(model, 2, np.linspace(0.0, math.pi, count),
+                                         tol=1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
+
+
+def test_outer_rule_blocks_move_no_bit(monkeypatch):
+    model = CircleModel(20.0, UniformWindow(0.1, 0.5))
+    grid = np.linspace(0.0, math.pi, 37)
+    for k in (1, 2):
+        expected = quadrature.chain_count_curve(model, k, grid, with_exclusion=True)
+        monkeypatch.setattr(quadrature, "MAX_OUTER_POINTS", 5)
+        assert quadrature.chain_count_curve(model, k, grid, with_exclusion=True) == expected
+        monkeypatch.undo()
