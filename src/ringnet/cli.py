@@ -86,26 +86,45 @@ def _load_config_file(path):
     return document
 
 
-def _default_model_config(args):
+def _default_model_config(p, phi, radius):
     kernel = {"type": "uniform",
-              "p": args.p if args.p is not None else 0.1,
-              "half_width": args.phi if args.phi is not None else 0.5}
+              "p": p if p is not None else 0.1,
+              "half_width": phi if phi is not None else 0.5}
     space = {"type": "circle"}
-    if args.radius is not None:
-        space["radius"] = args.radius
+    if radius is not None:
+        space["radius"] = radius
     return {"space": space, "kernel": kernel}
+
+
+def _scaled(value, scale, key):
+    # ``value * scale`` for the number at config key ``key``, as a default
+    # is derived from it; no string, boolean or overflow gets that far
+    try:
+        product = value * scale if _is_real(value) else math.nan
+    except OverflowError:  # an integer too large for a float
+        product = math.inf
+    if not math.isfinite(product):
+        raise ConfigError(f"{key} must be a finite number")
+    return product
 
 
 def _resolve_config(args):
     """Merge the config file with flag overrides and fill defaults."""
     config = _load_config_file(args.config) if args.config else {}
     config = json.loads(json.dumps(config))  # deep copy, JSON types only
+    # sweep-phi sweeps the half-width of a window of height computation.p
+    # (--p) and has no radius; it reads no model
+    sweep = args.command == "sweep-phi"
+    if sweep and (args.phi is not None or args.radius is not None):
+        raise ConfigError("sweep-phi takes no --phi or --radius: it sweeps the "
+                          "window half-width (computation.phi_grid) at any radius")
+    model_p = None if sweep else args.p
     if "space" not in config or "kernel" not in config:
-        defaults = _default_model_config(args)
+        defaults = _default_model_config(model_p, args.phi, args.radius)
         config.setdefault("space", defaults["space"])
         config.setdefault("kernel", defaults["kernel"])
     else:
-        if args.p is not None or args.phi is not None or args.radius is not None:
+        if model_p is not None or args.phi is not None or args.radius is not None:
             raise ConfigError("model flags cannot override a config file that "
                               "already defines the model")
     mc_section = config.setdefault("mc", {})
@@ -127,18 +146,24 @@ def _resolve_config(args):
     computation = config.setdefault("computation", {})
     if args.modes is not None:
         computation["modes"] = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if sweep and args.p is not None:
+        computation["p"] = args.p
     # the node count and the radius are tied by unit spacing: n = round(2 pi R)
     space = config["space"]
     if space.get("type") == "circle":
         if "radius" not in space:
             nodes = mc_section.get("nodes")
-            space["radius"] = (nodes / (2.0 * math.pi)) if nodes else 20.0
-        mc_section.setdefault("nodes", round(2.0 * math.pi * space["radius"]))
+            space["radius"] = _scaled(nodes, 1.0 / (2.0 * math.pi),
+                                      "mc.nodes") if nodes else 20.0
+        mc_section.setdefault(
+            "nodes", round(_scaled(space["radius"], 2.0 * math.pi, "space.radius")))
     elif space.get("type") == "torus":
         radii = space.get("radii")
         if radii:
-            mc_section.setdefault(
-                "nodes", [round(2.0 * math.pi * r) for r in radii])
+            if not isinstance(radii, list):
+                raise ConfigError("space.radii must be a list of numbers")
+            mc_section.setdefault("nodes", [
+                round(_scaled(r, 2.0 * math.pi, "space.radii")) for r in radii])
     return config
 
 
@@ -484,7 +509,7 @@ def cmd_sweep_phi(config):
     computation = config["computation"]
     height = computation.get("p", 0.1)
     if not _is_real(height) or not 0.0 <= height <= 1.0:
-        raise ConfigError("computation.p must be a number in [0, 1]")
+        raise ConfigError("computation.p (--p) must be a number in [0, 1]")
     orders = _chain_orders(computation, [1, 2, 4, 6, 10, 20], least=1)
     # sets the clustering column only: the antipodal counts are exact sums
     tail_terms = _positive_int(config, "computation", "tail_terms", 200_000)

@@ -6,11 +6,14 @@ pair's wrapped angular distance.  This module draws such graphs
 reproducibly and measures on them the quantities the analytic modules
 predict: mean degree, pooled clustering, simple chain counts between two
 pinned nodes, and the empirical distribution of the separation (shortest
-path length minus one).  Measurements run on whole arrays: triangles are
-counted on bitset adjacency rows, while chain counts and the separations
-read the edge columns through boolean node masks.  One breadth-first
-search, a whole frontier per step, gives the separation at every requested
-offset.
+path length minus one).  Measurements run on whole arrays.  Each triangle
+is counted once, on its link from first to second node under a direction
+of the links that leaves no directed triangle, by ANDing bitset rows of
+forward neighbours; when every link is shorter than a third of the ring,
+a row holds only the band of words that such links reach.  Chain counts
+and the separations read the edge columns through boolean node masks.
+One breadth-first search, a whole frontier per step, gives the separation
+at every requested offset.
 
 Reproducibility contract: the random value deciding a candidate pair is a
 pure function of the sample seed and the pair's canonical position (offset
@@ -46,7 +49,6 @@ import math
 import operator
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -232,6 +234,10 @@ def _map_runs(task, trials: int, threads: int) -> list:
     workers = min(threads, _available_cpus())
     if workers <= 1:
         return task(0, trials)
+    # loaded only for a pool: it brings in logging and more, which a serial
+    # run would pay for on every start
+    from concurrent.futures import ThreadPoolExecutor
+
     size = -(-trials // workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         runs = pool.map(lambda start: task(start, min(start + size, trials)),
@@ -523,41 +529,88 @@ def _bitset_words(n: int) -> int:
     return -(-n // 64)
 
 
+def _link_blocks(batch: _Batch, per_block: int):
+    # the batch's links as (low, high) views of at most ``per_block`` links
+    for start in range(0, batch.low.size, per_block):
+        yield batch.low[start:start + per_block], batch.high[start:start + per_block]
+
+
 def _triangle_counts(batch: _Batch):
     # pooled numerator and denominator per graph: linked neighbour pairs
-    # and all neighbour pairs, summed over nodes.  A linked pair (u, v) of
-    # neighbours of w is a triangle, so the numerator is the sum over
-    # edges (u, v) of |N(u) & N(v)|, counted on bitset adjacency rows (bit
-    # j % 64 of word j // 64 in row u is set when u and the node j of its
-    # graph are linked) in batches of edges
+    # and all neighbour pairs, summed over nodes.  A triangle is a linked
+    # pair of neighbours at each of its three corners, so the numerator is
+    # three times the triangle count.  Each link is directed a -> b by an
+    # order of the nodes, so that a triangle has a first, a second and a
+    # third node and is counted once, on its link from first to second, as
+    # the forward neighbours that a and b share, |F(a) & F(b)|.  Row a holds
+    # F(a) as bits (bit j % 64 of word j // 64 stands for node j of a's
+    # graph), and the rows of a block of links are gathered and ANDed at once
     n, size = batch.n, batch.size
     if n * n > MAX_ADJACENCY_CELLS:
         raise CostBudgetError("packed adjacency for this graph",
                               n * n, MAX_ADJACENCY_CELLS)
-    words = _bitset_words(n)
-    rows = np.zeros(size * n * words, dtype=np.uint64)
-    degrees = np.zeros(size * n, dtype=np.int64)
-    for src, dst in ((batch.low, batch.high), (batch.high, batch.low)):
-        if size > 1:
-            dst = dst % n  # the node's number within its graph
-        # every pair is stored once, so no bit is set twice and adding is or-ing
-        np.add.at(rows, src * words + (dst >> 6),
-                  np.left_shift(np.uint64(1), (dst & 63).astype(np.uint64)))
-        degrees += np.bincount(src, minlength=size * n)
-    rows = rows.reshape(size * n, words)
+    nodes = size * n
+    degrees = np.bincount(batch.low, minlength=nodes) + np.bincount(batch.high,
+                                                                     minlength=nodes)
     degrees = degrees.reshape(size, n)
     pairs = np.sum(degrees * (degrees - 1) // 2, axis=1)
-    per_batch = max(1, MAX_BITSET_WORDS // words)
+    # reach: the longest link, counted round the ring of node numbers
+    reach = 0
+    for low, high in _link_blocks(batch, MAX_BITSET_WORDS):
+        length = high - low
+        reach = max(reach, int(np.max(np.minimum(length, n - length))))
+    words = _bitset_words(n)
+    # a node at most ``reach`` ahead of a lies in the ``band`` words from
+    # a's own word on, counted round the ring of words; across the seam
+    # the last word's 64 * words - n unused bits count too
+    band = (reach + 64 * words - n) // 64 + 2
+    # Banded rows: with 3 * reach < n, each link points to the end that is
+    # at most ``reach`` ahead, and no triangle closes round the ring, as its
+    # three links add up to less than n.  Row a holds the ``band`` words
+    # from a's own word on, then ``band`` zero words; read from the word
+    # that holds b, it lines up with b's row word by word.  They are used
+    # when at most half as long as full rows; otherwise, for wide windows,
+    # a row holds all words of the graph and a link points to its higher node
+    banded = 3 * reach < n and 2 * band <= words
+    width = 2 * band if banded else words
+    span = band if banded else words  # words ANDed per link
+    per_block = max(1, MAX_BITSET_WORDS // span)
+
+    def forward_links():
+        # blocks of links a -> b, with the word of a's row that holds b
+        for low, high in _link_blocks(batch, per_block):
+            if banded:
+                ahead = high - low <= reach  # else low is ahead, across the seam
+                low, high = np.where(ahead, low, high), np.where(ahead, high, low)
+            local = high % n if size > 1 else high  # b's number in its graph
+            word = local >> 6
+            if banded:
+                word = (word - ((low % n if size > 1 else low) >> 6)) % words
+            yield low, high, local, word
+
+    rows = np.zeros(nodes * width, dtype=np.uint64)
+    for src, _, local, word in forward_links():
+        # every link is stored once, so no bit is set twice and adding is or-ing
+        np.add.at(rows, src * width + word,
+                  np.left_shift(np.uint64(1), (local & 63).astype(np.uint64)))
+    # every word of the rows starts a record of the ``span`` words from it
+    # on, so that a link's words are gathered as one record copy
+    windows = np.ndarray((rows.size - span + 1,), np.dtype((np.void, 8 * span)),
+                         rows, strides=(8,))
     linked = np.zeros(size, dtype=np.int64)
-    for start in range(0, batch.low.size, per_batch):
-        low = batch.low[start:start + per_batch]
-        common = np.bitwise_count(rows[low] & rows[batch.high[start:start + per_batch]])
-        if size > 1:  # exact: every per-graph sum stays far below 2**53
-            linked += np.bincount(low // n, weights=common.sum(axis=1),
+    for src, dst, _, word in forward_links():
+        common = windows[src * width + word if banded else src * width].view(np.uint64)
+        common &= windows[dst * width].view(np.uint64)
+        # a block's bits number far below 2**31, and its per-graph sums
+        # stay exact in the float weights of bincount
+        common = np.bitwise_count(common)
+        if size > 1:
+            per_link = common.reshape(-1, span).sum(axis=1, dtype=np.int32)
+            linked += np.bincount(src // n, weights=per_link,
                                   minlength=size).astype(np.int64)
         else:
-            linked += int(common.sum())
-    return linked, pairs
+            linked += int(common.sum(dtype=np.int32))
+    return 3 * linked, pairs
 
 
 def _clustering_counts(sample: GraphSample) -> tuple[int, int]:

@@ -782,25 +782,26 @@ def test_clustering_json_output_sha_pinned(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLUSTERING_JSON_SHA256
 
 
-def test_no_command_imports_scipy(tmp_path):
-    # scipy is a test dependency only: a fresh process runs every command
-    # and must not have loaded it
+@pytest.fixture(scope="module")
+def modules_after_every_command(tmp_path_factory):
+    """The exit codes of every command, run one after another at one thread
+    in a fresh process, and the modules that process then holds."""
     script = """
 import json, sys
 from ringnet.cli import main
 out, config = sys.argv[1], sys.argv[2]
 codes = [
     main(["clustering", "--modes", "closed,leading,full,quadrature,mc",
-          "--trials", "2", "--out", out]),
+          "--trials", "2", "--threads", "1", "--out", out]),
     main(["separation", "--modes", "leading,full,quadrature,mc",
-          "--trials", "2", "--out", out]),
-    main(["sweep-phi", "--config", config, "--out", out]),
-    main(["mc-validate", "--config", config, "--out", out]),
-    main(["kernel-info", "--out", out]),
+          "--trials", "2", "--threads", "1", "--out", out]),
+    main(["sweep-phi", "--config", config, "--threads", "1", "--out", out]),
+    main(["mc-validate", "--config", config, "--threads", "1", "--out", out]),
+    main(["kernel-info", "--threads", "1", "--out", out]),
 ]
-print(json.dumps({"codes": codes,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 """
+    tmp_path = tmp_path_factory.mktemp("commands")
     config = write_config(tmp_path, {"computation": {
         "phi_points": 4, "tail_terms": 1000, "battery_trials": FAST_BATTERY}})
     source = Path(__file__).resolve().parents[1] / "src"
@@ -810,4 +811,79 @@ print(json.dumps({"codes": codes,
                              config], capture_output=True, text=True, env=env,
                             check=True)
     report = json.loads(result.stdout)
-    assert report == {"codes": [EXIT_OK] * 5, "scipy": []}
+    assert report["codes"] == [EXIT_OK] * 5
+    return report["modules"]
+
+
+def test_no_command_imports_scipy(modules_after_every_command):
+    # scipy is a test dependency only
+    assert [m for m in modules_after_every_command if m.split(".")[0] == "scipy"] == []
+
+
+def test_serial_commands_import_no_thread_pool(modules_after_every_command):
+    # concurrent.futures, and the logging it brings, load only with a pool
+    # of two or more workers
+    assert [m for m in modules_after_every_command
+            if m.split(".")[0] == "concurrent"] == []
+
+
+CIRCLE_WINDOW = {"type": "uniform", "p": 0.1, "half_width": 0.5}
+
+
+@pytest.mark.parametrize("command", ["clustering", "separation", "sweep-phi",
+                                     "mc-validate", "kernel-info"])
+@pytest.mark.parametrize("document, flags", [
+    ({"space": {"type": "circle", "radius": "x"}, "kernel": CIRCLE_WINDOW}, ()),
+    ({"space": {"type": "circle", "radius": True}, "kernel": CIRCLE_WINDOW}, ()),
+    ({"space": {"type": "circle", "radius": 1e308}, "kernel": CIRCLE_WINDOW}, ()),
+    ({"space": {"type": "torus", "radii": ["a", 3]},
+      "kernel": {"type": "product", "factors": [CIRCLE_WINDOW, CIRCLE_WINDOW]}}, ()),
+    ({"space": {"type": "torus", "radii": "ab"},
+      "kernel": {"type": "product", "factors": [CIRCLE_WINDOW, CIRCLE_WINDOW]}}, ()),
+    ({"mc": {"nodes": "abc"}}, ()),
+    ({"mc": {"nodes": 10 ** 400}}, ()),
+    ({}, ("--radius", "inf")),
+    ({}, ("--radius", "nan")),
+], ids=["radius-string", "radius-bool", "radius-overflow", "radii-string-entry",
+        "radii-string", "nodes-string", "nodes-overflow", "radius-inf", "radius-nan"])
+def test_bad_radius_or_node_count_exits_2_with_one_line(tmp_path, capsys, command,
+                                                        document, flags):
+    config = write_config(tmp_path, document)
+    code = main([command, "--config", config, *flags])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+SWEEP_COMPUTATION = {"phi_points": 4, "k_list": [1, 2], "tail_terms": 1000}
+
+
+def test_sweep_phi_p_flag_sets_the_swept_height(tmp_path, capsys):
+    flags = write_config(tmp_path, {"computation": SWEEP_COMPUTATION}, "flags.json")
+    document = write_config(tmp_path, {"computation": {**SWEEP_COMPUTATION, "p": 0.5}})
+    code, by_flag = run_cli(capsys, "sweep-phi", "--config", flags, "--p", "0.5")
+    assert code == EXIT_OK
+    code, by_config = run_cli(capsys, "sweep-phi", "--config", document)
+    assert code == EXIT_OK
+    assert by_flag == by_config  # the same resolved config, digest included
+    code, default = run_cli(capsys, "sweep-phi", "--config", flags)
+    assert code == EXIT_OK
+    body = [line for line in by_flag.splitlines() if not line.startswith("#")]
+    assert body != [line for line in default.splitlines() if not line.startswith("#")]
+    # ptilde_k1 at phi = pi is p / pi
+    last = parse_csv(by_flag.split("\n\n")[1])[-1]
+    assert float(last["ptilde_k1"]) == pytest.approx(0.5 / math.pi, rel=1e-9)
+
+
+@pytest.mark.parametrize("flags", [("--p", "-0.1"), ("--p", "1.5"), ("--p", "nan"),
+                                   ("--phi", "0.5"), ("--radius", "10")],
+                         ids=["p-negative", "p-above-one", "p-nan", "phi", "radius"])
+def test_sweep_phi_refuses_bad_or_unused_model_flags(capsys, flags):
+    code = main(["sweep-phi", *flags])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert len(captured.err.strip().splitlines()) == 1

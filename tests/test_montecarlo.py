@@ -673,6 +673,111 @@ def test_triangle_batches_cover_every_edge(monkeypatch):
         assert montecarlo._clustering_counts(sample) == expected
 
 
+def union_batch(shape, graphs):
+    """The batch of ``graphs``, (E, 2) edge arrays on the node grid
+    ``shape``: node i of graph t is the union node t * n + i."""
+    n = math.prod(shape)
+    low, high = ([np.asarray(t * n + edges[:, column], dtype=np.int64)
+                  for t, edges in enumerate(graphs)] for column in (0, 1))
+    return montecarlo._Batch(n, len(graphs), np.concatenate(low), np.concatenate(high))
+
+
+def ring_window_graph(n, reach, links, seed):
+    """``links`` random links on a ring of n nodes, mostly short and none
+    longer than ``reach`` round the ring, one of exactly ``reach``, and a few
+    triangles that close round the ring wherever three links that short can
+    (3 * reach >= n).  Many links cross the seam between nodes n - 1 and 0,
+    and so do the triangles (e - 1, e, e + reach - 1) of the nodes e on the
+    last bit of a word: each puts a shared neighbour as many words ahead as
+    a link of that reach can."""
+    if links == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    start = rng.integers(0, n, links)
+    span = np.where(rng.random(links) < 0.7, rng.integers(1, min(reach, 6) + 1, links),
+                    rng.integers(1, reach + 1, links))
+    span[0] = reach
+    ends = [(start, start + span)]
+    if reach > 1:
+        last_bits = np.arange(63, n, 64)
+        corners = np.stack((last_bits - 1, last_bits, last_bits + reach - 1))
+        ends.append((corners.ravel(), np.roll(corners, -1, axis=0).ravel()))
+    if 3 * reach >= n:  # spans d1, d2 and n - d1 - d2, each at most reach
+        for x in rng.integers(0, n, 3):
+            d1 = rng.integers(max(1, n - 2 * reach), reach + 1)
+            d2 = rng.integers(max(1, n - d1 - reach), min(reach, n - d1 - 1) + 1)
+            corners = np.array([x, x + d1, x + d1 + d2])
+            ends.append((corners, np.roll(corners, -1)))
+    a, b = (np.concatenate(column) % n for column in zip(*ends))
+    keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    return np.stack((keys // n, keys % n), axis=1)
+
+
+@st.composite
+def ring_window_batches(draw):
+    # 3 * reach at n - 1, n or n + 1, or n anywhere from 2 * reach on
+    reach = draw(st.integers(1, 360), label="reach")
+    n = draw(st.one_of(st.sampled_from([3 * reach + 1, 3 * reach, 3 * reach - 1]),
+                       st.integers(max(2, 2 * reach), 1100)), label="n")
+    graphs = [ring_window_graph(n, reach, draw(st.integers(0, 2 * n), label="links"),
+                                draw(st.integers(0, 2 ** 32), label="seed"))
+              for _ in range(draw(st.integers(1, 3), label="graphs"))]
+    return (n,), graphs
+
+
+@st.composite
+def torus_batches(draw):
+    shape = draw(st.sampled_from([(12, 10), (30, 40), (64, 20), (200, 7)]))
+    kernel = ProductKernel((UniformWindow(0.7, draw(st.floats(0.05, 1.2))),
+                            UniformWindow(0.6, draw(st.floats(0.05, 1.2)))))
+    seeds = draw(st.lists(st.integers(0, 2 ** 32), min_size=1, max_size=3))
+    return shape, [sample_graph(shape, kernel, seed).edges for seed in seeds]
+
+
+@st.composite
+def triangle_cases(draw):
+    # one word per gathered array takes one link per block: small batches only
+    shape, graphs = draw(st.one_of(ring_window_batches(), torus_batches()))
+    small = sum(edges.shape[0] for edges in graphs) <= 3000
+    return shape, graphs, small and draw(st.booleans(), label="one_word")
+
+
+# 3 * reach is n - 1 (banded rows), n and n + 1 (full rows), with rows of
+# 15 words and the last word 59 to 61 bits short
+@settings(max_examples=30, deadline=None)
+@given(case=triangle_cases())
+@example(case=((9,), [np.zeros((0, 2), dtype=np.int64)], False))
+@example(case=((901,), [ring_window_graph(901, 300, 1500, 1),
+                        ring_window_graph(901, 300, 0, 2)], False))
+@example(case=((900,), [ring_window_graph(900, 300, 1500, 3)], False))
+@example(case=((899,), [ring_window_graph(899, 300, 900, 4),
+                        ring_window_graph(899, 300, 900, 5),
+                        ring_window_graph(899, 300, 700, 6)], True))
+def test_forward_triangle_counts_match_reference(case):
+    shape, graphs, one_word = case
+    expected = [reference_clustering_counts(GraphSample(shape, 0, edges))
+                for edges in graphs]
+    words = 1 if one_word else montecarlo.MAX_BITSET_WORDS
+    with mock.patch.object(montecarlo, "MAX_BITSET_WORDS", words):
+        linked, pairs = montecarlo._triangle_counts(union_batch(shape, graphs))
+    assert list(zip(linked.tolist(), pairs.tolist())) == expected
+
+
+def test_triangle_count_memory_on_the_clustering_check_graph():
+    # the battery's 4096-node clustering graph, reach 652 of 4096 nodes:
+    # banded rows peak at 2.0 MiB, full forward rows at 3.1 MiB and full
+    # rows counting each triangle three times at 8.1 MiB
+    plan = montecarlo._sampling_plan(4096, UniformWindow(0.1, 1.0))
+    batch = montecarlo._sample_batch(plan, montecarlo._trial_seeds(20260822, [0]))
+    tracemalloc.start()
+    try:
+        montecarlo._triangle_counts(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2 ** 20
+
+
 def test_multi_offset_histograms_match_per_offset_references():
     n, kernel, max_sep, trials, seed = 128, UniformWindow(0.2, 0.9), 3, 40, 5
     offsets = (1, 7, 20, 64, 7)
