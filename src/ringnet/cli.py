@@ -39,6 +39,7 @@ from . import __version__, fourier, montecarlo, quadrature
 from .kernels import (
     CircleModel,
     CosineSeries,
+    CostBudgetError,
     ProductKernel,
     TorusModel,
     UniformWindow,
@@ -63,6 +64,9 @@ EXIT_NUMERICAL_FAILURE = 3
 CLUSTERING_MODES = ("closed", "leading", "full", "quadrature", "mc")
 SEPARATION_MODES = ("leading", "full", "quadrature", "mc")
 BATTERY_TRIAL_KEYS = ("mean_degree", "clustering", "chain", "direct_link")
+# closed-form harmonics one sweep-phi run may sum, widths times tail_terms
+# rounded up to whole blocks; checked before the width grid exists
+SWEEP_COST_BUDGET = 1 << 30
 
 
 class ConfigError(Exception):
@@ -515,31 +519,38 @@ def cmd_sweep_phi(config):
     tail_terms = _positive_int(config, "computation", "tail_terms", 200_000)
     grid = computation.get("phi_grid")
     if grid is None:
-        count = _positive_int(config, "computation", "phi_points", 64)
-        grid = np.linspace(math.pi / count, math.pi, count).tolist()
-    if not isinstance(grid, list) or not all(_is_real(v) for v in grid):
+        points = _positive_int(config, "computation", "phi_points", 64)
+    elif not isinstance(grid, list) or not all(_is_real(v) for v in grid):
         raise ConfigError("computation.phi_grid must be a list of numbers")
+    else:
+        points = len(grid)
+    # every width sums its harmonics in whole blocks
+    blocks = -(-tail_terms // fourier.SUM_BLOCK_TERMS)
+    cost = points * blocks * fourier.SUM_BLOCK_TERMS
+    if cost > SWEEP_COST_BUDGET:
+        raise CostBudgetError("closed-form harmonics of the sweep-phi grid", cost,
+                              SWEEP_COST_BUDGET)
+    if grid is None:
+        grid = np.linspace(math.pi / points, math.pi, points).tolist()
     grid = [float(v) for v in grid]
     if not grid or not all(0.0 < v <= math.pi for v in grid):
         raise ConfigError("phi grid values must lie in (0, pi]")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("phi grid must be strictly increasing")
+    widths = np.array(grid)
+    fourier.check_antipodal_budget(orders, widths)
 
     ratio_rows = []
     for width in grid:
         estimate = fourier.clustering_uniform(height, width, tail_terms=tail_terms)
         ratio_rows.append({"phi": width, "clustering_over_p": estimate.value / height})
 
-    curve_rows = []
-    for width in grid:
-        row = {"phi": width}
-        for order in orders:
-            result = fourier.antipodal_chain_count_uniform(
-                height, width, 2.0 * height * width, order, tail_terms=tail_terms)
-            # the normalization cancels the mean degree, so any consistent
-            # positive value works as the degree argument here
-            row[f"ptilde_k{order}"] = result.normalized.value
-        curve_rows.append(row)
+    # only the normalized counts are read, and they do not depend on the
+    # mean degree argument
+    curves = {f"ptilde_k{order}": fourier.antipodal_chain_count_uniform(
+        height, widths, 1.0, order).normalized.value.tolist() for order in orders}
+    curve_rows = [{"phi": width, **{name: values[index] for name, values in curves.items()}}
+                  for index, width in enumerate(grid)]
     return ratio_rows, curve_rows
 
 
@@ -802,7 +813,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (quadrature.QuadratureError, montecarlo.CostBudgetError,
+    except (quadrature.QuadratureError, CostBudgetError,
             montecarlo.EstimateUndefinedError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

@@ -53,9 +53,13 @@ CORRECTION_COST_BUDGET = (2 * 1024 + 1) ** 3
 MAX_SPLINE_OPS = 1 << 21
 # harmonics one truncated series may hold or sum (64 MiB per float array)
 MAX_SERIES_TERMS = 1 << 23
-# gaps times harmonics in one block of a power-sum cosine table: a fixed
-# bound on the memory of a curve's temporaries (512 KiB), not an option
+# cells in one block of a curve's table, gaps times harmonics of a
+# power-sum cosine table or images times order of a B-spline recurrence: a
+# fixed bound on the memory of a curve's temporaries (512 KiB), not an option
 MAX_TABLE_CELLS = 1 << 16
+# harmonics per block of a closed-form sum: its terms are formed block by
+# block into one full-length buffer, so the temporaries stay 128 KiB each
+SUM_BLOCK_TERMS = 1 << 14
 # upper bounds on sum 1/n^2 = pi^2/6 = 1.64493... and sum 1/n^3 = 1.20205...
 _ZETA_TWO_BOUND = 1.645
 _ZETA_THREE_BOUND = 1.2021
@@ -288,7 +292,10 @@ def clustering_uniform(p: float, half_width: float,
     The series is p/(pi w^2) * (w^3 + 2 sum sin(n w)^3 / n^3), summed over
     the first N = ``tail_terms`` harmonics.  Each term is evaluated without
     a power function, in this order: r = n * w, r = sin(r), r = r / n,
-    cube = r * r, cube = cube * r, then one ``np.sum`` over the cubes.
+    cube = r * r, cube = cube * r.  The terms are formed in blocks of
+    ``SUM_BLOCK_TERMS`` harmonics into one buffer of N cubes, and one
+    ``np.sum`` runs over that whole buffer, so the value does not depend on
+    the block size.
 
     The reported bound is the prefactor p/(pi w^2) times
       * the dropped tail, below 1/N^2 (twice sum_{n>N} 1/n^3);
@@ -310,12 +317,13 @@ def clustering_uniform(p: float, half_width: float,
     _check_series_terms("closed-form clustering series", tail_terms)
     # the operation order below is part of the result: it reproduces the
     # pinned battery value bit for bit, so keep it when editing
-    n = np.arange(1.0, tail_terms + 1.0)
-    ratio = n * half_width
-    np.sin(ratio, out=ratio)
-    np.divide(ratio, n, out=ratio)
-    cube = np.square(ratio)
-    cube *= ratio
+    cube = np.empty(tail_terms)
+    for block, n in _harmonic_blocks(tail_terms):
+        ratio = n * half_width
+        np.sin(ratio, out=ratio)
+        np.divide(ratio, n, out=ratio)
+        np.square(ratio, out=cube[block])
+        cube[block] *= ratio
     partial = float(np.sum(cube))
     magnitude = float(np.sum(np.abs(cube, out=cube)))
     head = half_width ** 3
@@ -349,29 +357,37 @@ def chain_count_uniform(p: float, half_width: float, mean_degree: float,
     / n^(k+1)) with an explicit tail bound of 2 / (k tail_terms^k) on the
     bracket, plus a bound on the floating-point rounding of the sines,
     cosines and the sum, which dominates where the true count is 0.
-    Equals the generic power-sum route on the same kernel.  ``tail_terms``
-    above ``MAX_SERIES_TERMS`` raises ``CostBudgetError`` before any work.
+    Equals the generic power-sum route on the same kernel.  The terms and
+    their rounding bounds are formed in blocks of ``SUM_BLOCK_TERMS``
+    harmonics into two buffers of N entries, each summed whole.
+    ``tail_terms`` above ``MAX_SERIES_TERMS`` raises ``CostBudgetError``
+    before any work.
     """
     if k < 1:
         raise ValueError("chain counts need at least one intermediary")
     if not 0.0 < half_width <= np.pi:
         raise ValueError("window half-width must lie in (0, pi]")
     _check_series_terms(f"closed-form chain series for k={k}", tail_terms)
-    n = np.arange(1, tail_terms + 1)
-    sines = np.sin(n * half_width)
-    terms = (sines / n) ** (k + 1) * np.cos(n * gap)
+    terms = np.empty(tail_terms)
+    arguments = np.empty(tail_terms)
+    for block, n in _harmonic_blocks(tail_terms):
+        angle = n * half_width
+        sines = np.sin(angle)
+        terms[block] = (sines / n) ** (k + 1) * np.cos(n * gap)
+        # rounding: the sine and cosine of the rounded arguments n*w and
+        # n*gap are each off by at most (n*x + 8) units of roundoff; every
+        # term then compounds a few roundings, and the sum gamma_N of its
+        # absolute terms
+        sine_slack = (angle + 8.0) * UNIT_ROUNDOFF
+        cosine_slack = (n * abs(gap) + 8.0) * UNIT_ROUNDOFF
+        reach = (np.abs(sines) + sine_slack) / n
+        arguments[block] = reach ** k * ((k + 1) * sine_slack / n + reach * cosine_slack)
     head = half_width ** (k + 1)
     bracket = head + 2.0 * float(np.sum(terms))
     prefactor = (p / np.pi) * (mean_degree / half_width) ** k
     tail = 2.0 / (k * float(tail_terms) ** k)
-    # rounding: the sine and cosine of the rounded arguments n*w and n*gap
-    # are each off by at most (n*x + 8) units of roundoff; every term then
-    # compounds a few roundings, and the sum gamma_N of its absolute terms
-    sine_slack = (n * half_width + 8.0) * UNIT_ROUNDOFF
-    cosine_slack = (n * abs(gap) + 8.0) * UNIT_ROUNDOFF
-    reach = (np.abs(sines) + sine_slack) / n
-    arguments = reach ** k * ((k + 1) * sine_slack / n + reach * cosine_slack)
-    rounding = (_gamma(tail_terms + 12) * (head + 2.0 * float(np.sum(np.abs(terms))))
+    rounding = (_gamma(tail_terms + 12)
+                * (head + 2.0 * float(np.sum(np.abs(terms, out=terms))))
                 + 2.0 * float(np.sum(arguments)))
     return UncertainValue(float(prefactor * bracket),
                           float(prefactor * (tail + rounding)))
@@ -391,6 +407,14 @@ def chain_tail_bound(kernel, radius: float, k: int, terms: int) -> float:
 def _check_series_terms(what: str, terms: int) -> None:
     if terms > MAX_SERIES_TERMS:
         raise CostBudgetError(f"harmonics of the {what}", terms, MAX_SERIES_TERMS)
+
+
+def _harmonic_blocks(terms: int):
+    # (slice, harmonic numbers n as floats) of consecutive blocks of
+    # SUM_BLOCK_TERMS harmonics covering 1..terms
+    for start in range(0, terms, SUM_BLOCK_TERMS):
+        stop = min(start + SUM_BLOCK_TERMS, terms)
+        yield slice(start, stop), np.arange(start + 1.0, stop + 1.0)
 
 
 def _gamma(count: int) -> float:
@@ -423,7 +447,60 @@ def _cardinal_bspline(order: int, x):
     return values[..., 0]
 
 
-def antipodal_chain_count_uniform(p: float, half_width: float, mean_degree: float,
+def _antipodal_images(order: int, half_widths):
+    # odd multiples of pi within reach at each width, both signs, as exact
+    # integers in floats; the margin keeps every image whose exact argument
+    # lies in the support despite rounding
+    reach = np.floor(order * half_widths * (1.0 + 8.0 * UNIT_ROUNDOFF) / np.pi)
+    return reach + reach % 2.0
+
+
+def check_antipodal_budget(orders: Sequence[int], half_widths) -> None:
+    """Refuse antipodal counts over ``MAX_SPLINE_OPS`` before any work.
+
+    The work of one count is its images times (k+1)^2.  Raises
+    ``CostBudgetError`` for the first refused pair of a half-width (outer,
+    one or a 1-D array) and a chain order k of ``orders`` (inner).
+    """
+    widths = np.asarray(half_widths, dtype=float).reshape(-1)
+    refused = np.empty((widths.size, len(orders)), dtype=bool)
+    for index, k in enumerate(orders):
+        refused[:, index] = _antipodal_images(k + 1, widths) > MAX_SPLINE_OPS // (k + 1) ** 2
+    if refused.any():
+        width, index = divmod(int(np.argmax(refused)), len(orders))
+        order = orders[index] + 1
+        cost = int(_antipodal_images(order, widths[width])) * order * order
+        raise CostBudgetError(f"antipodal B-spline sum for k={order - 1}", cost,
+                              MAX_SPLINE_OPS)
+
+
+def _antipodal_densities(order: int, widths, images):
+    """Image sums sum_j N_m(t_j) of m = ``order`` at each of ``widths``.
+
+    One Cox-de Boor recurrence runs over the images of a run of widths,
+    about ``MAX_TABLE_CELLS`` images times m at a time, and each width's
+    images are summed alone, bit for bit as for that width by itself.
+    """
+    starts = np.cumsum(images) - images
+    # a run: the widths whose first image falls in one block of cells
+    run = starts * order // MAX_TABLE_CELLS
+    cuts = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), widths.size]
+    densities = np.empty(widths.size)
+    for first, last in zip(cuts, cuts[1:]):
+        count = images[first:last]
+        offset = starts[first:last] - starts[first]
+        # the odd multiples -top, 2 - top, ..., top of each width, with
+        # top = images - 1
+        odd = (2 * (np.arange(count.sum()) - np.repeat(offset, count))
+               - np.repeat(count - 1, count)).astype(float)
+        width = np.repeat(widths[first:last], count)
+        values = _cardinal_bspline(order, (np.pi * odd + order * width) / (2.0 * width))
+        densities[first:last] = [np.sum(values[start:start + n])
+                                 for start, n in zip(offset.tolist(), count.tolist())]
+    return densities
+
+
+def antipodal_chain_count_uniform(p: float, half_width, mean_degree: float,
                                   k: int,
                                   tail_terms: int = DEFAULT_TAIL_TERMS) -> AntipodalChainCount:
     """Chain count to the diametrically opposite point, sharp window, exact.
@@ -437,6 +514,10 @@ def antipodal_chain_count_uniform(p: float, half_width: float, mean_degree: floa
     the k-th power of the mean degree, (p / pi) sum_j N_m(t_j), the
     normalization used for threshold plots.
 
+    ``half_width`` is a float, or a 1-D array of widths for arrays in
+    every field, each bit for bit its one-width count: one B-spline
+    recurrence then runs over the images of many widths.
+
     The error bounds cover floating-point rounding in the recurrence, the
     image sum and the arguments t_j.  ``tail_terms`` is accepted for
     compatibility with the truncated series and ignored: no tail is
@@ -446,21 +527,13 @@ def antipodal_chain_count_uniform(p: float, half_width: float, mean_degree: floa
     """
     if k < 1:
         raise ValueError("chain counts need at least one intermediary")
-    if not 0.0 < half_width <= np.pi:
+    widths = np.asarray(half_width, dtype=float).reshape(-1)
+    if not np.all((0.0 < widths) & (widths <= np.pi)):
         raise ValueError("window half-width must lie in (0, pi]")
+    check_antipodal_budget([k], widths)
     order = k + 1
-    # largest odd multiple of pi within reach; the margin keeps every image
-    # whose exact argument lies in the support despite rounding
-    top = math.floor(order * half_width * (1.0 + 8.0 * UNIT_ROUNDOFF) / np.pi)
-    top -= 1 - top % 2
-    images = top + 1
-    cost = images * order * order
-    if cost > MAX_SPLINE_OPS:
-        raise CostBudgetError(f"antipodal B-spline sum for k={k}", cost,
-                              MAX_SPLINE_OPS)
-    odd = np.arange(-top, top + 1, 2, dtype=float)
-    shifted = (np.pi * odd + order * half_width) / (2.0 * half_width)
-    density = float(np.sum(_cardinal_bspline(order, shifted)))
+    images = _antipodal_images(order, widths).astype(np.int64)
+    density = _antipodal_densities(order, widths, images)
     # relative rounding of the recurrence, the image sum and the prefactor,
     # plus each argument off by at most 4 m units of roundoff times the
     # Lipschitz constant 1 of N_m
@@ -468,6 +541,7 @@ def antipodal_chain_count_uniform(p: float, half_width: float, mean_degree: floa
                 + images * 4.0 * order * UNIT_ROUNDOFF)
     raw = p * mean_degree ** k
     normalized = p / np.pi
-    return AntipodalChainCount(
-        UncertainValue(raw * density, raw * rounding),
-        UncertainValue(normalized * density, normalized * rounding))
+    fields = (raw * density, raw * rounding, normalized * density, normalized * rounding)
+    if np.ndim(half_width) == 0:
+        fields = [float(field[0]) for field in fields]
+    return AntipodalChainCount(UncertainValue(*fields[:2]), UncertainValue(*fields[2:]))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ringnet import CircleModel, CosineSeries, quadrature
+from ringnet import CircleModel, CosineSeries, cli, fourier, quadrature
 from ringnet.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_NUMERICAL_FAILURE,
@@ -278,6 +278,76 @@ def test_sweep_phi_refuses_chain_order_over_budget(tmp_path, capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+def _refuse_work(*_args, **_kwargs):
+    raise AssertionError("started work that a cost budget refuses")
+
+
+@pytest.mark.parametrize("computation", [
+    {"phi_points": 10 ** 12},
+    {"phi_points": 10 ** 7},
+    {"phi_points": 200, "tail_terms": 2 ** 23},
+    {"phi_grid": [0.5 + 0.001 * i for i in range(200)], "tail_terms": 2 ** 23},
+], ids=["points-1e12", "points-1e7", "points-times-terms", "grid-times-terms"])
+def test_sweep_phi_grid_over_budget_exits_3_before_the_grid(tmp_path, capsys,
+                                                            monkeypatch, computation):
+    config = write_config(tmp_path, {"computation": computation})
+    monkeypatch.setattr(np, "linspace", _refuse_work)
+    monkeypatch.setattr(fourier, "clustering_uniform", _refuse_work)
+    code = main(["sweep-phi", "--config", config])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL_FAILURE
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: closed-form harmonics of "
+                                   "the sweep-phi grid: cost ")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_sweep_phi_budget_counts_whole_blocks_of_harmonics(tmp_path, capsys,
+                                                           monkeypatch):
+    block = fourier.SUM_BLOCK_TERMS
+    monkeypatch.setattr(cli, "SWEEP_COST_BUDGET", 4 * block)
+    for points, terms, code in ((4, block, EXIT_OK), (2, 2 * block, EXIT_OK),
+                                (4, block + 1, EXIT_NUMERICAL_FAILURE),
+                                (5, 1, EXIT_NUMERICAL_FAILURE)):
+        config = write_config(tmp_path, {"computation": {
+            "phi_points": points, "tail_terms": terms, "k_list": [1]}})
+        assert main(["sweep-phi", "--config", config]) == code
+        capsys.readouterr()
+
+
+def test_sweep_phi_refuses_chain_orders_before_any_sum(tmp_path, capsys, monkeypatch):
+    # k = 130 is refused only at the wider width, k = 400 at both; the
+    # refused pair is the first in width order, as when widths ran outer
+    config = write_config(tmp_path, {"computation": {"phi_grid": [0.5, 3.0],
+                                                     "k_list": [130, 400]}})
+    monkeypatch.setattr(fourier, "clustering_uniform", _refuse_work)
+    code = main(["sweep-phi", "--config", config])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL_FAILURE
+    assert captured.err == ("numerical failure: antipodal B-spline sum for k=400: "
+                            "cost 10291264 exceeds budget 2097152\n")
+
+
+def test_sweep_phi_without_chain_orders_prints_widths_only(tmp_path, capsys):
+    config = write_config(tmp_path, {"computation": {"phi_points": 3, "k_list": [],
+                                                     "tail_terms": 100}})
+    code, out = run_cli(capsys, "sweep-phi", "--config", config)
+    assert code == EXIT_OK
+    rows = parse_csv(out.split("\n\n")[1])
+    assert [list(row) for row in rows] == [["phi"]] * 3
+
+
+def test_sweep_phi_sums_each_chain_order_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    antipodal = fourier.antipodal_chain_count_uniform
+    monkeypatch.setattr(fourier, "antipodal_chain_count_uniform",
+                        lambda *args, **kwargs: calls.append(args[1])
+                        or antipodal(*args, **kwargs))
+    code, _ = run_cli(capsys, "sweep-phi")
+    assert code == EXIT_OK
+    assert len(calls) == 6 and all(np.shape(widths) == (64,) for widths in calls)
+
+
 @pytest.mark.parametrize("command,computation", [
     ("clustering", {"tail_terms": 2 ** 62}),
     ("clustering", {"modes": ["leading"], "terms": 2 ** 62}),
@@ -335,6 +405,17 @@ def test_mc_validate_default_report_sha_pinned(capsys):
     code, out = run_cli(capsys, "mc-validate", "--seed", "20260822")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEFAULT_REPORT_SHA256
+
+
+# both CSV blocks of a flagless sweep-phi: 64 widths, six chain orders
+DEFAULT_SWEEP_SHA256 = ("57c2e5c03b4a4ff26bcd7532d9bf1e5b"
+                        "cf69e3a61238d3153ba97401b7a12f79")
+
+
+def test_sweep_phi_default_output_sha_pinned(capsys):
+    code, out = run_cli(capsys, "sweep-phi")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEFAULT_SWEEP_SHA256
 
 
 def test_mc_validate_detects_bad_truncation(tmp_path, capsys):

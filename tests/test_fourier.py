@@ -458,6 +458,160 @@ def test_clustering_uniform_bound_covers_rounding():
 
 
 # ---------------------------------------------------------------------------
+# closed-form sums formed in blocks of harmonics
+# ---------------------------------------------------------------------------
+
+def _unblocked_clustering_uniform(p, half_width, tail_terms):
+    # clustering_uniform as it was before blocking, kept as the reference
+    n = np.arange(1.0, tail_terms + 1.0)
+    ratio = n * half_width
+    np.sin(ratio, out=ratio)
+    np.divide(ratio, n, out=ratio)
+    cube = np.square(ratio)
+    cube *= ratio
+    partial = float(np.sum(cube))
+    magnitude = float(np.sum(np.abs(cube, out=cube)))
+    head = half_width ** 3
+    prefactor = p / (np.pi * half_width ** 2)
+    value = prefactor * (head + 2.0 * partial)
+    tail = 1.0 / float(tail_terms) ** 2
+    widest = (tail_terms * half_width + 8.0) * fourier.UNIT_ROUNDOFF
+    sine_slack = (3.0 * (1.0 + widest) ** 2 * fourier.UNIT_ROUNDOFF
+                  * (half_width * fourier._ZETA_TWO_BOUND
+                     + 8.0 * fourier._ZETA_THREE_BOUND))
+    rounding = (fourier._gamma(tail_terms + 16) * (head + 2.0 * magnitude)
+                + 2.0 * sine_slack)
+    subnormal = 2.0 * math.ulp(0.0) * (1.0 + head + 2.0 * magnitude) if p else 0.0
+    return float(value), float(prefactor * (tail + rounding) + subnormal)
+
+
+def _unblocked_chain_count_uniform(p, half_width, mean_degree, k, gap, tail_terms):
+    # chain_count_uniform as it was before blocking, kept as the reference
+    n = np.arange(1, tail_terms + 1)
+    sines = np.sin(n * half_width)
+    terms = (sines / n) ** (k + 1) * np.cos(n * gap)
+    head = half_width ** (k + 1)
+    bracket = head + 2.0 * float(np.sum(terms))
+    prefactor = (p / np.pi) * (mean_degree / half_width) ** k
+    tail = 2.0 / (k * float(tail_terms) ** k)
+    sine_slack = (n * half_width + 8.0) * fourier.UNIT_ROUNDOFF
+    cosine_slack = (n * abs(gap) + 8.0) * fourier.UNIT_ROUNDOFF
+    reach = (np.abs(sines) + sine_slack) / n
+    arguments = reach ** k * ((k + 1) * sine_slack / n + reach * cosine_slack)
+    rounding = (fourier._gamma(tail_terms + 12)
+                * (head + 2.0 * float(np.sum(np.abs(terms))))
+                + 2.0 * float(np.sum(arguments)))
+    return float(prefactor * bracket), float(prefactor * (tail + rounding))
+
+
+SUBNORMAL_P = 2.2250738585e-313
+
+
+def _assert_blocked_sums_match_unblocked(p, width, terms, k, gap):
+    assert tuple(clustering_uniform(p, width, tail_terms=terms)) == \
+        _unblocked_clustering_uniform(p, width, terms)
+    assert tuple(chain_count_uniform(p, width, 3.5, k, gap, tail_terms=terms)) == \
+        _unblocked_chain_count_uniform(p, width, 3.5, k, gap, terms)
+
+
+# blocks patched small, so that N runs over 1, B - 1, B, B + 1 and a few B
+@settings(max_examples=80, deadline=None)
+@given(block=st.sampled_from([1, 2, 7, 64]),
+       blocks=st.integers(0, 4),
+       offset=st.integers(-1, 1),
+       p=st.one_of(st.just(0.0), st.just(SUBNORMAL_P), st.floats(0.0, 1.0)),
+       width=st.floats(1e-3, math.pi),
+       k=st.integers(1, 6),
+       gap=st.floats(0.0, math.pi))
+@example(block=7, blocks=0, offset=1, p=0.1, width=math.pi, k=2, gap=math.pi)
+@example(block=64, blocks=1, offset=-1, p=0.0, width=1.0, k=1, gap=0.0)
+@example(block=64, blocks=3, offset=1, p=SUBNORMAL_P, width=3.1415926535897927,
+         k=3, gap=0.7)
+def test_blocked_sums_equal_unblocked_sums(block, blocks, offset, p, width, k, gap):
+    terms = max(1, block * blocks + offset)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fourier, "SUM_BLOCK_TERMS", block)
+        _assert_blocked_sums_match_unblocked(p, width, terms, k, gap)
+
+
+@pytest.mark.parametrize("terms", [1, fourier.SUM_BLOCK_TERMS - 1, fourier.SUM_BLOCK_TERMS,
+                                   fourier.SUM_BLOCK_TERMS + 1,
+                                   3 * fourier.SUM_BLOCK_TERMS + 5])
+def test_blocked_sums_equal_unblocked_sums_at_the_block_size(terms):
+    for p, width in ((0.1, 1.0), (SUBNORMAL_P, math.pi), (0.0, 0.3)):
+        _assert_blocked_sums_match_unblocked(p, width, terms, 2, 0.4)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_closed_form_sum_memory_is_one_or_two_term_buffers():
+    # unblocked, the clustering sum peaked at three and the chain sum at
+    # nine arrays of N floats (24 and 72 MiB here)
+    terms = 2 ** 20
+    full = 8 * terms
+    assert _traced_peak(lambda: clustering_uniform(0.1, 1.0, tail_terms=terms)) \
+        <= 1.25 * full
+    assert _traced_peak(lambda: chain_count_uniform(0.1, 1.0, 4.0, 3, 0.5,
+                                                    tail_terms=terms)) <= 2.25 * full
+
+
+# 120 widths: the sweep grid, repeats, both ends, and many beyond reach
+ANTIPODAL_WIDTHS = np.concatenate([
+    SWEEP_WIDTHS, np.random.default_rng(11).uniform(1e-3, math.pi, 51),
+    [1e-3, 0.5, 0.5, math.pi, math.pi]])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 20, 64, 127])
+def test_antipodal_width_arrays_give_the_one_width_bits(k):
+    widths = np.sort(ANTIPODAL_WIDTHS)
+    counts = antipodal_chain_count_uniform(0.1, widths, 7.5, k)
+    for index, width in enumerate(widths.tolist()):
+        alone = antipodal_chain_count_uniform(0.1, width, 7.5, k)
+        assert [field[index] for field in (*counts.value, *counts.normalized)] \
+            == [*alone.value, *alone.normalized]
+
+
+def test_antipodal_width_arrays_run_in_blocks_of_cells(monkeypatch):
+    # one run of widths per recurrence while the cells fit, more runs
+    # (each width's images in one of them) when they do not
+    calls = []
+    spline = fourier._cardinal_bspline
+    monkeypatch.setattr(fourier, "_cardinal_bspline",
+                        lambda order, x: calls.append(len(x)) or spline(order, x))
+    widths = np.array(SWEEP_WIDTHS)
+    whole = antipodal_chain_count_uniform(0.1, widths, 1.0, 20)
+    assert len(calls) == 1
+    monkeypatch.setattr(fourier, "MAX_TABLE_CELLS", 21 * 8)
+    calls.clear()
+    blocked = antipodal_chain_count_uniform(0.1, widths, 1.0, 20)
+    assert len(calls) > 10 and sum(calls) == sum(
+        int(fourier._antipodal_images(21, width)) for width in SWEEP_WIDTHS)
+    assert all(np.array_equal(a, b) for a, b in zip((*whole.value, *whole.normalized),
+                                                     (*blocked.value, *blocked.normalized)))
+
+
+def test_antipodal_budget_names_the_first_refused_width_then_order():
+    # k = 130 is refused only at the wider width, k = 400 at both: widths
+    # come first, so k = 400 at width 0.5 is the refused pair
+    with pytest.raises(CostBudgetError) as refused:
+        fourier.check_antipodal_budget([130, 400], [0.5, 3.0])
+    assert str(refused.value) == ("antipodal B-spline sum for k=400: cost 10291264 "
+                                  "exceeds budget 2097152")
+    with pytest.raises(CostBudgetError) as refused:
+        fourier.check_antipodal_budget([130, 400], [3.0])
+    assert "k=130" in str(refused.value)
+    fourier.check_antipodal_budget([1, 20, 127], SWEEP_WIDTHS)
+    fourier.check_antipodal_budget([], SWEEP_WIDTHS)
+
+
+# ---------------------------------------------------------------------------
 # series term budget
 # ---------------------------------------------------------------------------
 

@@ -666,8 +666,8 @@ def test_triangle_batches_cover_every_edge(monkeypatch):
     sample = sample_graph(256, UniformWindow(0.4, 1.0), seed=3)
     expected = reference_clustering_counts(sample)
     assert sample.edges.shape[0] % 3 != 0
-    # rows are 4 words long: one edge per batch, then 3 edges per batch
-    # with a shorter last batch
+    # banded rows AND 2 of the 4 words of a row here: one link per block,
+    # then 6 links per block with a shorter last block
     for words in (1, 3 * 4 + 1):
         monkeypatch.setattr(montecarlo, "MAX_BITSET_WORDS", words)
         assert montecarlo._clustering_counts(sample) == expected
