@@ -422,9 +422,10 @@ def _gap_grid(config):
 
 
 def _analytic_records(model, series, order, gaps, direct, mode, terms,
-                      correction_order, tolerance):
+                      correction_order, tolerance, brackets):
     """One chain order's rows of a series or quadrature mode, each route
-    called once for the whole grid; ``direct`` is the kernel at each gap."""
+    called once for the whole grid; ``direct`` is the kernel at each gap,
+    ``brackets`` each order's power sums."""
     kernel, radius = model.kernel, model.radius
     if order > 2 and mode in ("full", "quadrature"):
         raise ConfigError(f"{mode} mode covers chain orders 1 and 2")
@@ -437,12 +438,13 @@ def _analytic_records(model, series, order, gaps, direct, mode, terms,
         values = [result.value for result in results]
         errors = [result.error_estimate for result in results]
     elif mode == "leading":
-        values = fourier.chain_count_leading(series, radius, order, gaps)
+        values = fourier.chain_count_leading(series, radius, order, gaps,
+                                             brackets[order])
     elif order == 1:
-        values = fourier.chain_count_one(series, radius, gaps, direct)
+        values = fourier.chain_count_one(series, radius, gaps, direct, brackets[1])
     else:
-        values = fourier.chain_count_two(series, radius, gaps, direct,
-                                         correction_order=correction_order)
+        values = fourier.chain_count_two(series, radius, gaps, direct, correction_order,
+                                         brackets[2])
     # a route that returns one value gives it at every gap
     return [_separation_record(order, gap, value, error, mode) for gap, value, error
             in zip(gaps, np.broadcast_to(values, gaps.shape), errors)]
@@ -463,6 +465,7 @@ def cmd_separation(config):
     direct = np.array([np.atleast_1d(model.kernel.evaluate(gaps[i:i + 1]))[0]
                        for i in range(gaps.size)])
     records = []
+    series = brackets = None
     for mode in modes:
         if mode not in SEPARATION_MODES:
             raise ConfigError(f"unknown separation mode {mode!r}; "
@@ -470,10 +473,14 @@ def cmd_separation(config):
         if mode == "mc":
             records.extend(_separation_mc(config, model, orders, grid))
             continue
-        series = _series_for_kernel(model.kernel, terms)
+        if mode != "quadrature" and series is None:
+            # one series and its power sums serve every order of both modes
+            series = _series_for_kernel(model.kernel, terms)
+            positive = [order for order in orders if order]
+            brackets = dict(zip(positive, fourier.leading_brackets(series, positive, gaps)))
         for order in orders:
             records.extend(_analytic_records(model, series, order, gaps, direct, mode,
-                                             terms, correction_order, tolerance))
+                                             terms, correction_order, tolerance, brackets))
     return records, SEPARATION_COLUMNS, "separation"
 
 

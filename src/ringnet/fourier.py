@@ -104,29 +104,33 @@ def uniform_window_series(window: UniformWindow, terms: int = DEFAULT_TERMS) -> 
 
 def _coeff_lookup(series: FourierSeries, index_array):
     """Coefficient at arbitrary signed indices, zero past the stored order."""
-    idx = np.abs(np.asarray(index_array))
+    padded = np.append(series._array, 0.0)
+    return padded[np.minimum(np.abs(index_array), series.order + 1)]
+
+
+def leading_brackets(series: FourierSeries, orders: Sequence[int], gap) -> list:
+    """Power sums a_0^(k+1) + 2 sum a_n^(k+1) cos(n gap) for each chain order
+    k of ``orders``, at a gap (floats) or a 1-D array of gaps (arrays): one
+    cosine table per block of ``MAX_TABLE_CELLS`` serves every order, and
+    each row is summed alone, as one order at one gap is."""
     a = series._array
-    out = np.zeros(idx.shape)
-    inside = idx <= series.order
-    out[inside] = a[idx[inside]]
-    return out
+    gaps = np.asarray(gap, dtype=float).reshape(-1)
+    totals = [np.full(gaps.size, a[0] ** (k + 1)) for k in orders]
+    if series.order:
+        powers, n = [a[1:] ** (k + 1) for k in orders], np.arange(1, series.order + 1)
+        block = max(1, MAX_TABLE_CELLS // series.order)
+        for start in range(0, gaps.size, block):
+            table = gaps[start:start + block, None] * n
+            np.cos(table, out=table)
+            for total, power in zip(totals, powers):
+                # the last order multiplies the cosine table in place
+                terms = np.multiply(table, power, out=table if power is powers[-1] else None)
+                total[start:start + block] += 2.0 * np.sum(terms, axis=1)
+    return [float(total[0]) for total in totals] if np.ndim(gap) == 0 else totals
 
 
 def _leading_bracket(series: FourierSeries, k: int, gap):
-    """Power sum a_0^(k+1) + 2 sum a_n^(k+1) cos(n gap) at a gap (a float) or
-    each of a 1-D array of gaps (an array): powers formed once, cosines in
-    blocks of ``MAX_TABLE_CELLS``, each row summed alone as one gap is."""
-    a = series._array
-    gaps = np.asarray(gap, dtype=float).reshape(-1)
-    totals = np.full(gaps.size, a[0] ** (k + 1))
-    if series.order:
-        powers, n = a[1:] ** (k + 1), np.arange(1, series.order + 1)
-        block = max(1, MAX_TABLE_CELLS // series.order)
-        for start in range(0, gaps.size, block):
-            table = np.cos(gaps[start:start + block, None] * n)
-            table *= powers
-            totals[start:start + block] += 2.0 * np.sum(table, axis=1)
-    return float(totals[0]) if np.ndim(gap) == 0 else totals
+    return leading_brackets(series, (k,), gap)[0]
 
 
 @lru_cache(maxsize=8)
@@ -178,14 +182,15 @@ def _effective_correction_order(series: FourierSeries, correction_order: int) ->
     return mc
 
 
-def _two_step_bracket(series: FourierSeries, gap, correction_order: int):
-    # the leading power sum, less twice the quadratic correction sum plus
-    # the cubic one, like _leading_bracket at a gap or an array of gaps;
-    # order zero switches the corrections off
+def _two_step_bracket(series: FourierSeries, gap, correction_order: int, bracket=None):
+    # the leading power sum (``bracket`` when given), less twice the
+    # quadratic correction sum plus the cubic one, like _leading_bracket at
+    # a gap or an array of gaps; order zero switches the corrections off
     if correction_order < 0:
         raise ValueError("correction order must be non-negative")
     gaps = np.asarray(gap, dtype=float).reshape(-1)
-    bracket = _leading_bracket(series, 2, gaps)
+    bracket = np.array(_leading_bracket(series, 2, gaps) if bracket is None else bracket,
+                       dtype=float).reshape(-1)
     if correction_order > 0:
         mc = _effective_correction_order(series, correction_order)
         for index, (double, triple) in enumerate(_correction_sums(series, gaps, mc)):
@@ -197,21 +202,26 @@ def _two_step_bracket(series: FourierSeries, gap, correction_order: int):
 # chain counts and clustering from a series
 # ---------------------------------------------------------------------------
 
-def chain_count_leading(series: FourierSeries, radius: float, k: int, gap):
+def chain_count_leading(series: FourierSeries, radius: float, k: int, gap,
+                        bracket=None):
     """Expected k-intermediary chain count, leading order.
 
     The reduced expectation without any non-link factors: exact by linearity
     for the truncated kernel the series represents, and free to exceed 1.
     ``gap`` is a float, or a 1-D array of gaps for an array of counts, each
     bit for bit its one-gap count; ``chain_count_one`` and
-    ``chain_count_two`` take gap arrays the same way.
+    ``chain_count_two`` take gap arrays the same way, and all three take
+    the order's power sums from :func:`leading_brackets` as ``bracket``.
     """
     if k < 1:
         raise ValueError("chain counts need at least one intermediary")
-    return (TWO_PI * radius) ** k * _leading_bracket(series, k, gap)
+    if bracket is None:
+        bracket = _leading_bracket(series, k, gap)
+    return (TWO_PI * radius) ** k * bracket
 
 
-def chain_count_one(series: FourierSeries, radius: float, gap, direct_prob):
+def chain_count_one(series: FourierSeries, radius: float, gap, direct_prob,
+                    bracket=None):
     """One-intermediary chain count with the no-direct-link factor.
 
     ``direct_prob`` is the kernel value at ``gap`` (one per gap), supplied
@@ -219,11 +229,11 @@ def chain_count_one(series: FourierSeries, radius: float, gap, direct_prob):
     """
     if not np.all((0.0 <= direct_prob) & (direct_prob <= 1.0)):
         raise ValueError("direct link probability must lie in [0, 1]")
-    return (1.0 - direct_prob) * chain_count_leading(series, radius, 1, gap)
+    return (1.0 - direct_prob) * chain_count_leading(series, radius, 1, gap, bracket)
 
 
 def chain_count_two(series: FourierSeries, radius: float, gap, direct_prob,
-                    correction_order: int = DEFAULT_CORRECTION_ORDER):
+                    correction_order: int = DEFAULT_CORRECTION_ORDER, bracket=None):
     """Two-intermediary chain count with all non-link factors.
 
     On top of the leading power sum, the no-skip factors contribute a
@@ -238,7 +248,7 @@ def chain_count_two(series: FourierSeries, radius: float, gap, direct_prob,
     """
     if not np.all((0.0 <= direct_prob) & (direct_prob <= 1.0)):
         raise ValueError("direct link probability must lie in [0, 1]")
-    bracket = _two_step_bracket(series, gap, correction_order)
+    bracket = _two_step_bracket(series, gap, correction_order, bracket)
     return (TWO_PI * radius) ** 2 * (1.0 - direct_prob) * bracket
 
 

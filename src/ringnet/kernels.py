@@ -64,12 +64,6 @@ def wrap_angle(angle):
     return wrapped
 
 
-def _scalar_or_array(values, scalar_input):
-    if scalar_input:
-        return float(values)
-    return values
-
-
 # ---------------------------------------------------------------------------
 # kernel variants
 # ---------------------------------------------------------------------------
@@ -94,7 +88,7 @@ class UniformWindow:
         scalar = np.ndim(angle) == 0
         wrapped = np.abs(np.atleast_1d(wrap_angle(angle)))
         values = np.where(wrapped <= self.half_width, self.p, 0.0)
-        return _scalar_or_array(values[0] if scalar else values, scalar)
+        return float(values[0]) if scalar else values
 
     __call__ = evaluate
 
@@ -116,7 +110,7 @@ class UniformWindow:
         return problems
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class CosineSeries:
     """Kernel given by the nonnegative half of a symmetric cosine expansion.
 
@@ -127,12 +121,14 @@ class CosineSeries:
     power sums the series routes in :mod:`ringnet.fourier` evaluate (there
     also named ``FourierSeries``); coefficients past the stored order count
     as zero.  An empty, nested or non-finite coefficient list is refused.
+    A series holds one read-only float array and is immutable; the tuple
+    ``coeffs`` is built from that array only when read.
     """
 
-    coeffs: tuple[float, ...]
+    _array: np.ndarray
 
-    def __post_init__(self):
-        array = np.array(self.coeffs, dtype=float)
+    def __init__(self, coeffs):
+        array = np.array(coeffs, dtype=float)
         if array.ndim != 1:
             raise KernelValidationError("cosine coefficients must be a flat sequence")
         if not array.size:
@@ -140,9 +136,23 @@ class CosineSeries:
         if not np.all(np.isfinite(array)):
             raise KernelValidationError("non-finite coefficient")
         array.setflags(write=False)
-        object.__setattr__(self, "coeffs", tuple(array.tolist()))
-        # the same values as an array, for evaluation and the power sums
         object.__setattr__(self, "_array", array)
+
+    @property
+    def coeffs(self) -> tuple[float, ...]:
+        """The coefficients as a tuple of floats, built anew on each read."""
+        return tuple(self._array.tolist())
+
+    def __repr__(self):
+        return f"CosineSeries(coeffs={self.coeffs!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self._array, other._array)
+
+    def __hash__(self):  # equal series hash alike, as hash(0.0) == hash(-0.0)
+        return hash((self.coeffs,))
 
     @property
     def dimension(self) -> int:
@@ -151,7 +161,7 @@ class CosineSeries:
     @property
     def order(self) -> int:
         """Index of the highest stored harmonic."""
-        return len(self.coeffs) - 1
+        return self._array.size - 1
 
     def evaluate(self, angle):
         """Link probability at the given angular separation(s)."""
@@ -161,8 +171,7 @@ class CosineSeries:
         weights[0] = 1.0
         harmonics = np.arange(self._array.size)
         values = np.cos(phi[:, None] * harmonics[None, :]) @ (weights * self._array)
-        values = values.reshape(np.shape(angle)) if not scalar else values
-        return _scalar_or_array(values[0] if scalar else values, scalar)
+        return float(values[0]) if scalar else values.reshape(np.shape(angle))
 
     __call__ = evaluate
 
@@ -321,14 +330,13 @@ def model_axes(model) -> list:
 def axis_mean_degree(radius: float, kernel) -> float:
     """Mean degree of a circle of ``radius`` carrying the one-dimensional
     ``kernel``, from the two alone: no model is built, so the kernel is not
-    validated again, and a zero draws no warning."""
+    validated again, and a zero draws no warning.  A kernel that is neither
+    a window nor a cosine series raises ``TypeError``."""
     if isinstance(kernel, UniformWindow):
         return 2.0 * radius * kernel.p * kernel.half_width
     if isinstance(kernel, CosineSeries):
-        return TWO_PI * radius * kernel.coeffs[0]
-    from .quadrature import integrate_periodic
-    result = integrate_periodic(kernel.evaluate, kernel.breakpoints(), tol=1e-10)
-    return radius * result.value
+        return TWO_PI * radius * float(kernel._array[0])
+    raise TypeError(f"not a one-dimensional kernel: {kernel!r}")
 
 
 def mean_degree(model) -> float:
@@ -336,8 +344,8 @@ def mean_degree(model) -> float:
 
     Uses closed forms for the built-in kernel variants (window: 2*R*p*w with
     window half-width w; cosine series: 2*pi*R times the constant term) and
-    falls back to numerical integration of the kernel otherwise; on a torus
-    it is the product over the axes.  A result of exactly zero triggers
+    raises ``TypeError`` for any other kernel; on a torus it is the product
+    over the axes.  A result of exactly zero triggers
     :class:`ZeroMeanDegreeWarning`, because clustering and separation
     normalisations divide by powers of the mean degree.
     """

@@ -291,7 +291,7 @@ class _Chunk(NamedTuple):
     blocks: int
     columns: int
     probs: np.ndarray    # (blocks, 1)
-    offsets: np.ndarray  # ring: (blocks,) offsets; torus: (axes, blocks) components
+    offsets: np.ndarray  # int32; ring: (blocks,) offsets; torus: (axes, blocks) components
 
 
 class _SamplingPlan(NamedTuple):
@@ -300,7 +300,7 @@ class _SamplingPlan(NamedTuple):
     shape: tuple
     width: int
     chunks: tuple
-    components: tuple | None  # torus: per-axis coordinate of every node
+    components: tuple | None  # torus: per-axis int32 coordinate of every node
 
 
 def _read_only(array) -> np.ndarray:
@@ -347,7 +347,7 @@ def _chunk_schedule(blocks: np.ndarray, stride: int, columns: np.ndarray,
                 blocks=stop - start,
                 columns=int(columns[start]),
                 probs=_read_only(probs[start:stop, None]),
-                offsets=_read_only(offsets[..., start:stop])))
+                offsets=_read_only(offsets[..., start:stop].astype(np.int32))))
             position = int(blocks[stop - 1]) + 1
     return tuple(chunks)
 
@@ -392,7 +392,7 @@ def _torus_plan(shape: tuple, kernel: ProductKernel) -> _SamplingPlan:
                              delta_probs[active_deltas],
                              np.stack(np.unravel_index(active_deltas, shape)))
     # component tables for vectorized wrapped addition of an offset vector
-    components = tuple(_read_only(c) for c in
+    components = tuple(_read_only(c.astype(np.int32)) for c in
                        np.unravel_index(np.arange(total_nodes), shape))
     return _SamplingPlan(shape, 4 * stride, chunks, components)
 
@@ -426,20 +426,25 @@ def _sampling_plan(shape, kernel) -> _SamplingPlan:
 class _Batch(NamedTuple):
     # the disjoint union of ``size`` graphs of ``n`` nodes each: node i of
     # graph t is the union node t * n + i.  Each link is stored once, by
-    # its lower and its higher union node, in no particular order
+    # its lower and its higher union node, in no particular order (int32
+    # when sampled: the draw budgets keep union nodes below 2**31)
     n: int
     size: int
     low: np.ndarray
     high: np.ndarray
 
 
-def _batch_keys(plan: _SamplingPlan, seeds: np.ndarray) -> list:
-    # the links of the graphs with the given seeds, one key array per
-    # generator call, each link as the key low * N + high of its union
-    # nodes (N of them).  Each graph draws from its own Philox stream as a
-    # sample alone does, writing the values of each generator call into its
-    # row of the call's buffer; the links of all graphs are then found in
-    # one pass per call
+def _wrap(values: np.ndarray, n: int) -> np.ndarray:
+    # values in [0, 2 n) taken round a ring of n, in place
+    return np.subtract(values, n, out=values, where=values >= n)
+
+
+def _batch_links(plan: _SamplingPlan, seeds: np.ndarray) -> tuple:
+    # the links of the graphs with the given seeds as int32 arrays of their
+    # low and high union nodes.  Each graph draws from its own Philox stream
+    # as a sample alone does, writing the values of each generator call into
+    # its row of the call's buffer; the links of all graphs are then found
+    # in one pass per call
     size, width = seeds.size, plan.width
     n = math.prod(plan.shape)
     words = np.zeros((size, 2), dtype=np.uint64)
@@ -448,29 +453,32 @@ def _batch_keys(plan: _SamplingPlan, seeds: np.ndarray) -> list:
     for key in words:
         bits = np.random.Philox(_philox_key_type()(key))
         streams.append((bits, np.random.Generator(bits)))
-    keys = []
+    lows, highs = [], []
     for chunk in plan.chunks:
         draws = np.empty((size, chunk.blocks * width))
         for (bits, generator), row in zip(streams, draws):
             if chunk.skip:
                 bits.advance(chunk.skip)
             generator.random(out=row)
-        linked = np.flatnonzero(draws.reshape(size, chunk.blocks, width) < chunk.probs)
+        # the draw count of a call stays below 2**31, as its union nodes do
+        linked = np.flatnonzero(draws.reshape(size, chunk.blocks, width)
+                                < chunk.probs).astype(np.int32)
         rows = linked // width  # graph * blocks + block
         hits = linked - rows * width
         if chunk.columns < width:  # draws past the block's candidates
             keep = hits < chunk.columns
             rows, hits = rows[keep], hits[keep]
         if size > 1:
-            graphs, rows = np.divmod(rows, chunk.blocks)
+            graphs = rows // chunk.blocks
+            rows -= graphs * chunk.blocks
         if plan.components is None:
-            partner = (hits + chunk.offsets[rows]) % n
+            partner = _wrap(hits + chunk.offsets[rows], n)
             low, high = np.minimum(hits, partner), np.maximum(hits, partner)
         else:
             partner = np.zeros_like(hits)
             for length, node_axis, delta_axis in zip(plan.shape, plan.components,
                                                      chunk.offsets):
-                partner = partner * length + (node_axis[hits] + delta_axis[rows]) % length
+                partner = partner * length + _wrap(node_axis[hits] + delta_axis[rows], length)
             # each unordered pair shows up under an offset and its negation;
             # keeping source < partner picks exactly one of the two
             keep = hits < partner
@@ -480,20 +488,17 @@ def _batch_keys(plan: _SamplingPlan, seeds: np.ndarray) -> list:
         if size > 1:  # node i of graph g is the union node g * n + i
             graphs *= n
             low, high = low + graphs, high + graphs
-        keys.append(low * (size * n) + high)
-    return keys
+        lows.append(low)
+        highs.append(high)
+    return _joined(lows, np.int32), _joined(highs, np.int32)
 
 
 def _sample_batch(plan: _SamplingPlan, seeds: np.ndarray) -> _Batch:
-    n = math.prod(plan.shape)
-    nodes = seeds.size * n
-    keys = _joined(_batch_keys(plan, seeds))
-    low = keys // nodes
-    return _Batch(n, seeds.size, low, keys - low * nodes)
+    return _Batch(math.prod(plan.shape), seeds.size, *_batch_links(plan, seeds))
 
 
-def _joined(parts: list) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+def _joined(parts: list, dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
 
 def _single(sample: GraphSample) -> _Batch:
@@ -503,7 +508,7 @@ def _single(sample: GraphSample) -> _Batch:
 def _canonical_edges(keys: list, n: int) -> np.ndarray:
     # a pair (low, high) has the key low * n + high, so the sorted keys are
     # the lexicographically sorted pairs
-    keys = np.sort(_joined(keys))
+    keys = np.sort(_joined(keys, np.int64))
     low = keys // n
     return np.stack((low, keys - low * n), axis=1)
 
@@ -516,8 +521,9 @@ def sample_graph(shape, kernel, seed: int) -> GraphSample:
     of the work, the sampling plan, is built once per (shape, kernel).
     """
     plan = _sampling_plan(shape, kernel)
-    keys = _batch_keys(plan, np.array([seed], dtype=np.uint64))
-    return GraphSample(plan.shape, seed, _canonical_edges(keys, math.prod(plan.shape)))
+    n = math.prod(plan.shape)
+    low, high = _batch_links(plan, np.array([seed], dtype=np.uint64))
+    return GraphSample(plan.shape, seed, _canonical_edges([low.astype(np.int64) * n + high], n))
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +583,8 @@ def _triangle_counts(batch: _Batch):
     per_block = max(1, MAX_BITSET_WORDS // span)
 
     def forward_links():
-        # blocks of links a -> b, with the word of a's row that holds b
+        # blocks of links a -> b, with the flat int64 indices of the rows of
+        # a and b and the word of a's row that holds b
         for low, high in _link_blocks(batch, per_block):
             if banded:
                 ahead = high - low <= reach  # else low is ahead, across the seam
@@ -586,21 +593,22 @@ def _triangle_counts(batch: _Batch):
             word = local >> 6
             if banded:
                 word = (word - ((low % n if size > 1 else low) >> 6)) % words
-            yield low, high, local, word
+            yield (low, low.astype(np.int64) * width, high.astype(np.int64) * width,
+                   local, word)
 
     rows = np.zeros(nodes * width, dtype=np.uint64)
-    for src, _, local, word in forward_links():
+    for _, src_row, _, local, word in forward_links():
         # every link is stored once, so no bit is set twice and adding is or-ing
-        np.add.at(rows, src * width + word,
+        np.add.at(rows, src_row + word,
                   np.left_shift(np.uint64(1), (local & 63).astype(np.uint64)))
     # every word of the rows starts a record of the ``span`` words from it
     # on, so that a link's words are gathered as one record copy
     windows = np.ndarray((rows.size - span + 1,), np.dtype((np.void, 8 * span)),
                          rows, strides=(8,))
     linked = np.zeros(size, dtype=np.int64)
-    for src, dst, _, word in forward_links():
-        common = windows[src * width + word if banded else src * width].view(np.uint64)
-        common &= windows[dst * width].view(np.uint64)
+    for src, src_row, dst_row, _, word in forward_links():
+        common = windows[src_row + word if banded else src_row].view(np.uint64)
+        common &= windows[dst_row].view(np.uint64)
         # a block's bits number far below 2**31, and its per-graph sums
         # stay exact in the float weights of bincount
         common = np.bitwise_count(common)

@@ -43,11 +43,14 @@ def _imported_modules(module):
 # never uses an analytic route.
 FORBIDDEN_IMPORTS = {"fourier": {"quadrature", "montecarlo"},
                      "quadrature": {"fourier", "montecarlo"},
-                     "montecarlo": {"fourier", "quadrature"}}
+                     "montecarlo": {"fourier", "quadrature"},
+                     "kernels": {"fourier", "quadrature", "montecarlo"}}
 
 
 @pytest.mark.parametrize("module", sorted(FORBIDDEN_IMPORTS))
 def test_routes_do_not_import_each_other(module):
     imported = _imported_modules(module)
-    assert "kernels" in imported  # the parse sees the module's relative imports
+    # the parse sees the routes' relative imports of the kernels module,
+    # which itself imports no ringnet module at all
+    assert "kernels" in imported or module == "kernels"
     assert imported & FORBIDDEN_IMPORTS[module] == set()

@@ -716,8 +716,9 @@ def test_separation_quadrature_of_zero_window_is_exact_zero(capsys):
 
 
 def test_separation_routes_take_the_whole_grid_at_once(monkeypatch, capsys):
-    # one quadrature curve and one leading power sum per mode and chain
-    # order; no per-gap quadrature call and no row-wise np.unique grouping
+    # one quadrature curve per chain order, and one table of leading power
+    # sums for both series modes and every order; no per-gap quadrature call
+    # and no row-wise np.unique grouping
     from ringnet import fourier
     calls = []
 
@@ -735,12 +736,13 @@ def test_separation_routes_take_the_whole_grid_at_once(monkeypatch, capsys):
 
     counted(quadrature, "chain_count_curve")
     counted(fourier, "_leading_bracket")
+    counted(fourier, "leading_brackets")
     monkeypatch.setattr(quadrature, "chain_count_result", refused)
     monkeypatch.setattr(np, "unique", refused)
     code, out = run_cli(capsys, "separation", "--modes", "leading,full,quadrature")
     assert code == EXIT_OK
     assert len(parse_csv(out)) == 3 * 2 * 25
-    assert sorted(calls) == ["_leading_bracket"] * 4 + ["chain_count_curve"] * 2
+    assert sorted(calls) == ["chain_count_curve"] * 2 + ["leading_brackets"]
 
 
 @pytest.mark.parametrize("command", ["clustering", "separation"])

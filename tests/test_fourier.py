@@ -148,6 +148,48 @@ def test_series_array_is_read_only():
     assert series.coeffs[0] == 0.1 * 1.0 / math.pi
 
 
+def test_signed_zero_coefficients_make_equal_series_and_one_cache_key():
+    plus, minus = FourierSeries((0.02, 0.0, 0.01)), FourierSeries((0.02, -0.0, 0.01))
+    assert plus == minus and hash(plus) == hash(minus)
+    assert plus != FourierSeries((0.02, 0.0, 0.01, 0.0)) and plus != (0.02, 0.0, 0.01)
+    assert type(minus.coeffs) is tuple and all(type(c) is float for c in minus.coeffs)
+    assert math.copysign(1.0, minus.coeffs[1]) == -1.0
+    # the correction tables are cached by series: the second is a cache hit
+    fourier._correction_tables.cache_clear()
+    for series in (plus, minus):
+        clustering_from_series(series, 1.0, 2.0 * math.pi * 0.02, mode="full",
+                               correction_order=2)
+    assert fourier._correction_tables.cache_info()[:2] == (1, 1)
+
+
+def test_series_is_immutable():
+    series = FourierSeries((0.3, 0.1))
+    for name in ("coeffs", "_array", "other"):
+        with pytest.raises(AttributeError):
+            setattr(series, name, (0.1,))
+        with pytest.raises(AttributeError):
+            delattr(series, name)
+    assert series.coeffs == (0.3, 0.1)
+    assert repr(series) == "CosineSeries(coeffs=(0.3, 0.1))"
+
+
+def test_window_series_builds_no_per_coefficient_objects():
+    terms = 200_000
+    tracemalloc.start()
+    try:
+        series = uniform_window_series(UniformWindow(0.1, 1.0), terms)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a few arrays of one float per harmonic while the tail is formed (4.1
+    # at most), and the series' own array kept; building a tuple of floats
+    # kept 5 arrays' worth and peaked at 9
+    array = 8 * (terms + 1)
+    assert peak <= 4.5 * array
+    assert kept <= 1.1 * array
+    assert series.order == terms
+
+
 @pytest.mark.parametrize("values", [(), (1.0, math.nan), (math.inf,), ((1.0, 2.0),)])
 def test_series_rejects_bad_coefficients(values):
     with pytest.raises(ValueError):
@@ -224,6 +266,29 @@ def test_gap_arrays_give_the_one_gap_bits(series):
                                       correction_order=8)
     with pytest.raises(ValueError):
         chain_count_one(series, 20.0, gaps[:2], np.array([0.5, 1.5]))
+
+
+@pytest.mark.parametrize("cells", [1, 4097, 5 * 4096, fourier.MAX_TABLE_CELLS])
+def test_shared_power_sums_give_the_one_order_bits(monkeypatch, cells):
+    # one cosine table per block of gaps serves every order; blocks of one
+    # gap, a gap and a bit, five gaps and the real size
+    monkeypatch.setattr(fourier, "MAX_TABLE_CELLS", cells)
+    series = uniform_window_series(UniformWindow(0.1, 0.5), 4096)
+    gaps = np.concatenate([np.random.default_rng(8).uniform(0.0, math.pi, 21), [0.0, 0.7]])
+    direct = np.linspace(0.0, 1.0, gaps.size)
+    orders = (1, 2, 5)
+    shared = fourier.leading_brackets(series, orders, gaps)
+    assert fourier.leading_brackets(series, orders, 0.7) == [s[-1] for s in shared]
+    for k, sums in zip(orders, shared):
+        assert sums.tolist() == [fourier._leading_bracket(series, k, g) for g in gaps]
+        assert (chain_count_leading(series, 20.0, k, gaps, sums).tolist()
+                == chain_count_leading(series, 20.0, k, gaps).tolist())
+    kept = shared[1].copy()
+    assert (chain_count_two(series, 20.0, gaps, direct, 8, shared[1]).tolist()
+            == chain_count_two(series, 20.0, gaps, direct, 8).tolist())
+    assert (chain_count_one(series, 20.0, gaps, direct, shared[0]).tolist()
+            == chain_count_one(series, 20.0, gaps, direct).tolist())
+    assert shared[1].tolist() == kept.tolist()  # the corrections work on a copy
 
 
 def test_leading_curve_memory_is_capped():

@@ -111,6 +111,26 @@ def test_mean_degree_torus_product():
     assert mean_degree(model) == pytest.approx(4.0 * 6.0 * value, rel=1e-6)
 
 
+class _ConstantKernel:
+    # a valid kernel of none of the built-in variants
+    def evaluate(self, angle):
+        return np.full(np.shape(angle), 0.5)
+
+    def breakpoints(self):
+        return ()
+
+    def violations(self):
+        return []
+
+
+def test_mean_degree_refuses_other_kernels():
+    model = CircleModel(3.0, _ConstantKernel())
+    with pytest.raises(TypeError, match="not a one-dimensional kernel"):
+        mean_degree(model)
+    with pytest.raises(TypeError):
+        kernels.axis_mean_degree(3.0, ProductKernel((UniformWindow(0.1, 0.5),)))
+
+
 def test_mean_degree_zero_is_flagged():
     model = CircleModel(5.0, UniformWindow(0.0, 0.5))
     with pytest.warns(ZeroMeanDegreeWarning):

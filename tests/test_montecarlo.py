@@ -1040,6 +1040,72 @@ def test_keyed_order_equals_lexsort(case):
     assert np.array_equal(edges, expected)
 
 
+def reference_batch_links(plan, seeds):
+    """The links of a batch by the key round trip they were once decoded
+    with: each link as the int64 key low * N + high of its union nodes (N
+    of them), one key array per generator call, and the keys split again by
+    division; wraps and graph numbers by ``%`` and ``divmod``."""
+    size, width, n = len(seeds), plan.width, math.prod(plan.shape)
+    nodes = size * n
+    streams = [np.random.Philox(key=np.uint64(seed)) for seed in seeds]
+    keys = []
+    for chunk in plan.chunks:
+        draws = np.empty((size, chunk.blocks * width))
+        for bits, row in zip(streams, draws):
+            bits.advance(chunk.skip)
+            np.random.Generator(bits).random(out=row)
+        linked = np.flatnonzero(draws.reshape(size, chunk.blocks, width) < chunk.probs)
+        rows, hits = np.divmod(linked, width)
+        keep = hits < chunk.columns
+        graphs, rows = np.divmod(rows[keep], chunk.blocks)
+        hits = hits[keep]
+        offsets = chunk.offsets.astype(np.int64)
+        if plan.components is None:
+            partner = (hits + offsets[rows]) % n
+            low, high = np.minimum(hits, partner), np.maximum(hits, partner)
+        else:
+            partner = np.zeros_like(hits)
+            for length, node_axis, delta_axis in zip(plan.shape, plan.components, offsets):
+                partner = partner * length + (node_axis[hits] + delta_axis[rows]) % length
+            keep = hits < partner
+            low, high, graphs = hits[keep], partner[keep], graphs[keep]
+        keys.append((low + graphs * n) * nodes + high + graphs * n)
+    return np.divmod(np.concatenate(keys) if keys else np.empty(0, dtype=np.int64), nodes)
+
+
+@st.composite
+def link_batches(draw):
+    """A ring or torus node grid, a window kernel per axis and 1 to 4 seeds."""
+    widths = st.one_of(st.just(math.pi), st.floats(0.05, math.pi))
+    lengths = [draw(st.integers(2, 70))] if draw(st.booleans()) else draw(
+        st.lists(st.integers(2, 7), min_size=2, max_size=3))
+    factors = [UniformWindow(draw(st.floats(0.05, 1.0)), draw(widths)) for _ in lengths]
+    kernel = factors[0] if len(lengths) == 1 else ProductKernel(tuple(factors))
+    seeds = draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=4))
+    return tuple(lengths), kernel, seeds
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=link_batches())
+# the half-circle block of an even ring holds fewer candidates than draws
+@example(case=((128,), UniformWindow(0.5, math.pi), [3]))
+@example(case=((130,), UniformWindow(0.5, math.pi), [3, 4, 5]))
+@example(case=((1024,), UniformWindow(0.05, math.pi), [7, 8]))
+@example(case=((128,), interior_zero_kernel(), [1, 2]))
+@example(case=((4, 4, 5), ProductKernel((UniformWindow(0.5, 1.6), interior_zero_kernel(),
+                                         UniformWindow(0.4, 1.3))), [9]))
+@example(case=((12, 10), ProductKernel((UniformWindow(0.7, 0.9),
+                                        UniformWindow(0.6, 1.0))), [9, 10, 11, 12]))
+def test_decoded_links_equal_the_key_round_trip(case):
+    shape, kernel, seeds = case
+    plan = montecarlo._sampling_plan(shape, kernel)
+    low, high = montecarlo._batch_links(plan, np.array(seeds, dtype=np.uint64))
+    expected_low, expected_high = reference_batch_links(plan, seeds)
+    assert np.array_equal(low, expected_low)
+    assert np.array_equal(high, expected_high)
+    assert low.dtype == high.dtype == np.int32
+
+
 class EntropyDrawn(Exception):
     """A seed sequence asked the operating system for entropy."""
 
