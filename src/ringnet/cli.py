@@ -30,6 +30,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -460,10 +461,7 @@ def cmd_separation(config):
     orders = _chain_orders(computation, [1, 2], least=0)
     grid = _gap_grid(config)
     gaps = np.asarray(grid)
-    # one kernel call per gap: a cosine kernel's bits depend on how many
-    # angles one call gets
-    direct = np.array([np.atleast_1d(model.kernel.evaluate(gaps[i:i + 1]))[0]
-                       for i in range(gaps.size)])
+    direct = model.kernel.evaluate(gaps)
     records = []
     series = brackets = None
     for mode in modes:
@@ -570,14 +568,15 @@ def _emit_sweep(config, ratio_rows, curve_rows):
     ratio_text = _csv_text(config, "sweep-phi-clustering", ratio_rows[0], ratio_rows)
     curve_text = _csv_text(config, "sweep-phi-antipodal", curve_rows[0], curve_rows)
     path = output.get("path")
-    if path:
-        root = path[:-4] if path.endswith(".csv") else path
-        _emit(ratio_text, root + "-clustering.csv")
-        _emit(curve_text, root + "-antipodal.csv")
-    else:
-        sys.stdout.write(ratio_text)
-        sys.stdout.write("\n")
-        sys.stdout.write(curve_text)
+    # a path that exists as neither a file nor a directory, such as /dev/null
+    # or a pipe, takes both tables as stdout does
+    if not path or (os.path.exists(path) and not os.path.isfile(path)
+                    and not os.path.isdir(path)):
+        _emit(ratio_text + "\n" + curve_text, path)
+        return
+    root = path[:-4] if path.endswith(".csv") else path
+    _emit(ratio_text, root + "-clustering.csv")
+    _emit(curve_text, root + "-antipodal.csv")
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,13 @@ def uniform_window_series(window: UniformWindow, terms: int = DEFAULT_TERMS) -> 
     if terms < 1:
         raise ValueError("need at least one harmonic")
     _check_series_terms("sharp-window series", terms)
-    n = np.arange(1, terms + 1)
-    head = window.p * window.half_width / np.pi
-    tail = window.p * np.sin(n * window.half_width) / (np.pi * n)
-    return FourierSeries(np.concatenate(([head], tail)))
+    coeffs = np.empty(terms + 1)
+    coeffs[0] = window.p * window.half_width / np.pi
+    n = np.arange(1.0, terms + 1)  # the tail p*sin(n*w)/(pi*n), formed in place
+    tail = np.sin(np.multiply(n, window.half_width, out=coeffs[1:]), out=coeffs[1:])
+    tail *= window.p
+    tail /= np.multiply(n, np.pi, out=n)
+    return FourierSeries(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -736,13 +736,6 @@ def _reduce_counts(values) -> McEstimate:
     return McEstimate(mean, std_error, int(values.size))
 
 
-def empirical_chain_count(samples: Iterable[GraphSample], offset: int, k: int,
-                          anchor: int = 0) -> McEstimate:
-    """Mean simple chain count over a stream of samples."""
-    return _reduce_counts([chain_count_in_sample(s, offset, k, anchor)
-                           for s in samples])
-
-
 def _separation_table(batch: _Batch, offsets: Sequence[int], max_sep: int,
                       anchor: int) -> np.ndarray:
     # separation from each graph's anchor to each offset's node (graphs x

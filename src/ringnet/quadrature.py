@@ -15,17 +15,15 @@ so that its results can serve as an independent cross-check.  It offers
 Chain and triangle integrals run through one core that refines a set of
 points (the gaps of a curve, or one gap or anchor) in lockstep, each until
 it converges; per level the points share breakpoints, grouping and panel
-rules.  Kernels are still evaluated per point, on its outer nodes and on
-batches of its inner rows with equal panel counts and at most
+rules.  Kernel evaluation is elementwise, so the rows of many points are
+evaluated together, in batches of rows with equal panel counts and at most
 ``MAX_BATCH_POINTS`` points, each kernel at the nodes of its own axis and
-multiplied out on the tensor grid in axis order, since a cosine kernel's
-bits depend on how many angles one call gets.  The outer sums run node by
-node, so values are bit for bit those of a per-point loop.
+multiplied out on the tensor grid in axis order.  Each point's outer sum
+runs node by node, so values are bit for bit those of a per-point loop.
 Gauss-Legendre rules are computed once per order and process.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,9 +38,9 @@ DEFAULT_TORUS_TOL = 1e-6
 _GAUSS_ORDERS = (4, 8, 16, 32, 64, 128, 256, 512)
 _SMOOTH_COUNTS = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 
-# inner points evaluated together in one batch of a nested integral, and
-# inner rows of a curve's gaps stacked for one pass of rule construction:
-# fixed bounds on the memory of their temporaries, not tuning options
+# points of the rows evaluated together in one batch, and inner rows of a
+# curve's gaps stacked for one pass of rule construction: fixed bounds on
+# the memory of their temporaries, not tuning options
 MAX_BATCH_POINTS = 1 << 15
 MAX_STACKED_ROWS = 1 << 12
 # points of a curve whose outer rules one pass of rule construction builds,
@@ -213,57 +211,49 @@ def _outer(per_axis):
 
 def _kernel_product(axes, ends, starts=None):
     """Product (G, N) of the per-axis kernels at the angles ``ends - starts``,
-    each an array (G, n_a) or a value per axis; each kernel sees only the
+    each an array (G, n_a) or (G, 1) per axis; each kernel sees only the
     n_a angles of its own axis, not the N points of the tensor grid."""
     ends = ends if starts is None else [e - s for e, s in zip(ends, starts)]
     return _outer([kernel.evaluate(a) for (_, kernel), a in zip(axes, ends)])
 
 
-def _tensor_rules(axes, shifts, level, owners):
+def _columns(points):
+    """The per-axis coordinates (G, 1) of the rows of ``points`` (G, K)."""
+    return [column[:, None] for column in points.T]
+
+
+def _tensor_rules(axes, shifts, level):
     """Tensor-grid rules for R rows of shifts, ``shifts[a]`` (R, S_a) per axis,
-    in the batches a call per owner would form: rows with equal panel
-    counts, at most ``MAX_BATCH_POINTS`` points (or one row).  Consecutive
-    batches of one shape share their rule construction, up to the same cap.
-    Yields the owner, rows, per-axis nodes (G, n_a) and weights (G, N)."""
+    in batches of rows with equal panel counts and at most
+    ``MAX_BATCH_POINTS`` points (or one row).  Yields the rows, per-axis
+    nodes (G, n_a) and weights (G, N) of each batch."""
     per_axis = [_inner_breaks(_derived_breaks(kernel.breakpoints(), s))
                 for (_, kernel), s in zip(axes, shifts)]
-    # rows by panel counts, first axis first, then by owner; the sort is
-    # stable, so each group keeps its row order
-    keys = np.stack([owners, *[counts for _, counts in reversed(per_axis)]])
+    # rows by panel counts, first axis first; the sort is stable, so each
+    # group keeps its row order
+    keys = np.stack([counts for _, counts in reversed(per_axis)])
     order = np.lexsort(keys)
     keys = keys[:, order]
     edges = (np.flatnonzero(np.any(keys[:, 1:] != keys[:, :-1], axis=0)) + 1).tolist()
-    batches = []  # (shape, rows per batch, start, end)
     for start, end in zip([0, *edges], [*edges, order.size]):
-        shape = tuple(keys[:0:-1, start].tolist())
+        shape = keys[::-1, start].tolist()
         step = max(1, MAX_BATCH_POINTS // math.prod(_rule_size(c, level) for c in shape))
-        batches += [(shape, step, s, min(s + step, end)) for s in range(start, end, step)]
-    while batches:
-        shape, step, begin, _ = batches[0]
-        chunk = list(itertools.takewhile(
-            lambda batch: batch[0] == shape and batch[3] - begin <= step, batches))
-        batches = batches[len(chunk):]
-        rows = order[begin:chunk[-1][3]]
-        rules = [_panel_rule(breaks[rows, :count], level)
-                 for (breaks, _), count in zip(per_axis, shape)]
-        weights = _outer([w for _, w in rules])
-        for _, _, start, end in chunk:
-            local = slice(start - begin, end - begin)
-            yield (keys[0, start], order[start:end], [n[local] for n, _ in rules],
-                   weights[local])
+        for begin in range(start, end, step):
+            rows = order[begin:min(begin + step, end)]
+            rules = [_panel_rule(breaks[rows, :count], level)
+                     for (breaks, _), count in zip(per_axis, shape)]
+            yield rows, [nodes for nodes, _ in rules], _outer([w for _, w in rules])
 
 
 def _outer_rules(axes, shifts, level):
     """The one-row rules of the points whose shifts are ``shifts[a]`` (P, S_a)
-    per axis, built for ``MAX_OUTER_POINTS`` points at a time: row for row
-    the rules of one pass over all points.  Yields the point's index, its
-    per-axis nodes (1, n_a) and its weights (1, N)."""
-    count = len(shifts[0])
-    for start in range(0, count, MAX_OUTER_POINTS):
-        stop = min(start + MAX_OUTER_POINTS, count)
-        for point, _, nodes, weights in _tensor_rules(
-                axes, [s[start:stop] for s in shifts], level, np.arange(start, stop)):
-            yield point, nodes, weights
+    per axis, built for ``MAX_OUTER_POINTS`` points at a time, in the
+    batches of :func:`_tensor_rules`: yields the points' indices, per-axis
+    nodes (G, n_a) and weights (G, N)."""
+    for start in range(0, len(shifts[0]), MAX_OUTER_POINTS):
+        for rows, nodes, weights in _tensor_rules(
+                axes, [s[start:start + MAX_OUTER_POINTS] for s in shifts], level):
+            yield start + rows, nodes, weights
 
 
 def _nested_integral(axes, points, outer_shifts, outer_factor, inner_shifts, integrand,
@@ -271,46 +261,49 @@ def _nested_integral(axes, points, outer_shifts, outer_factor, inner_shifts, int
     """Iterated integrals at one level per row of ``points``: the outer grid
     sum of ``weight * outer_factor(point, x) * inner(x)``, inner(x) the
     integral over y of ``integrand(point, x, y)`` on panels from the point's
-    ``inner_shifts`` and x's coordinates.  Both take the point's row and
-    per-axis nodes, x (G, 1) and y (G, n_a), the arrays of a one-point call,
-    and return (G, N) values.  The inner rows of consecutive points are
-    stacked up to ``MAX_STACKED_ROWS`` (or one point's rows).  Returns the
-    values and the points evaluated."""
+    ``inner_shifts`` and x's coordinates.  Both take per axis each row's
+    point (G, 1) and nodes, x (G, 1) and y (G, n_a), and return (G, N)
+    values.  The inner rows of consecutive points are stacked up to
+    ``MAX_STACKED_ROWS`` (or one point's rows).  Returns the values and the
+    points evaluated."""
     totals, evaluations, stack, stacked = [0.0] * len(points), [0] * len(points), [], 0
-    for owner, nodes, weights in _outer_rules(axes, outer_shifts, level):
-        factor, weights = outer_factor(points[owner], nodes)[0], weights[0]
-        evaluations[owner] = weights.size
-        live = np.flatnonzero((factor != 0.0) & (weights != 0.0))
-        if stack and stacked + live.size > MAX_STACKED_ROWS:
-            _inner_sums(axes, points, inner_shifts, integrand, level, stack, totals,
-                        evaluations)
-            stack, stacked = [], 0
-        index = np.unravel_index(live, [n.shape[1] for n in nodes])
-        stack.append((owner, weights[live] * factor[live],
-                      [n[0, i] for n, i in zip(nodes, index)]))
-        stacked += live.size
+    for rows, nodes, weights in _outer_rules(axes, outer_shifts, level):
+        factors = outer_factor(_columns(points[rows]), nodes)
+        for row, (point, factor) in enumerate(zip(rows.tolist(), factors)):
+            evaluations[point] = factor.size
+            live = np.flatnonzero((factor != 0.0) & (weights[row] != 0.0))
+            if stack and stacked + live.size > MAX_STACKED_ROWS:
+                _inner_sums(axes, points, inner_shifts, integrand, level, stack, totals,
+                            evaluations)
+                stack, stacked = [], 0
+            index = np.unravel_index(live, [n.shape[1] for n in nodes])
+            stack.append((point, weights[row, live] * factor[live],
+                          [n[row, i] for n, i in zip(nodes, index)]))
+            stacked += live.size
     _inner_sums(axes, points, inner_shifts, integrand, level, stack, totals, evaluations)
     return totals, evaluations
 
 
 def _inner_sums(axes, points, inner_shifts, integrand, level, stack, totals, evaluations):
     """The inner integrals at the live outer nodes of the points in ``stack``,
-    (owner, outer terms, per-axis nodes) each, added up into ``totals``."""
-    row_owner = np.concatenate([np.full(terms.size, owner) for owner, terms, _ in stack])
-    if not row_owner.size:
+    (point, outer terms, per-axis nodes) each, added up into ``totals``."""
+    owner = np.concatenate([np.full(terms.size, point) for point, terms, _ in stack])
+    if not owner.size:
         return  # the outer factors vanish at every node: each total is 0
     x = [np.concatenate(axis) for axis in zip(*[nodes for _, _, nodes in stack])]
-    inner = np.empty(row_owner.size)
-    shifts = [np.column_stack([fixed[row_owner], xa]) for fixed, xa in zip(inner_shifts, x)]
-    for owner, rows, grid, grid_weights in _tensor_rules(axes, shifts, level, row_owner):
-        values = integrand(points[owner], [xa[rows, None] for xa in x], grid)
+    inner, sizes = np.empty(owner.size), np.empty(owner.size, dtype=int)
+    shifts = [np.column_stack([fixed[owner], xa]) for fixed, xa in zip(inner_shifts, x)]
+    for rows, grid, grid_weights in _tensor_rules(axes, shifts, level):
+        values = integrand(_columns(points[owner[rows]]), [xa[rows, None] for xa in x], grid)
         inner[rows] = np.sum(grid_weights * values, axis=1)
-        evaluations[owner] += values.size
+        sizes[rows] = grid_weights.shape[1]
     start = 0
-    for owner, terms, _ in stack:
-        for term in (terms * inner[start:start + terms.size]).tolist():
-            totals[owner] += term  # one node at a time in grid order, as a per-node loop adds
-        start += terms.size
+    for point, terms, _ in stack:
+        end = start + terms.size
+        evaluations[point] += int(sizes[start:end].sum())
+        for term in (terms * inner[start:end]).tolist():
+            totals[point] += term  # one node at a time in grid order, as a per-node loop adds
+        start = end
 
 
 def _check_resolved(axes):
@@ -371,14 +364,14 @@ def _chain_integral(axes, k, points, with_exclusion, tol):
         # integral over x of Q(x) * Q(gap - x); the only exclusion factor for
         # one intermediary is the direct-link term the callers apply
         def value_at(level, active):
-            values, evaluations = [0.0] * active.size, [0] * active.size
-            for owner, nodes, weights in _outer_rules(axes, [s[active] for s in fixed],
-                                                      level):
-                gaps = points[active[owner]]
+            values, evaluations = np.empty(active.size), np.empty(active.size, dtype=int)
+            for rows, nodes, weights in _outer_rules(axes, [s[active] for s in fixed],
+                                                     level):
+                gaps = _columns(points[active[rows]])
                 product = _kernel_product(axes, nodes) * _kernel_product(axes, gaps, nodes)
-                values[owner] = float(np.sum(weights * product))
-                evaluations[owner] = product.size
-            return values, evaluations
+                values[rows] = np.sum(weights * product, axis=1)
+                evaluations[rows] = weights.shape[1]
+            return values.tolist(), evaluations.tolist()
 
         return _converge(value_at, len(points), tol, "one-intermediate chain integral")
 
@@ -482,16 +475,17 @@ def chain_count_curve(model, k, gaps, with_exclusion=False, tol=None):
     # routines evaluate the same integrals without factorising)
     per_axis = [_chain_integral([axis], k, axis_gaps[:, None], with_exclusion, tol)
                 for axis, axis_gaps in zip(axes, points.T)]
+    direct = (_kernel_product(axes, _columns(points))[:, 0] if with_exclusion
+              else [None] * len(points))
     results = []
-    for point, integrals in zip(points, zip(*per_axis)):
+    for point_direct, integrals in zip(direct, zip(*per_axis)):
         terms = [(radius ** k, _checked(integral))
                  for (radius, _), integral in zip(axes, integrals)]
         value = math.prod(scale * integral.value for scale, integral in terms)
         error = _product_error(terms)
         if with_exclusion:
-            direct = _kernel_product(axes, point[:, None, None])[0, 0]
-            value = value * (1.0 - direct)
-            error = error * abs(1.0 - direct)
+            value = value * (1.0 - point_direct)
+            error = error * abs(1.0 - point_direct)
         results.append(IntegrationResult(value, error,
                                          sum(r.evaluations for _, r in terms)))
     return results

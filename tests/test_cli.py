@@ -227,6 +227,21 @@ def test_sweep_phi_files(tmp_path):
     assert float(last["ptilde_k2"]) == pytest.approx(0.1 / math.pi, rel=1e-9)
 
 
+def test_sweep_phi_out_to_a_device_writes_no_prefixed_files(tmp_path, capsys):
+    # /dev/null is no file to name others after: it takes the stdout layout
+    config = write_config(tmp_path, {"computation": {
+        "phi_grid": [0.5, math.pi], "k_list": [1], "tail_terms": 1000}})
+    prefixed = [os.devnull + "-clustering.csv", os.devnull + "-antipodal.csv"]
+    try:
+        code, out = run_cli(capsys, "sweep-phi", "--config", config, "--out", os.devnull)
+        assert (code, out) == (EXIT_OK, "")
+        assert [path for path in prefixed if os.path.exists(path)] == []
+    finally:
+        for path in prefixed:
+            if os.path.exists(path):
+                os.remove(path)
+
+
 def test_sweep_phi_rejects_bad_grid(tmp_path, capsys):
     config = write_config(tmp_path, {
         "space": {"type": "circle", "radius": 20.0},
@@ -770,8 +785,8 @@ def test_correction_order_over_budget_exits_3(tmp_path, capsys):
 # sha256 of the CSV output for the SMOOTH cosine kernel on a circle of
 # radius 20 in the three analytic modes; a cosine kernel is its own series
 COSINE_OUTPUT_SHA256 = {
-    "clustering": "bec688b89e95348e0db703e9f9d1b057493b23054d7a766181e9127b8639913f",
-    "separation": "8d19438fff8e4a68e1993b0d50c8bb9a7403610db983740df477cec817c20f3f",
+    "clustering": "8f928e5946e35d9659496150227892d749c1c84bb4f1d1737f0875ac27c1a110",
+    "separation": "ecf878bb3abb606c1f56ce1c0cba0fd3569aef43927a7ccc5463ad5b5962177c",
 }
 
 
@@ -838,8 +853,8 @@ SEPARATION_PIN_CONFIGS = {
 SEPARATION_OUTPUT_SHA256 = {
     ("uniform", "csv"): "2a3d233cfa631a6ed812cfbea65ae4e467f1d2abcba5931d2b1669d94e473504",
     ("uniform", "json"): "b72e5b32e00361fc60b02ccef7594f8b8c07e5717252207bf0bec159f59e2304",
-    ("cosine", "csv"): "8d9eebf377217133f19286dc9f28398308cca9f884cf06ddd773d620937cd6e5",
-    ("cosine", "json"): "7b927ed88dc1a15d96232b17884917a41c9f0c17c69fbc016fbcae819c0b5165",
+    ("cosine", "csv"): "d5f9fd00b34d55a1d7484323efc2d5f7c2cfe11e9c7e3bade9478d413a556108",
+    ("cosine", "json"): "909e3df02aeedb55fe991cc56fa6e88b672a6ad27c68adb13c54531ed28e925e",
 }
 
 

@@ -190,6 +190,29 @@ def test_window_series_builds_no_per_coefficient_objects():
     assert series.order == terms
 
 
+@pytest.mark.parametrize("window", [UniformWindow(0.1, 1.0), UniformWindow(1.0, math.pi),
+                                    UniformWindow(0.3, 1e-3), UniformWindow(1e-300, 0.5)])
+@pytest.mark.parametrize("terms", [1, 7, 4096, 200_000])
+def test_window_series_tail_formed_in_place_keeps_its_bits(window, terms):
+    n = np.arange(1, terms + 1)
+    tail = window.p * np.sin(n * window.half_width) / (np.pi * n)
+    expected = np.concatenate(([window.p * window.half_width / np.pi], tail))
+    series = uniform_window_series(window, terms)
+    assert series._array.tobytes() == expected.tobytes()  # signed zeros too
+
+
+def test_window_series_tail_needs_one_more_array():
+    terms = 200_000
+    tracemalloc.start()
+    try:
+        uniform_window_series(UniformWindow(0.1, 1.0), terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the coefficients, the harmonic numbers and the series' own copy
+    assert peak <= 3.25 * 8 * (terms + 1)
+
+
 @pytest.mark.parametrize("values", [(), (1.0, math.nan), (math.inf,), ((1.0, 2.0),)])
 def test_series_rejects_bad_coefficients(values):
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from ringnet import kernels
@@ -157,13 +158,112 @@ def test_validate_negative_cosine_reconstruction():
     assert any("negative probability" in msg for msg in problems)
 
 
-def test_range_check_in_row_blocks_finds_the_same_extremes(monkeypatch):
-    # 0.1 + 0.6 cos(x) + 0.1 cos(2x) dips to -0.4 at x = pi, in the last block
+def table_evaluate(kernel, angle):
+    """The cosine series summed from a (points x harmonics) table of np.cos,
+    the reference for the elementwise recurrence.  To first order its error
+    is below (n pi + n + 2) eps/2 sum|a_k| on [-pi, pi], under the bound of
+    CosineSeries.evaluate: cos(k phi) rounds k phi, then itself, and the
+    product adds n + 1 terms."""
+    coeffs = np.asarray(kernel.coeffs)
+    weights = np.full(coeffs.size, 2.0)
+    weights[0] = 1.0
+    phi = np.atleast_1d(np.asarray(angle, dtype=float)).ravel()
+    values = np.cos(phi[:, None] * np.arange(coeffs.size)[None, :]) @ (weights * coeffs)
+    return values.reshape(np.shape(angle))
+
+
+def evaluation_bound(kernel):
+    """The first-order error bound stated by CosineSeries.evaluate."""
+    coeffs = np.abs(np.asarray(kernel.coeffs))
+    return 8 * (kernel.order + 1) * np.finfo(float).eps * (2 * coeffs.sum() - coeffs[0])
+
+
+def random_series(order, seed, positive=False):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(0.0 if positive else -1.0, 1.0, order + 1) / (order + 1)
+    return CosineSeries(coeffs)
+
+
+# at, and within 1e-8 of, the angles where the recurrence switches or
+# degenerates: 0, +-pi/2 and +-pi
+SPECIAL_ANGLES = [0.0, -0.0, math.pi, -math.pi, 0.5 * math.pi, -0.5 * math.pi,
+                  math.nextafter(0.5 * math.pi, 4.0), math.nextafter(math.pi, 0.0),
+                  5e-324, -5e-324, 2.0 * math.pi, 7.0 * math.pi]
+angle_lists = st.lists(
+    st.one_of(st.sampled_from(SPECIAL_ANGLES),
+              st.builds(lambda base, shift: base + shift,
+                        st.sampled_from([0.0, math.pi, -math.pi, 0.5 * math.pi]),
+                        st.floats(-1e-8, 1e-8)),
+              st.floats(-10.0, 10.0)),
+    min_size=1, max_size=48)
+
+
+def same_bits(a, b):
+    return np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=st.integers(0, 2048), seed=st.integers(0, 2 ** 32 - 1), angles=angle_lists,
+       cut=st.integers(0, 47), stride=st.integers(1, 5))
+@example(order=2047, seed=0, angles=SPECIAL_ANGLES, cut=5, stride=3)
+def test_cosine_evaluation_is_elementwise_property(order, seed, angles, cut, stride):
+    # a value's bits do not depend on the other angles of the call, on
+    # strides or on the array's shape
+    kernel = random_series(order, seed)
+    angles = np.array(angles)
+    whole = kernel.evaluate(angles)
+    assert whole.shape == angles.shape
+    cut = min(cut, angles.size - 1)
+    assert same_bits(kernel.evaluate(angles[cut:]), whole[cut:])
+    assert same_bits(kernel.evaluate(angles[cut::stride]), whole[cut::stride])
+    assert same_bits(kernel.evaluate(angles[::-1]), whole[::-1])
+    value = kernel.evaluate(float(angles[cut]))
+    assert isinstance(value, float) and same_bits(np.array(value), whole[cut])
+    if angles.size % 2 == 0:
+        square = angles.reshape(2, -1)
+        assert same_bits(kernel.evaluate(square), whole.reshape(2, -1))
+        assert same_bits(kernel.evaluate(square.T), whole.reshape(2, -1).T)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 40, 333, 2048])
+@pytest.mark.parametrize("positive", [False, True], ids=["mixed", "positive"])
+def test_cosine_evaluation_agrees_with_the_table_within_the_bound(order, positive):
+    kernel = random_series(order, order, positive)
+    near = np.array([0.0, 0.5 * math.pi, math.pi])[:, None] + np.array([-1e-8, 1e-8])
+    angles = np.concatenate([np.linspace(-math.pi, math.pi, 1001),
+                             [a for a in SPECIAL_ANGLES if abs(a) <= math.pi],
+                             np.clip(near.ravel(), -math.pi, math.pi)])
+    difference = np.abs(kernel.evaluate(angles) - table_evaluate(kernel, angles))
+    # each evaluation is within the stated bound of the exact sum
+    assert np.max(difference) <= 2 * evaluation_bound(kernel)
+
+
+@pytest.mark.parametrize("kernel", [
+    CosineSeries((0.005, 0.05)),
+    CosineSeries((0.1, 0.3, 0.05)),
+    CosineSeries((0.1, 0.3)),
+    CosineSeries(tuple(0.1 * 0.8 ** n for n in range(41))),
+    CosineSeries([0.25] + [0.1 * 0.5 ** n for n in range(1, 2048)]),
+], ids=["dips", "dips-at-pi", "dips-half", "smooth", "2048-harmonics"])
+def test_range_check_reports_what_the_table_reports(monkeypatch, kernel):
+    found = kernel.violations()
+    monkeypatch.setattr(CosineSeries, "evaluate", table_evaluate)
+    assert found == kernel.violations()
+
+
+def test_range_check_evaluates_the_whole_grid_in_one_call(monkeypatch):
+    # 0.1 + 0.6 cos(x) + 0.1 cos(2x) dips to -0.4 at x = -pi, the first point
     kernel = CosineSeries((0.1, 0.3, 0.05))
-    whole = kernel.violations()
-    assert whole == ["negative probability (minimum -4.000e-01)"]
-    monkeypatch.setattr(kernels, "RANGE_CHECK_CELLS", 7)
-    assert kernel.violations() == whole
+    calls = []
+    evaluate = CosineSeries.evaluate
+
+    def counted(self, angle):
+        calls.append(np.shape(angle))
+        return evaluate(self, angle)
+
+    monkeypatch.setattr(CosineSeries, "evaluate", counted)
+    assert kernel.violations() == ["negative probability (minimum -4.000e-01)"]
+    assert calls == [(4 * 2 + kernels.DENSE_CHECK_EXTRA,)]
 
 
 def test_range_check_memory_is_capped():
@@ -175,7 +275,7 @@ def test_range_check_memory_is_capped():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the angle-by-harmonic product and its cosine take 16 MiB per block
+    # the recurrence holds a few arrays of the 8,252 angles of the grid
     assert peak <= 32 * 2 ** 20
 
 

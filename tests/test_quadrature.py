@@ -573,9 +573,9 @@ def test_curve_bit_identical_to_one_gap_calls_property(kernel, gaps, k, with_exc
 
 def test_curve_raises_the_first_failing_gap_in_grid_order():
     # at tol 0 a level must repeat the previous value bit for bit: of these
-    # gaps only 1.178 and 1.963 never do, and each fails with its own numbers
+    # gaps only 0.982 and 1.767 never do, and each fails with its own numbers
     model = CircleModel(20.0, SMOOTH)
-    grid = [math.pi / 4.0, 3.0 * math.pi / 8.0, math.pi / 2.0, 5.0 * math.pi / 8.0]
+    grid = [math.pi / 4.0, 5.0 * math.pi / 16.0, 3.0 * math.pi / 8.0, 9.0 * math.pi / 16.0]
     alone = {}
     for gap in grid:
         try:
@@ -616,23 +616,53 @@ def test_curve_derives_breakpoints_once_per_level(monkeypatch):
 
 
 def test_curve_stacks_inner_rows_up_to_the_cap(monkeypatch):
-    # how many gaps share one pass of inner rule construction moves no bit
-    model = CircleModel(20.0, UniformWindow(0.1, 0.5))
-    grid = np.linspace(0.0, math.pi, 13)
-    expected = [chain_count_result(model, 2, gap, with_exclusion=True) for gap in grid]
-    cap, stacks = 40, []
+    # how many gaps share one pass of inner rule construction, and one batch
+    # of kernel calls, moves no bit; the cosine kernel's 32 or more live
+    # outer nodes per gap need a larger cap to stack several gaps
     tensor_rules = quadrature._tensor_rules
+    stacks, batches = [], []
 
-    def recording(axes, shifts, level, owners):
-        if shifts[0].shape[1] == 3:  # inner rows: 0, the gap and the outer node
-            stacks.append((owners.size, len(set(owners.tolist()))))
-        return tensor_rules(axes, shifts, level, owners)
+    def recording(axes, shifts, level):
+        if shifts[0].shape[1] != 3:  # inner rows: 0, the gap and the outer node
+            yield from tensor_rules(axes, shifts, level)
+            return
+        gaps = shifts[0][:, 1]
+        stacks.append((gaps.size, len(set(gaps.tolist()))))
+        for rows, nodes, weights in tensor_rules(axes, shifts, level):
+            batches.append(len(set(gaps[rows].tolist())))
+            yield rows, nodes, weights
 
-    monkeypatch.setattr(quadrature, "MAX_STACKED_ROWS", cap)
-    monkeypatch.setattr(quadrature, "_tensor_rules", recording)
-    assert quadrature.chain_count_curve(model, 2, grid, with_exclusion=True) == expected
-    assert any(gaps > 1 for _, gaps in stacks)
-    assert all(rows <= cap or gaps == 1 for rows, gaps in stacks)
+    grid = np.linspace(0.0, math.pi, 13)
+    for kernel, cap in ((UniformWindow(0.1, 0.5), 40), (SMOOTH, 100)):
+        model = CircleModel(20.0, kernel)
+        expected = [chain_count_result(model, 2, gap, with_exclusion=True) for gap in grid]
+        stacks.clear()
+        batches.clear()
+        monkeypatch.setattr(quadrature, "MAX_STACKED_ROWS", cap)
+        monkeypatch.setattr(quadrature, "_tensor_rules", recording)
+        assert quadrature.chain_count_curve(model, 2, grid, with_exclusion=True) == expected
+        monkeypatch.undo()
+        assert any(gaps > 1 for _, gaps in stacks)
+        assert all(rows <= cap or gaps == 1 for rows, gaps in stacks)
+        assert any(gaps > 1 for gaps in batches)  # one batch serves several gaps
+
+
+def test_curve_evaluates_many_gaps_per_kernel_call(monkeypatch):
+    # kernel evaluation is elementwise, so rows of all 97 gaps share batches:
+    # 388 calls for k = 1 and 582 for k = 2 when each gap had its own
+    model = CircleModel(20.0, UniformWindow(0.1, 0.5))
+    grid = np.linspace(0.0, math.pi, 97)
+    calls = []
+    kernel_product = quadrature._kernel_product
+
+    def counted(*args):
+        calls.append(len(args))
+        return kernel_product(*args)
+
+    monkeypatch.setattr(quadrature, "_kernel_product", counted)
+    for k in (1, 2):
+        quadrature.chain_count_curve(model, k, grid)
+    assert len(calls) < 120
 
 
 def test_curve_memory_does_not_grow_with_gaps():
