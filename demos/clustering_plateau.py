@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from ringnet import CircleModel, UniformWindow, clustering_by_quadrature, clustering_uniform
+from ringnet import CircleModel, UniformWindow, clustering_result, clustering_uniform
 
 p = 0.1
 widths = np.linspace(0.05, math.pi, 200)
@@ -37,7 +37,7 @@ print(f"value at half-width pi: {ratios[-1]:.12f}")
 
 # spot check one point against direct numerical integration
 w = 1.3
-quad = clustering_by_quadrature(CircleModel(20.0, UniformWindow(p, w)))
+quad = clustering_result(CircleModel(20.0, UniformWindow(p, w))).value
 series = clustering_uniform(p, w).value
 print(f"cross-check at {w}: series {series:.10f}, quadrature {quad:.10f}")
 

@@ -14,7 +14,7 @@ from ringnet import (
     UniformWindow,
     chain_count_leading,
     discrete_chain_count,
-    estimate_chain_count,
+    estimate_chain_counts,
     uniform_window_series,
 )
 
@@ -30,7 +30,7 @@ for k, offset in ((1, 20), (1, 40), (2, 30), (2, 60)):
     gap = 2.0 * math.pi * offset / n
     exact = discrete_chain_count(n, kernel, k, offset).reduced
     cont = chain_count_leading(series, radius, k, gap)
-    mc = estimate_chain_count(n, kernel, offset, k, trials, master_seed=7)
+    mc = estimate_chain_counts(n, kernel, offset, (k,), trials, master_seed=7)[0]
     print(f"{k:>2} {offset:>7} {exact:>15.6f} {cont:>12.6f} "
           f"{mc.mean:>11.4f} +- {mc.std_error:.4f}")
 
@@ -41,7 +41,7 @@ gap = 2.0 * math.pi * offset / n
 for k in (1, 2):
     assert (k + 1) * kernel.half_width < gap
     exact = discrete_chain_count(n, kernel, k, offset).reduced
-    mc = estimate_chain_count(n, kernel, offset, k, 500, master_seed=7)
+    mc = estimate_chain_counts(n, kernel, offset, (k,), 500, master_seed=7)[0]
     print(f"\nk={k} at offset {offset} (gap {gap:.3f} > reach "
           f"{(k + 1) * kernel.half_width:.3f}):")
     print(f"  discrete {exact}, monte carlo {mc.mean} over {mc.trials} trials")

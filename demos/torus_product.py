@@ -16,7 +16,7 @@ from ringnet import (
     UniformWindow,
     chain_count_torus,
     chain_count_torus_grid,
-    clustering_by_quadrature,
+    clustering_result,
     clustering_torus_grid,
     estimate_mean_degree,
     mean_degree,
@@ -26,7 +26,7 @@ from ringnet import (
 kernel = ProductKernel((UniformWindow(0.6, 0.8), UniformWindow(0.5, 1.1)))
 model = TorusModel((6.0, 5.0), kernel)
 
-fact = clustering_by_quadrature(model)
+fact = clustering_result(model).value
 grid = clustering_torus_grid(model)
 print(f"clustering  factorized {fact:.10f}  tensor grid {grid:.10f}  "
       f"rel diff {abs(fact - grid) / grid:.2e}")

@@ -296,11 +296,14 @@ def _json_text(config, schema_name, records):
 
 
 def _emit(text, path):
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output to {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +665,7 @@ def _battery_checks(config):
     check("clustering-closed-vs-series", closed.value, series_value,
           1e-10, scale=abs(closed.value))
     model = CircleModel(radius, window)
-    quad_value = quadrature.clustering_by_quadrature(model)
+    quad_value = quadrature.clustering_result(model).value
     check("clustering-closed-vs-quadrature", closed.value, quad_value,
           1e-6, scale=abs(closed.value))
 
@@ -671,7 +674,7 @@ def _battery_checks(config):
     chain_series = fourier.uniform_window_series(chain_window, 4096)
     for order, gap_value in ((1, 0.7), (2, 0.7)):
         lead = fourier.chain_count_leading(chain_series, 20.0, order, gap_value)
-        quad = quadrature.chain_count_by_quadrature(chain_model, order, gap_value)
+        quad = quadrature.chain_count_result(chain_model, order, gap_value).value
         check(f"chain-leading-vs-quadrature-k{order}", lead, quad,
               1e-6, scale=max(abs(quad), 1e-12))
 
@@ -744,7 +747,7 @@ def _battery_checks(config):
     grid_value = quadrature.chain_count_torus_grid(torus_model, 2, (0.7, 0.4))
     check("torus-chain-factorization", factorized, grid_value, 1e-3,
           scale=max(abs(grid_value), 1e-12))
-    cluster_factorized = quadrature.clustering_by_quadrature(torus_model)
+    cluster_factorized = quadrature.clustering_result(torus_model).value
     cluster_grid = quadrature.clustering_torus_grid(torus_model)
     check("torus-clustering-factorization", cluster_factorized, cluster_grid,
           1e-3, scale=max(abs(cluster_grid), 1e-12))

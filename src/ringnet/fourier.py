@@ -132,10 +132,6 @@ def leading_brackets(series: FourierSeries, orders: Sequence[int], gap) -> list:
     return [float(total[0]) for total in totals] if np.ndim(gap) == 0 else totals
 
 
-def _leading_bracket(series: FourierSeries, k: int, gap):
-    return leading_brackets(series, (k,), gap)[0]
-
-
 @lru_cache(maxsize=8)
 def _correction_tables(series: FourierSeries, correction_order: int):
     # gap-independent pieces of the quadratic and cubic correction sums,
@@ -187,12 +183,12 @@ def _effective_correction_order(series: FourierSeries, correction_order: int) ->
 
 def _two_step_bracket(series: FourierSeries, gap, correction_order: int, bracket=None):
     # the leading power sum (``bracket`` when given), less twice the
-    # quadratic correction sum plus the cubic one, like _leading_bracket at
+    # quadratic correction sum plus the cubic one, like leading_brackets at
     # a gap or an array of gaps; order zero switches the corrections off
     if correction_order < 0:
         raise ValueError("correction order must be non-negative")
     gaps = np.asarray(gap, dtype=float).reshape(-1)
-    bracket = np.array(_leading_bracket(series, 2, gaps) if bracket is None else bracket,
+    bracket = np.array(leading_brackets(series, (2,), gaps)[0] if bracket is None else bracket,
                        dtype=float).reshape(-1)
     if correction_order > 0:
         mc = _effective_correction_order(series, correction_order)
@@ -219,7 +215,7 @@ def chain_count_leading(series: FourierSeries, radius: float, k: int, gap,
     if k < 1:
         raise ValueError("chain counts need at least one intermediary")
     if bracket is None:
-        bracket = _leading_bracket(series, k, gap)
+        bracket = leading_brackets(series, (k,), gap)[0]
     return (TWO_PI * radius) ** k * bracket
 
 

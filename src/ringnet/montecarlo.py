@@ -245,20 +245,6 @@ def _map_runs(task, trials: int, threads: int) -> list:
         return [result for run in runs for result in run]
 
 
-def run_trials(worker, trials: int, master_seed: int, threads: int = 1) -> list:
-    """Run ``worker(seed)`` once per trial and collect results in trial order.
-
-    The per-trial seeds come from :func:`trial_seed`, and the ordered merge
-    makes the output independent of the thread count.  The pool never has
-    more workers than the CPUs this process may run on.
-    """
-    def run(start, stop):
-        seeds = _trial_seeds(master_seed, np.arange(start, stop)).tolist()
-        return [worker(seed) for seed in seeds]
-
-    return _map_runs(run, trials, threads)
-
-
 # ---------------------------------------------------------------------------
 # graph sampling
 # ---------------------------------------------------------------------------
@@ -837,11 +823,11 @@ def estimate_clustering(shape, kernel, trials: int, master_seed: int,
 def estimate_chain_counts(shape, kernel, offset: int, orders: Sequence[int],
                           trials: int, master_seed: int, threads: int = 1,
                           anchor: int = 0) -> tuple[McEstimate, ...]:
-    """One mean simple chain count per number of intermediaries in
-    ``orders``, all measured on the same trials.
+    """One mean simple chain count over freshly sampled trials per number of
+    intermediaries in ``orders``, all measured on the same trials.
 
-    Each estimate equals the :func:`estimate_chain_count` call for its
-    order, but every trial graph is sampled once.
+    Each estimate equals the one a call with its order alone returns, and
+    every trial graph is sampled once.
     """
     orders = tuple(orders)
     _check_orders(orders)
@@ -851,22 +837,15 @@ def estimate_chain_counts(shape, kernel, offset: int, orders: Sequence[int],
     return tuple(_reduce_counts(column) for column in table.T)
 
 
-def estimate_chain_count(shape, kernel, offset: int, k: int, trials: int,
-                         master_seed: int, threads: int = 1,
-                         anchor: int = 0) -> McEstimate:
-    """Mean simple chain count over freshly sampled trials."""
-    return estimate_chain_counts(shape, kernel, offset, (k,), trials, master_seed,
-                                 threads, anchor)[0]
-
-
 def estimate_separation_histograms(shape, kernel, offsets: Sequence[int],
                                    max_sep: int, trials: int, master_seed: int,
                                    threads: int = 1, anchor: int = 0
                                    ) -> tuple[SeparationHistogram, ...]:
-    """One separation histogram per offset, all measured on the same trials.
+    """One separation histogram over freshly sampled trials per offset, all
+    measured on the same trials.
 
-    Each histogram equals the :func:`estimate_separation_histogram` call
-    for its offset, but every trial graph is sampled and searched once.
+    Each histogram equals the one a call with its offset alone returns, and
+    every trial graph is sampled and searched once.
     """
     if max_sep < 0:
         raise ValueError("max_sep must be non-negative")
@@ -875,12 +854,3 @@ def estimate_separation_histograms(shape, kernel, offsets: Sequence[int],
                          lambda batch: _separation_table(batch, offsets, max_sep, anchor),
                          trials, master_seed, threads)
     return tuple(_reduce_separations(column, max_sep) for column in table.T)
-
-
-def estimate_separation_histogram(shape, kernel, offset: int, max_sep: int,
-                                  trials: int, master_seed: int,
-                                  threads: int = 1,
-                                  anchor: int = 0) -> SeparationHistogram:
-    """Separation histogram over freshly sampled trials."""
-    return estimate_separation_histograms(
-        shape, kernel, (offset,), max_sep, trials, master_seed, threads, anchor)[0]

@@ -3,12 +3,10 @@
 This module deliberately avoids the series machinery in :mod:`ringnet.fourier`
 so that its results can serve as an independent cross-check.  It offers
 
-* a periodic integrator over [-pi, pi] that splits the domain at kernel
-  discontinuities (composite Gauss-Legendre panels) and switches to an
-  equispaced rule when the integrand is smooth,
 * chain and clustering integrals for circle and torus models, evaluated by
-  nested one-dimensional quadrature so that panel edges can track the
-  discontinuities introduced by shifted kernel factors, and
+  nested one-dimensional quadrature over [-pi, pi]: composite Gauss-Legendre
+  panels whose edges track the discontinuities of the shifted kernel
+  factors, or an equispaced rule where the integrand is smooth, and
 * exact expected chain counts on a finite ring of equally spaced nodes,
   obtained by brute-force summation over intermediate nodes.
 
@@ -35,8 +33,10 @@ from .kernels import (CostBudgetError, TorusModel, TWO_PI, axis_mean_degree,
 DEFAULT_TOL = 1e-9
 DEFAULT_TORUS_TOL = 1e-6
 
-_GAUSS_ORDERS = (4, 8, 16, 32, 64, 128, 256, 512)
-_SMOOTH_COUNTS = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
+# the rules of the six refinement levels: Gauss-Legendre orders per panel,
+# and node counts of the equispaced rule
+_GAUSS_ORDERS = (4, 8, 16, 32, 64, 128)
+_SMOOTH_COUNTS = (32, 64, 128, 256, 512, 1024)
 
 # points of the rows evaluated together in one batch, and inner rows of a
 # curve's gaps stacked for one pass of rule construction: fixed bounds on
@@ -108,8 +108,8 @@ def _gauss_rule(order):
 def _rule_size(count, level):
     """Nodes of the rule at ``level`` with ``count`` interior breakpoints."""
     if count:
-        return (count + 1) * _GAUSS_ORDERS[min(level, len(_GAUSS_ORDERS) - 1)]
-    return _SMOOTH_COUNTS[min(level, len(_SMOOTH_COUNTS) - 1)]
+        return (count + 1) * _GAUSS_ORDERS[level]
+    return _SMOOTH_COUNTS[level]
 
 
 def _inner_breaks(candidates):
@@ -146,57 +146,17 @@ def _panel_rule(breaks, level):
     """
     rows, count = breaks.shape
     if count:
-        base_x, base_w = _gauss_rule(_GAUSS_ORDERS[min(level, len(_GAUSS_ORDERS) - 1)])
+        base_x, base_w = _gauss_rule(_GAUSS_ORDERS[level])
         edges = np.empty((rows, count + 2))
         edges[:, 0], edges[:, 1:-1], edges[:, -1] = -math.pi, breaks, math.pi
         left, right = edges[:, :-1, None], edges[:, 1:, None]
         half = 0.5 * (right - left)
         nodes = 0.5 * (left + right) + half * base_x
         return nodes.reshape(rows, -1), (half * base_w).reshape(rows, -1)
-    count = _SMOOTH_COUNTS[min(level, len(_SMOOTH_COUNTS) - 1)]
+    count = _SMOOTH_COUNTS[level]
     step = TWO_PI / count
     nodes = -math.pi + step * (np.arange(count) + 0.5)
     return np.repeat(nodes[None, :], rows, axis=0), np.full((rows, count), step)
-
-
-def integrate_periodic(f, breakpoints=(), tol=DEFAULT_TOL, max_evaluations=2_000_000):
-    """Integrate ``f`` over one period [-pi, pi].
-
-    Parameters
-    ----------
-    f : callable
-        Vectorised integrand; called with an array of angles, must return an
-        array of the same length.
-    breakpoints : sequence of float
-        Angles where the integrand is not smooth.  They are wrapped into the
-        period and used as panel edges.
-    tol : float
-        Absolute tolerance on the result.  Refinement stops once two
-        successive rules agree to within ``tol``.
-    max_evaluations : int
-        Budget on the total number of integrand evaluations.
-
-    Returns
-    -------
-    IntegrationResult
-
-    Raises
-    ------
-    QuadratureError
-        If the tolerance is not reached within the evaluation budget; the
-        error carries the tolerance actually achieved.
-    """
-    breaks, counts = _inner_breaks(np.asarray(breakpoints, dtype=float).reshape(1, -1))
-    breaks = breaks[:, :counts[0]]
-    # the levels whose rules fit in the evaluation budget together
-    sizes = [_rule_size(counts[0], level) for level in range(len(_SMOOTH_COUNTS))]
-    levels = int(np.searchsorted(np.cumsum(sizes), max_evaluations, side="right"))
-
-    def value_at(level, _):
-        nodes, weights = _panel_rule(breaks, level)
-        return [float(np.sum(weights[0] * np.asarray(f(nodes[0]), dtype=float)))], [nodes.size]
-
-    return _checked(_converge(value_at, 1, tol, "periodic integral", levels)[0])
 
 
 def _outer(per_axis):
@@ -322,15 +282,16 @@ def _check_resolved(axes):
                 f"quadrature resolution of {MIN_FEATURE:.0e}")
 
 
-def _converge(value_at, count, tol, label, levels=6):
-    """Refine ``count`` integrals in lockstep, each until two successive
-    values agree to within ``tol``: ``value_at(level, active)`` returns the
-    values and evaluation counts of the integrals indexed by ``active``.
-    Returns per integral an IntegrationResult or its QuadratureError."""
+def _converge(value_at, count, tol, label):
+    """Refine ``count`` integrals in lockstep over the refinement levels, each
+    until two successive values agree to within ``tol``: ``value_at(level,
+    active)`` returns the values and evaluation counts of the integrals
+    indexed by ``active``.  Returns per integral an IntegrationResult or its
+    QuadratureError."""
     outcomes, previous = [None] * count, [None] * count
     difference, evaluations = [math.inf] * count, [0] * count
     active = list(range(count))
-    for level in range(levels):
+    for level in range(len(_GAUSS_ORDERS)):
         if not active:
             break
         for index, value, evaluated in zip(active, *value_at(level, np.array(active))):
@@ -491,11 +452,6 @@ def chain_count_curve(model, k, gaps, with_exclusion=False, tol=None):
     return results
 
 
-def chain_count_by_quadrature(model, k, gap, with_exclusion=False, tol=None):
-    """The value of :func:`chain_count_result`, a float."""
-    return chain_count_result(model, k, gap, with_exclusion, tol).value
-
-
 def clustering_result(model, tol=None, anchor=0.0):
     """Mean clustering coefficient by direct integration.
 
@@ -523,11 +479,6 @@ def clustering_result(model, tol=None, anchor=0.0):
                              sum(r.evaluations for _, r in terms))
 
 
-def clustering_by_quadrature(model, tol=None, anchor=0.0):
-    """The value of :func:`clustering_result`, a float."""
-    return clustering_result(model, tol, anchor).value
-
-
 # ---------------------------------------------------------------------------
 # unfactorised torus grids
 # ---------------------------------------------------------------------------
@@ -536,7 +487,7 @@ def clustering_torus_grid(model, tol=DEFAULT_TORUS_TOL):
     """Clustering coefficient on a torus without factorising the integrand:
     the 2K-dimensional triangle integral on nested tensor grids over the
     triangle corners, divided by the squared mean degree.  The cross-check
-    for :func:`clustering_by_quadrature`."""
+    for :func:`clustering_result`."""
     if not isinstance(model, TorusModel):
         raise TypeError("clustering_torus_grid expects a torus model")
     degree = mean_degree(model)
@@ -548,7 +499,7 @@ def clustering_torus_grid(model, tol=DEFAULT_TORUS_TOL):
 
 def chain_count_torus_grid(model, k, gaps, tol=DEFAULT_TORUS_TOL):
     """Reduced chain count on a torus by unfactorised tensor-grid quadrature:
-    :func:`chain_count_by_quadrature` with ``with_exclusion=False``, on full
+    :func:`chain_count_result` with ``with_exclusion=False``, on full
     K-dimensional grids, as its cross-check."""
     if not isinstance(model, TorusModel):
         raise TypeError("chain_count_torus_grid expects a torus model")

@@ -22,16 +22,16 @@ from ringnet import (
     chain_count_leading,
     chain_count_torus,
     chain_count_torus_grid,
-    clustering_by_quadrature,
+    clustering_result,
     clustering_torus_grid,
     clustering_uniform,
     clustering_from_series,
     discrete_chain_count,
     discrete_mean_degree,
-    estimate_chain_count,
+    estimate_chain_counts,
     estimate_clustering,
     estimate_mean_degree,
-    estimate_separation_histogram,
+    estimate_separation_histograms,
     uniform_window_series,
 )
 from ringnet.cli import main as cli_main
@@ -50,7 +50,7 @@ def test_criterion_01_full_circle_identity():
         worst_closed = max(worst_closed, abs(closed.value - p))
         assert abs(closed.value - p) <= 1e-12
         model = CircleModel(20.0, UniformWindow(p, math.pi))
-        quad = clustering_by_quadrature(model)
+        quad = clustering_result(model).value
         worst_quad = max(worst_quad, abs(quad - p))
         assert abs(quad - p) <= 1e-9
     elapsed = time.perf_counter() - start
@@ -65,7 +65,7 @@ def test_criterion_02_plateau_value():
     at_one = clustering_uniform(0.1, 1.0, tail_terms=1_000_000)
     ratio_one = at_one.value / 0.1
     assert ratio_one == pytest.approx(0.750, abs=0.005)
-    quad = clustering_by_quadrature(CircleModel(20.0, UniformWindow(0.1, 1.0)))
+    quad = clustering_result(CircleModel(20.0, UniformWindow(0.1, 1.0))).value
     assert quad / 0.1 == pytest.approx(ratio_one, abs=1e-6)
     narrow = clustering_uniform(0.1, 0.05, tail_terms=1_000_000)
     ratio_narrow = narrow.value / 0.1
@@ -94,8 +94,7 @@ def test_criterion_03_route_equivalence():
         rel_series = abs(value - closed.value) / closed.value
         worst_series = max(worst_series, rel_series)
         assert rel_series <= 1e-10
-        quad = clustering_by_quadrature(CircleModel(radius,
-                                                    UniformWindow(p, width)))
+        quad = clustering_result(CircleModel(radius, UniformWindow(p, width))).value
         rel_quad = abs(quad - closed.value) / closed.value
         worst_quad = max(worst_quad, rel_quad)
         assert rel_quad <= 1e-6
@@ -127,8 +126,8 @@ def test_criterion_04_chain_oracle_triangle():
                 * 2.0 / (k * float(terms) ** k))
         assert abs(exact - continuum) <= 0.05 * max(abs(exact),
                                                     abs(continuum)) + tail
-        mc = estimate_chain_count(n, kernel, offset, k, trials=100_000,
-                                  master_seed=20260822, threads=8)
+        mc = estimate_chain_counts(n, kernel, offset, (k,), trials=100_000,
+                                   master_seed=20260822, threads=8)[0]
         assert abs(mc.mean - exact) <= 3.0 * mc.std_error
         details.append(f"k={k}: exact {exact}, series {continuum:.2e}, "
                        f"mc {mc.mean} (se {mc.std_error})")
@@ -231,7 +230,7 @@ def test_criterion_08_torus_factorization():
     start = time.perf_counter()
     kernel = ProductKernel((UniformWindow(0.5, 0.9), UniformWindow(0.4, 1.1)))
     model = TorusModel((6.0, 5.0), kernel)
-    cluster_fact = clustering_by_quadrature(model)
+    cluster_fact = clustering_result(model).value
     cluster_grid = clustering_torus_grid(model)
     rel_cluster = abs(cluster_fact - cluster_grid) / abs(cluster_grid)
     assert rel_cluster <= 1e-3
@@ -280,13 +279,13 @@ def test_criterion_10_direct_link_entry():
     inside_offset = 20
     gap = 2.0 * math.pi * inside_offset / n
     q_inside = float(kernel.evaluate(gap))
-    inside = estimate_separation_histogram(n, kernel, inside_offset, 0,
-                                           trials, 20260822, threads=8)
+    inside = estimate_separation_histograms(n, kernel, (inside_offset,), 0,
+                                            trials, 20260822, threads=8)[0]
     fraction = inside.probabilities()[0]
     spread = math.sqrt(q_inside * (1.0 - q_inside) / trials)
     assert abs(fraction - q_inside) <= 3.0 * spread
-    outside = estimate_separation_histogram(n, kernel, 100, 0,
-                                            trials, 20260822, threads=8)
+    outside = estimate_separation_histograms(n, kernel, (100,), 0,
+                                             trials, 20260822, threads=8)[0]
     assert outside.probabilities()[0] == 0.0
     elapsed = time.perf_counter() - start
     report(10, "direct-link histogram entry",

@@ -2,6 +2,8 @@
 
 import ast
 import collections
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,69 @@ def test_every_public_name_imports_once():
     assert repeated == []
     missing = [name for name in ringnet.__all__ if not hasattr(ringnet, name)]
     assert missing == []
+
+
+PUBLIC_NAMES = [
+    "AntipodalChainCount", "ChainCounts", "CircleModel", "CosineSeries",
+    "CostBudgetError", "DimensionError", "EstimateUndefinedError", "FourierSeries",
+    "GraphSample", "IntegrationResult", "KernelValidationError", "McEstimate",
+    "ProductKernel", "QuadratureError", "SeparationHistogram", "TorusModel",
+    "UncertainValue", "UniformWindow", "ZeroMeanDegreeWarning", "__version__",
+    "antipodal_chain_count_uniform", "chain_count_in_sample", "chain_count_leading",
+    "chain_count_one", "chain_count_result", "chain_count_torus",
+    "chain_count_torus_grid", "chain_count_two", "chain_count_uniform",
+    "clustering_from_series", "clustering_result", "clustering_torus_grid",
+    "clustering_uniform", "discrete_chain_count", "discrete_mean_degree",
+    "empirical_clustering", "empirical_separation_histogram", "estimate_chain_counts",
+    "estimate_clustering", "estimate_mean_degree", "estimate_separation_histograms",
+    "kernel_from_config", "kernel_to_config", "mean_degree", "model_from_config",
+    "model_to_config", "sample_graph", "separation_in_sample", "trial_seed",
+    "uniform_window_series", "validate", "wrap_angle",
+]
+
+
+def test_public_names_are_exactly_these():
+    assert sorted(ringnet.__all__) == PUBLIC_NAMES
+
+
+# Each result has one entry point: the float and one-case forms of the
+# result-returning and plural functions, and the drivers that nothing
+# called, are gone from the package and from their modules.
+REMOVED_NAMES = {
+    "fourier": ["_leading_bracket"],
+    "montecarlo": ["estimate_chain_count", "estimate_separation_histogram",
+                   "run_trials"],
+    "quadrature": ["chain_count_by_quadrature", "clustering_by_quadrature",
+                   "integrate_periodic"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(REMOVED_NAMES))
+def test_removed_names_stay_removed(module):
+    source = importlib.import_module(f"ringnet.{module}")
+    for name in REMOVED_NAMES[module]:
+        assert not hasattr(ringnet, name), name
+        assert not hasattr(source, name), name
+
+
+def _names_from_ringnet(source):
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "ringnet"
+            and not node.level for alias in node.names}
+
+
+def test_demos_and_quickstart_import_public_names():
+    # a parse, so that a stale demo or README fails here rather than in the
+    # demo runs of test_demos.py, which start fresh processes
+    root = Path(__file__).resolve().parents[1]
+    sources = {path.name: path.read_text() for path in sorted(root.glob("demos/*.py"))}
+    (sources["README quickstart"],) = re.findall(
+        r"## Library quickstart\n\n```python\n(.*?)```",
+        (root / "README.md").read_text(), flags=re.S)
+    for where, source in sources.items():
+        imported = _names_from_ringnet(source)
+        assert imported, where
+        assert sorted(imported - set(ringnet.__all__)) == [], where
 
 
 def _imported_modules(module):

@@ -242,6 +242,22 @@ def test_sweep_phi_out_to_a_device_writes_no_prefixed_files(tmp_path, capsys):
                 os.remove(path)
 
 
+@pytest.mark.parametrize("argv, target", [
+    (["kernel-info"], ""),
+    (["clustering", "--modes", "closed"], "missing/x.csv"),
+    (["sweep-phi"], "missing/sweep"),
+], ids=["directory", "missing-directory", "sweep-prefix-in-missing-directory"])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, argv, target):
+    path = str(tmp_path / target)
+    code = main([*argv, "--out", path])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot write output to {path}")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
 def test_sweep_phi_rejects_bad_grid(tmp_path, capsys):
     config = write_config(tmp_path, {
         "space": {"type": "circle", "radius": 20.0},
@@ -750,7 +766,6 @@ def test_separation_routes_take_the_whole_grid_at_once(monkeypatch, capsys):
         raise AssertionError("called per gap")
 
     counted(quadrature, "chain_count_curve")
-    counted(fourier, "_leading_bracket")
     counted(fourier, "leading_brackets")
     monkeypatch.setattr(quadrature, "chain_count_result", refused)
     monkeypatch.setattr(np, "unique", refused)

@@ -24,7 +24,7 @@ def run_fresh(args, cwd):
 
 
 def test_oracle_triangle_demo_runs(tmp_path):
-    # the one demo that drives estimate_chain_count
+    # the one demo that drives the Monte Carlo chain counts
     out = run_fresh([str(ROOT / "demos" / "oracle_triangle.py")], tmp_path)
     beyond_reach = re.findall(r"monte carlo (\S+) over 500 trials", out)
     assert beyond_reach == ["0.0", "0.0"]

@@ -17,9 +17,9 @@ from ringnet import (
     FourierSeries,
     UniformWindow,
     antipodal_chain_count_uniform,
-    chain_count_by_quadrature,
     chain_count_leading,
     chain_count_one,
+    chain_count_result,
     chain_count_torus,
     chain_count_two,
     chain_count_uniform,
@@ -97,7 +97,7 @@ def per_element_coeffs(values):
     return coeffs
 
 
-def reference_leading_bracket(coeffs, k, gap):
+def reference_power_sum(coeffs, k, gap):
     """Power sum a_0^(k+1) + 2 sum a_n^(k+1) cos(n gap) from the tuple."""
     a = np.asarray(coeffs)
     total = a[0] ** (k + 1)
@@ -129,8 +129,8 @@ def test_series_built_in_one_pass_equals_per_element_build(values):
     assert hash(series) == hash((expected,))
     assert series == FourierSeries(expected)
     for k, gap in ((1, 0.0), (2, 0.7), (5, math.pi)):
-        assert fourier._leading_bracket(series, k, gap) == \
-            reference_leading_bracket(expected, k, gap)
+        assert fourier.leading_brackets(series, (k,), gap) == \
+            [reference_power_sum(expected, k, gap)]
 
 
 def test_window_series_equals_per_element_build():
@@ -303,7 +303,7 @@ def test_shared_power_sums_give_the_one_order_bits(monkeypatch, cells):
     shared = fourier.leading_brackets(series, orders, gaps)
     assert fourier.leading_brackets(series, orders, 0.7) == [s[-1] for s in shared]
     for k, sums in zip(orders, shared):
-        assert sums.tolist() == [fourier._leading_bracket(series, k, g) for g in gaps]
+        assert sums.tolist() == [fourier.leading_brackets(series, (k,), g)[0] for g in gaps]
         assert (chain_count_leading(series, 20.0, k, gaps, sums).tolist()
                 == chain_count_leading(series, 20.0, k, gaps).tolist())
     kept = shared[1].copy()
@@ -380,7 +380,7 @@ def test_full_two_matches_exclusion_quadrature():
     for gap in (0.0, 0.7, 1.9, math.pi):
         direct = float(kernel.evaluate(gap))
         full = chain_count_two(series, 9.0, gap, direct, correction_order=3)
-        quad = chain_count_by_quadrature(model, 2, gap, with_exclusion=True)
+        quad = chain_count_result(model, 2, gap, with_exclusion=True).value
         assert full == pytest.approx(quad, rel=1e-12, abs=1e-13)
 
 

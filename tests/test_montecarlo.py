@@ -24,13 +24,10 @@ from ringnet import (
     discrete_mean_degree,
     empirical_clustering,
     empirical_separation_histogram,
-    estimate_chain_count,
     estimate_chain_counts,
     estimate_clustering,
     estimate_mean_degree,
-    estimate_separation_histogram,
     estimate_separation_histograms,
-    run_trials,
     sample_graph,
     separation_in_sample,
     trial_seed,
@@ -384,8 +381,8 @@ def test_chain_count_mc_matches_discrete():
     n = 128
     kernel = UniformWindow(0.05, 0.5)
     for k, offset in ((1, 16), (2, 24)):
-        estimate = estimate_chain_count(n, kernel, offset, k,
-                                        trials=4000, master_seed=55)
+        (estimate,) = estimate_chain_counts(n, kernel, offset, (k,),
+                                            trials=4000, master_seed=55)
         exact = discrete_chain_count(n, kernel, k, offset).reduced
         assert abs(estimate.mean - exact) <= 3.5 * estimate.std_error
 
@@ -393,9 +390,9 @@ def test_chain_count_mc_matches_discrete():
 def test_chain_count_anchor_invariance():
     n = 128
     kernel = UniformWindow(0.05, 0.5)
-    base = estimate_chain_count(n, kernel, 16, 1, trials=2000, master_seed=4)
-    moved = estimate_chain_count(n, kernel, 16, 1, trials=2000, master_seed=5,
-                                 anchor=37)
+    (base,) = estimate_chain_counts(n, kernel, 16, (1,), trials=2000, master_seed=4)
+    (moved,) = estimate_chain_counts(n, kernel, 16, (1,), trials=2000, master_seed=5,
+                                     anchor=37)
     spread = math.hypot(base.std_error, moved.std_error)
     assert abs(base.mean - moved.mean) <= 3.5 * spread
 
@@ -451,8 +448,8 @@ def test_separation_depth_cap():
 
 
 def test_histogram_sums_to_one():
-    histogram = estimate_separation_histogram(
-        128, UniformWindow(0.2, 0.7), offset=10, max_sep=3,
+    (histogram,) = estimate_separation_histograms(
+        128, UniformWindow(0.2, 0.7), offsets=(10,), max_sep=3,
         trials=500, master_seed=21)
     probabilities = histogram.probabilities()
     assert len(probabilities) == 5  # 0..3 plus unreached bucket
@@ -471,14 +468,14 @@ def test_histogram_direct_entry_matches_kernel():
     n = 256
     kernel = UniformWindow(0.3, 1.2)
     trials = 1500
-    inside = estimate_separation_histogram(n, kernel, offset=20, max_sep=0,
-                                           trials=trials, master_seed=13)
+    (inside,) = estimate_separation_histograms(n, kernel, offsets=(20,), max_sep=0,
+                                               trials=trials, master_seed=13)
     gap = 2.0 * math.pi * 20 / n
     q_inside = float(kernel.evaluate(gap))
     spread = math.sqrt(q_inside * (1.0 - q_inside) / trials)
     assert abs(inside.probabilities()[0] - q_inside) <= 3.5 * spread
-    outside = estimate_separation_histogram(n, kernel, offset=100, max_sep=0,
-                                            trials=trials, master_seed=13)
+    (outside,) = estimate_separation_histograms(n, kernel, offsets=(100,), max_sep=0,
+                                                trials=trials, master_seed=13)
     assert outside.probabilities()[0] == 0.0
 
 
@@ -487,8 +484,8 @@ def test_histogram_one_hop_small_p_regime():
     kernel = UniformWindow(0.02, 1.0)
     trials = 6000
     offset = round(1.5 * n / (2.0 * math.pi))
-    histogram = estimate_separation_histogram(n, kernel, offset, max_sep=1,
-                                              trials=trials, master_seed=17)
+    (histogram,) = estimate_separation_histograms(n, kernel, (offset,), max_sep=1,
+                                                  trials=trials, master_seed=17)
     observed = histogram.probabilities()[1]
     expected_count = discrete_chain_count(n, kernel, 1, offset).with_exclusion
     predicted = 1.0 - math.exp(-expected_count)
@@ -506,25 +503,19 @@ def test_trial_seed_pure_function():
     assert trial_seed(42, 0) != trial_seed(43, 0)
 
 
-def test_run_trials_thread_invariant():
-    def worker(seed):
-        return seed * 2 + 1
-
-    single = run_trials(worker, 32, master_seed=7, threads=1)
-    multi = run_trials(worker, 32, master_seed=7, threads=8)
-    assert single == multi
-
-
 @pytest.mark.parametrize("trials", [1, 2, 3, 5, 33])
 def test_each_worker_runs_contiguous_trials(monkeypatch, trials):
     monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
 
-    def worker(seed):
-        time.sleep(0.002)  # lets the other worker take trials meanwhile
-        return seed, threading.get_ident()
+    def task(start, stop):
+        results = []
+        for trial in range(start, stop):
+            time.sleep(0.002)  # lets the other worker take trials meanwhile
+            results.append((trial, threading.get_ident()))
+        return results
 
-    results = run_trials(worker, trials, master_seed=7, threads=2)
-    assert [seed for seed, _ in results] == [trial_seed(7, t) for t in range(trials)]
+    results = montecarlo._map_runs(task, trials, threads=2)
+    assert [trial for trial, _ in results] == list(range(trials))
     # two workers, one contiguous run of trials each
     idents = [ident for _, ident in results]
     assert sum(a != b for a, b in zip(idents, idents[1:])) <= 1
@@ -535,9 +526,12 @@ def test_estimates_thread_invariant():
     a = estimate_clustering(512, kernel, trials=12, master_seed=3, threads=1)
     b = estimate_clustering(512, kernel, trials=12, master_seed=3, threads=8)
     assert a == b
-    ha = estimate_separation_histogram(256, kernel, 7, 2, 50, 3, threads=1)
-    hb = estimate_separation_histogram(256, kernel, 7, 2, 50, 3, threads=8)
-    assert np.array_equal(ha.counts, hb.counts)
+    ha = estimate_separation_histograms(256, kernel, (7,), 2, 50, 3, threads=1)
+    hb = estimate_separation_histograms(256, kernel, (7,), 2, 50, 3, threads=8)
+    assert ha == hb
+    ca = estimate_chain_counts(256, kernel, 7, (1, 2), 50, 3, threads=1)
+    cb = estimate_chain_counts(256, kernel, 7, (1, 2), 50, 3, threads=8)
+    assert ca == cb
 
 
 def test_std_error_scaling():
@@ -790,8 +784,8 @@ def test_multi_offset_histograms_match_per_offset_references():
                                           trials, seed, threads=2) == single
     samples = [sample_graph(n, kernel, trial_seed(seed, t)) for t in range(trials)]
     for offset, histogram in zip(offsets, single):
-        assert histogram == estimate_separation_histogram(
-            n, kernel, offset, max_sep, trials, seed)
+        assert (histogram,) == estimate_separation_histograms(
+            n, kernel, (offset,), max_sep, trials, seed)
         counts = [0] * (max_sep + 2)
         for sample in samples:
             sep = reference_separation(sample, offset, max_sep)
@@ -822,7 +816,7 @@ def test_multi_offset_call_samples_each_trial_once(monkeypatch):
 
 def test_chain_orders_share_one_sampling_pass(monkeypatch):
     shape, kernel, offset, trials, seed = 128, UniformWindow(0.05, 0.5), 16, 300, 4
-    single = [estimate_chain_count(shape, kernel, offset, k, trials, seed, anchor=5)
+    single = [estimate_chain_counts(shape, kernel, offset, (k,), trials, seed, anchor=5)[0]
               for k in (1, 2, 3)]
     streams = counting_philox_streams(monkeypatch)
     assert estimate_chain_counts(shape, kernel, offset, (3, 1, 2, 1), trials, seed,
@@ -942,7 +936,7 @@ def test_batched_chain_count_memory_does_not_grow_with_trials():
     for trials in (2_000, 20_000):
         tracemalloc.start()
         try:
-            estimate_chain_count(128, kernel, 16, 2, trials, master_seed=3)
+            estimate_chain_counts(128, kernel, 16, (2,), trials, master_seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ringnet import quadrature
 from ringnet.kernels import mean_degree, wrap_angle
-from ringnet.quadrature import IntegrationResult, chain_count_result
+from ringnet.quadrature import IntegrationResult
 from ringnet import (
     CircleModel,
     CosineSeries,
@@ -20,67 +20,39 @@ from ringnet import (
     QuadratureError,
     TorusModel,
     UniformWindow,
-    chain_count_by_quadrature,
     chain_count_leading,
+    chain_count_result,
     chain_count_torus_grid,
-    clustering_by_quadrature,
+    clustering_result,
     clustering_torus_grid,
     discrete_chain_count,
     discrete_mean_degree,
-    integrate_periodic,
     uniform_window_series,
 )
 
 
-def test_integrate_constant():
-    result = integrate_periodic(lambda x: np.full_like(x, 0.7), tol=1e-12)
-    assert result.value == pytest.approx(2.0 * math.pi * 0.7, abs=1e-12)
-    assert result.error_estimate >= 0.0
-    assert result.evaluations > 0
-
-
-def test_integrate_uniform_window():
-    kernel = UniformWindow(0.3, 0.8)
-    result = integrate_periodic(kernel.evaluate, kernel.breakpoints(), tol=1e-12)
-    assert result.value == pytest.approx(2.0 * 0.3 * 0.8, abs=1e-11)
-
-
-def test_integrate_cosine_orthogonality():
-    result = integrate_periodic(lambda x: np.cos(3.0 * x), tol=1e-12)
-    assert result.value == pytest.approx(0.0, abs=1e-11)
-
-
-def test_integrate_budget_failure():
-    kernel = UniformWindow(0.5, 1.0)
-    # an undeclared discontinuity converges too slowly for a tiny budget
-    with pytest.raises(QuadratureError) as info:
-        integrate_periodic(kernel.evaluate, (), tol=1e-12, max_evaluations=64)
-    assert info.value.achieved > 1e-12
-    assert info.value.evaluations <= 64
-
-
 def test_clustering_quad_constant_kernel():
     model = CircleModel(5.0, CosineSeries((0.2,)))
-    assert clustering_by_quadrature(model) == pytest.approx(0.2, abs=1e-9)
+    assert clustering_result(model).value == pytest.approx(0.2, abs=1e-9)
 
 
 def test_clustering_quad_scales_linearly():
-    low = clustering_by_quadrature(CircleModel(8.0, UniformWindow(0.1, 1.0)))
-    high = clustering_by_quadrature(CircleModel(8.0, UniformWindow(0.2, 1.0)))
+    low = clustering_result(CircleModel(8.0, UniformWindow(0.1, 1.0))).value
+    high = clustering_result(CircleModel(8.0, UniformWindow(0.2, 1.0))).value
     assert high == pytest.approx(2.0 * low, rel=1e-8)
 
 
 def test_clustering_quad_anchor_invariance():
     model = CircleModel(12.0, UniformWindow(0.25, 0.7))
-    base = clustering_by_quadrature(model)
-    moved = clustering_by_quadrature(model, anchor=1.234)
+    base = clustering_result(model).value
+    moved = clustering_result(model, anchor=1.234).value
     assert moved == pytest.approx(base, rel=1e-8)
 
 
 def test_chain_quad_zero_kernel():
     model = CircleModel(5.0, CosineSeries((0.0,)))
-    assert chain_count_by_quadrature(model, 1, 0.5) == 0.0
-    assert chain_count_by_quadrature(model, 2, 0.5) == 0.0
+    assert chain_count_result(model, 1, 0.5).value == 0.0
+    assert chain_count_result(model, 2, 0.5).value == 0.0
 
 
 def test_chain_quad_zero_window_is_exactly_zero():
@@ -100,17 +72,17 @@ def test_window_below_breakpoint_resolution_is_refused():
     for width in (1e-13, 1e-12, 4.6e-12, quadrature.MIN_FEATURE):
         model = CircleModel(20.0, UniformWindow(0.1, width))
         with pytest.raises(QuadratureError):
-            clustering_by_quadrature(model)
+            clustering_result(model)
         for k in (1, 2):
             with pytest.raises(QuadratureError):
-                chain_count_by_quadrature(model, k, 0.0)
+                chain_count_result(model, k, 0.0)
     for width in (1.5 * quadrature.MIN_FEATURE, 1e-6):
         model = CircleModel(20.0, UniformWindow(0.1, width))
-        assert clustering_by_quadrature(model) == pytest.approx(0.075, rel=1e-12)
+        assert clustering_result(model).value == pytest.approx(0.075, rel=1e-12)
         # reduced two-intermediary count at gap 0: R^2 p^3 3 w^2
         expected = 20.0 ** 2 * 0.1 ** 3 * 3.0 * width ** 2
-        assert chain_count_by_quadrature(model, 2, 0.0) == pytest.approx(expected,
-                                                                          rel=1e-12)
+        assert chain_count_result(model, 2, 0.0).value == pytest.approx(expected,
+                                                                        rel=1e-12)
 
 
 def test_chain_quad_matches_series_leading():
@@ -124,7 +96,7 @@ def test_chain_quad_matches_series_leading():
         tail = ((kernel.p / math.pi) * (degree / kernel.half_width) ** k
                 * 2.0 / (k * float(terms) ** k))
         for gap in (0.0, 0.6, 1.3):
-            quad = chain_count_by_quadrature(model, k, gap)
+            quad = chain_count_result(model, k, gap).value
             lead = chain_count_leading(series, 20.0, k, gap)
             assert abs(lead - quad) <= tail + 1e-8 * abs(quad)
 
@@ -134,8 +106,8 @@ def test_chain_quad_exclusion_reduces_value():
     model = CircleModel(15.0, kernel)
     for k in (1, 2):
         for gap in (0.0, 0.5, 1.2):
-            reduced = chain_count_by_quadrature(model, k, gap)
-            full = chain_count_by_quadrature(model, k, gap, with_exclusion=True)
+            reduced = chain_count_result(model, k, gap).value
+            full = chain_count_result(model, k, gap, with_exclusion=True).value
             assert full <= reduced + 1e-12
 
 
@@ -144,8 +116,8 @@ def test_chain_quad_exclusion_vanishes_at_small_p():
     gaps = []
     for p in (1e-2, 1e-3):
         model = CircleModel(15.0, UniformWindow(p, 0.9))
-        reduced = chain_count_by_quadrature(model, 2, 0.5)
-        full = chain_count_by_quadrature(model, 2, 0.5, with_exclusion=True)
+        reduced = chain_count_result(model, 2, 0.5).value
+        full = chain_count_result(model, 2, 0.5, with_exclusion=True).value
         gaps.append((reduced - full) / reduced)
     assert gaps[1] == pytest.approx(gaps[0] / 10.0, rel=0.05)
 
@@ -225,7 +197,7 @@ def test_discrete_mean_degree_brute_force():
 def test_torus_clustering_factorized_vs_grid():
     kernel = ProductKernel((UniformWindow(0.5, 0.9), UniformWindow(0.4, 1.1)))
     model = TorusModel((6.0, 5.0), kernel)
-    factorized = clustering_by_quadrature(model)
+    factorized = clustering_result(model).value
     grid = clustering_torus_grid(model)
     assert factorized == pytest.approx(grid, rel=1e-6)
 
@@ -234,7 +206,7 @@ def test_torus_chain_factorized_vs_grid():
     kernel = ProductKernel((UniformWindow(0.5, 0.9), UniformWindow(0.4, 1.1)))
     model = TorusModel((6.0, 5.0), kernel)
     for k in (1, 2):
-        factorized = chain_count_by_quadrature(model, k, (0.7, 0.4))
+        factorized = chain_count_result(model, k, (0.7, 0.4)).value
         grid = chain_count_torus_grid(model, k, (0.7, 0.4))
         assert factorized == pytest.approx(grid, rel=1e-6)
 
@@ -242,7 +214,7 @@ def test_torus_chain_factorized_vs_grid():
 def test_chain_quad_rejects_bad_order():
     model = CircleModel(5.0, UniformWindow(0.1, 0.5))
     with pytest.raises(ValueError):
-        chain_count_by_quadrature(model, 3, 0.5)
+        chain_count_result(model, 3, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +379,7 @@ def test_chain_quad_bit_identical_to_per_point_reference(name, k, with_exclusion
     model = CircleModel(20.0, CIRCLE_KERNELS[name])
     for gap in (0.0, 0.7, 2.9):
         expected = ref_chain_circle(model, k, gap, with_exclusion)
-        assert chain_count_by_quadrature(model, k, gap, with_exclusion) == expected
+        assert chain_count_result(model, k, gap, with_exclusion).value == expected
 
 
 @pytest.mark.parametrize("name", sorted(CIRCLE_KERNELS))
@@ -415,7 +387,7 @@ def test_triangle_bit_identical_to_per_point_reference(name):
     model = CircleModel(12.0, CIRCLE_KERNELS[name])
     for anchor in (0.0, 1.234, -2.9):
         expected = ref_clustering_circle(model, anchor)
-        assert clustering_by_quadrature(model, anchor=anchor) == expected
+        assert clustering_result(model, anchor=anchor).value == expected
 
 
 @pytest.mark.parametrize("name", sorted(TORUS_KERNELS))
@@ -435,9 +407,9 @@ def test_batched_core_matches_reference_property(p, half_width, gap, anchor, k,
                                                  with_exclusion):
     model = CircleModel(10.0, UniformWindow(p, half_width))
     expected = ref_chain_circle(model, k, gap, with_exclusion, tol=1e-7)
-    assert chain_count_by_quadrature(model, k, gap, with_exclusion, tol=1e-7) == expected
+    assert chain_count_result(model, k, gap, with_exclusion, tol=1e-7).value == expected
     expected = ref_clustering_circle(model, anchor, tol=1e-7)
-    assert clustering_by_quadrature(model, tol=1e-7, anchor=anchor) == expected
+    assert clustering_result(model, tol=1e-7, anchor=anchor).value == expected
 
 
 def test_gauss_rules_computed_once_per_order(monkeypatch):
@@ -453,13 +425,11 @@ def test_gauss_rules_computed_once_per_order(monkeypatch):
     try:
         circle = CircleModel(20.0, UniformWindow(0.1, 0.5))
         for gap in (0.3, 0.9):
-            chain_count_by_quadrature(circle, 2, gap, with_exclusion=True)
-        clustering_by_quadrature(circle, anchor=0.4)
+            chain_count_result(circle, 2, gap, with_exclusion=True)
+        clustering_result(circle, anchor=0.4)
         torus = TorusModel((6.0, 5.0), TORUS_KERNELS["windows"])
         chain_count_torus_grid(torus, 2, (0.7, 0.4))
         clustering_torus_grid(torus)
-        integrate_periodic(circle.kernel.evaluate, circle.kernel.breakpoints(),
-                           tol=1e-14)
     finally:
         quadrature._gauss_rule.cache_clear()
     assert calls
@@ -469,8 +439,8 @@ def test_gauss_rules_computed_once_per_order(monkeypatch):
 def test_inner_batches_respect_the_cap(monkeypatch):
     circle = CircleModel(20.0, UniformWindow(0.1, 0.5))
     torus = TorusModel((6.0, 5.0), TORUS_KERNELS["windows"])
-    expected = (chain_count_by_quadrature(circle, 2, 0.7, with_exclusion=True),
-                clustering_by_quadrature(circle, anchor=1.0),
+    expected = (chain_count_result(circle, 2, 0.7, with_exclusion=True).value,
+                clustering_result(circle, anchor=1.0).value,
                 chain_count_torus_grid(torus, 2, (0.7, 0.4)))
     cap = 500
     batches = []
@@ -488,8 +458,8 @@ def test_inner_batches_respect_the_cap(monkeypatch):
 
     monkeypatch.setattr(quadrature, "MAX_BATCH_POINTS", cap)
     monkeypatch.setattr(quadrature, "_nested_integral", recording)
-    got = (chain_count_by_quadrature(circle, 2, 0.7, with_exclusion=True),
-           clustering_by_quadrature(circle, anchor=1.0),
+    got = (chain_count_result(circle, 2, 0.7, with_exclusion=True).value,
+           clustering_result(circle, anchor=1.0).value,
            chain_count_torus_grid(torus, 2, (0.7, 0.4)))
     assert got == expected
     assert any(rows > 1 for rows, _ in batches)
