@@ -17,8 +17,17 @@ lines with the tool version, the schema version, and a digest of the fully
 resolved configuration.  Identical configuration and seed give byte
 identical output, whatever the thread count.
 
+Every command takes ``--config``, ``--out``, ``--format`` and ``--threads``,
+and only those other flags it reads:
+
+``clustering``, ``separation``  ``--seed --trials --modes --p --phi --radius``
+``sweep-phi``                   ``--p`` (the height of the swept window)
+``mc-validate``                 ``--seed``
+``kernel-info``                 ``--p --phi --radius``
+
 Exit codes: 0 success, 1 validation-battery failure, 2 configuration
-error, 3 numerical failure.
+error (a bad flag or config value: one ``config error:`` line), 3
+numerical failure.
 
 Angular gaps are plain angles in radians; multiply by the circle radius
 for arc length.  Chain-count values are expected counts and may exceed 1.
@@ -91,19 +100,9 @@ def _load_config_file(path):
     return document
 
 
-def _default_model_config(p, phi, radius):
-    kernel = {"type": "uniform",
-              "p": p if p is not None else 0.1,
-              "half_width": phi if phi is not None else 0.5}
-    space = {"type": "circle"}
-    if radius is not None:
-        space["radius"] = radius
-    return {"space": space, "kernel": kernel}
-
-
 def _scaled(value, scale, key):
-    # ``value * scale`` for the number at config key ``key``, as a default
-    # is derived from it; no string, boolean or overflow gets that far
+    # ``value * scale`` for the number at config key ``key``, as the node
+    # count is derived from it; no string, boolean or overflow gets that far
     try:
         product = value * scale if _is_real(value) else math.nan
     except OverflowError:  # an integer too large for a float
@@ -114,34 +113,33 @@ def _scaled(value, scale, key):
 
 
 def _resolve_config(args):
-    """Merge the config file with flag overrides and fill defaults."""
+    """Merge the config file with the command's flags and fill defaults."""
+    flags = vars(args)  # holds only the flags the command takes
     config = _load_config_file(args.config) if args.config else {}
     config = json.loads(json.dumps(config))  # deep copy, JSON types only
+    for section in ("space", "kernel", "mc", "computation", "output"):
+        if not isinstance(config.get(section, {}), dict):
+            raise ConfigError(f"{section} must be a JSON object")
     # sweep-phi sweeps the half-width of a window of height computation.p
-    # (--p) and has no radius; it reads no model
+    # (--p) and reads no model
     sweep = args.command == "sweep-phi"
-    if sweep and (args.phi is not None or args.radius is not None):
-        raise ConfigError("sweep-phi takes no --phi or --radius: it sweeps the "
-                          "window half-width (computation.phi_grid) at any radius")
-    model_p = None if sweep else args.p
+    p, phi, radius = None if sweep else flags.get("p"), flags.get("phi"), flags.get("radius")
     if "space" not in config or "kernel" not in config:
-        defaults = _default_model_config(model_p, args.phi, args.radius)
-        config.setdefault("space", defaults["space"])
-        config.setdefault("kernel", defaults["kernel"])
-    else:
-        if model_p is not None or args.phi is not None or args.radius is not None:
-            raise ConfigError("model flags cannot override a config file that "
-                              "already defines the model")
+        config.setdefault("space", {"type": "circle",
+                                    "radius": 20.0 if radius is None else radius})
+        config.setdefault("kernel", {"type": "uniform", "p": 0.1 if p is None else p,
+                                     "half_width": 0.5 if phi is None else phi})
+    elif (p, phi, radius) != (None, None, None):
+        raise ConfigError("model flags cannot override a config file that "
+                          "already defines the model")
     mc_section = config.setdefault("mc", {})
-    if args.trials is not None:
-        mc_section["trials"] = args.trials
-    if args.seed is not None:
-        mc_section["seed"] = args.seed
-    if args.threads is not None:
-        mc_section["threads"] = args.threads
-    mc_section.setdefault("trials", 100)
-    mc_section.setdefault("seed", 20260822)
-    mc_section.setdefault("threads", 1)
+    if "nodes" in mc_section:
+        raise ConfigError("mc.nodes is not settable: the node count is round(2*pi*R) "
+                          "of space.radius or of each of space.radii")
+    for key, default in (("trials", 100), ("seed", 20260822), ("threads", 1)):
+        if flags.get(key) is not None:
+            mc_section[key] = flags[key]
+        mc_section.setdefault(key, default)
     output = config.setdefault("output", {})
     if args.format is not None:
         output["format"] = args.format
@@ -149,26 +147,20 @@ def _resolve_config(args):
         output["path"] = args.out
     output.setdefault("format", "csv")
     computation = config.setdefault("computation", {})
-    if args.modes is not None:
+    if flags.get("modes") is not None:
         computation["modes"] = [m.strip() for m in args.modes.split(",") if m.strip()]
     if sweep and args.p is not None:
         computation["p"] = args.p
-    # the node count and the radius are tied by unit spacing: n = round(2 pi R)
+    # the node count follows from the radius by unit spacing: n = round(2 pi R)
     space = config["space"]
     if space.get("type") == "circle":
-        if "radius" not in space:
-            nodes = mc_section.get("nodes")
-            space["radius"] = _scaled(nodes, 1.0 / (2.0 * math.pi),
-                                      "mc.nodes") if nodes else 20.0
-        mc_section.setdefault(
-            "nodes", round(_scaled(space["radius"], 2.0 * math.pi, "space.radius")))
-    elif space.get("type") == "torus":
-        radii = space.get("radii")
-        if radii:
-            if not isinstance(radii, list):
-                raise ConfigError("space.radii must be a list of numbers")
-            mc_section.setdefault("nodes", [
-                round(_scaled(r, 2.0 * math.pi, "space.radii")) for r in radii])
+        space.setdefault("radius", 20.0)
+        mc_section["nodes"] = round(_scaled(space["radius"], 2.0 * math.pi, "space.radius"))
+    elif space.get("type") == "torus" and space.get("radii"):
+        if not isinstance(space["radii"], list):
+            raise ConfigError("space.radii must be a list of numbers")
+        mc_section["nodes"] = [round(_scaled(r, 2.0 * math.pi, "space.radii"))
+                               for r in space["radii"]]
     return config
 
 
@@ -225,12 +217,16 @@ def _threads(config):
     return threads
 
 
-def _analytic_settings(config, default_modes, default_tolerance):
+def _analytic_settings(config, command, known_modes, default_modes, default_tolerance):
     """Modes, series terms, correction order and quadrature tolerance."""
     computation = config["computation"]
     modes = computation.get("modes", default_modes)
     if not isinstance(modes, list) or not all(isinstance(m, str) for m in modes):
         raise ConfigError("computation.modes must be a list of mode names")
+    for mode in modes:
+        if mode not in known_modes:
+            raise ConfigError(f"unknown {command} mode {mode!r}; "
+                              f"expected one of {known_modes}")
     order = computation.get("correction_order", fourier.DEFAULT_CORRECTION_ORDER)
     if not _is_count(order, 0):
         raise ConfigError("computation.correction_order must be a non-negative integer")
@@ -319,10 +315,12 @@ def _series_for_kernel(kernel, terms):
 
 
 def _ring_nodes(config):
-    nodes = config["mc"].get("nodes")
-    if not isinstance(nodes, int) or nodes < 3:
-        raise ConfigError("mc.nodes must be an integer of at least 3 for ring sampling")
-    return nodes
+    """The sampled node count round(2 pi R), a tuple of them on a torus."""
+    nodes = config["mc"]["nodes"]
+    if min(nodes if isinstance(nodes, list) else [nodes]) < 3:
+        raise ConfigError("ring sampling needs at least 3 nodes per axis, "
+                          "round(2*pi*R): every radius must be at least 0.4")
+    return tuple(nodes) if isinstance(nodes, list) else nodes
 
 
 # every record holds its keys in the order of its CSV columns
@@ -340,12 +338,6 @@ def _separation_record(order, gap, value, error, mode, trials=None):
             "error_estimate": float(error), "mode": mode, "trials": trials}
 
 
-def _uniform_only(model, mode):
-    if not (isinstance(model, CircleModel) and isinstance(model.kernel, UniformWindow)):
-        raise ConfigError(f"mode {mode!r} needs a circle model with a uniform window kernel")
-    return model.kernel
-
-
 # ---------------------------------------------------------------------------
 # clustering command
 # ---------------------------------------------------------------------------
@@ -353,8 +345,13 @@ def _uniform_only(model, mode):
 def cmd_clustering(config):
     model = _build_model(config)
     modes, terms, correction_order, tolerance = _analytic_settings(
-        config, ["closed", "leading", "quadrature"], None)
+        config, "clustering", CLUSTERING_MODES, ["closed", "leading", "quadrature"], None)
     tail_terms = _positive_int(config, "computation", "tail_terms", 1_000_000)
+    if "closed" in modes and not (isinstance(model, CircleModel)
+                                  and isinstance(model.kernel, UniformWindow)):
+        raise ConfigError("mode 'closed' needs a circle model with a uniform window kernel")
+    if "full" in modes and not isinstance(model, CircleModel):
+        raise ConfigError("full mode does not factorise over torus axes")
     with warnings.catch_warnings():
         # the zero case becomes a hard config error right here
         warnings.simplefilter("ignore", ZeroMeanDegreeWarning)
@@ -363,18 +360,12 @@ def cmd_clustering(config):
         raise ConfigError("mean degree is zero; clustering is undefined")
     records = []
     for mode in modes:
-        if mode not in CLUSTERING_MODES:
-            raise ConfigError(f"unknown clustering mode {mode!r}; "
-                              f"expected one of {CLUSTERING_MODES}")
         if mode == "closed":
-            window = _uniform_only(model, mode)
-            estimate = fourier.clustering_uniform(window.p, window.half_width,
+            estimate = fourier.clustering_uniform(model.kernel.p, model.kernel.half_width,
                                                   tail_terms=tail_terms)
             records.append(_clustering_record(mode, estimate.value,
                                               estimate.error_bound))
         elif mode in ("leading", "full"):
-            if mode == "full" and not isinstance(model, CircleModel):
-                raise ConfigError("full mode does not factorise over torus axes")
             value = 1.0
             bound = 0.0
             for radius, kernel in model_axes(model):
@@ -389,18 +380,8 @@ def cmd_clustering(config):
             records.append(_clustering_record(mode, result.value,
                                               result.error_estimate))
         else:
-            if isinstance(model, CircleModel):
-                shape = _ring_nodes(config)
-            else:
-                nodes = config["mc"].get("nodes")
-                if (not isinstance(nodes, list)
-                        or len(nodes) != model.dimension
-                        or any(not isinstance(v, int) or v < 3 for v in nodes)):
-                    raise ConfigError("mc.nodes must list one integer of at "
-                                      "least 3 per torus axis")
-                shape = tuple(nodes)
             estimate = montecarlo.estimate_clustering(
-                shape, model.kernel, _positive_int(config, "mc", "trials"),
+                _ring_nodes(config), model.kernel, _positive_int(config, "mc", "trials"),
                 _master_seed(config), threads=_threads(config))
             records.append(_clustering_record(mode, estimate.mean,
                                               estimate.std_error,
@@ -431,8 +412,6 @@ def _analytic_records(model, series, order, gaps, direct, mode, terms,
     called once for the whole grid; ``direct`` is the kernel at each gap,
     ``brackets`` each order's power sums."""
     kernel, radius = model.kernel, model.radius
-    if order > 2 and mode in ("full", "quadrature"):
-        raise ConfigError(f"{mode} mode covers chain orders 1 and 2")
     errors = [fourier.chain_tail_bound(kernel, radius, order, terms)
               if order and mode != "quadrature" else 0.0] * gaps.size
     if order == 0:
@@ -460,17 +439,17 @@ def cmd_separation(config):
         raise ConfigError("separation curves are defined on circle models")
     computation = config["computation"]
     modes, terms, correction_order, tolerance = _analytic_settings(
-        config, ["leading"], quadrature.DEFAULT_TOL)
+        config, "separation", SEPARATION_MODES, ["leading"], quadrature.DEFAULT_TOL)
     orders = _chain_orders(computation, [1, 2], least=0)
+    nested = [mode for mode in modes if mode in ("full", "quadrature")]
+    if nested and max(orders, default=0) > 2:
+        raise ConfigError(f"{nested[0]} mode covers chain orders 1 and 2")
     grid = _gap_grid(config)
     gaps = np.asarray(grid)
     direct = model.kernel.evaluate(gaps)
     records = []
     series = brackets = None
     for mode in modes:
-        if mode not in SEPARATION_MODES:
-            raise ConfigError(f"unknown separation mode {mode!r}; "
-                              f"expected one of {SEPARATION_MODES}")
         if mode == "mc":
             records.extend(_separation_mc(config, model, orders, grid))
             continue
@@ -762,10 +741,14 @@ def cmd_mc_validate(config):
              "difference": float(gap), "allowed": float(allowed)}
             for name, left, right, gap, allowed, passed in checks]
     failures = sum(row["status"] == "FAIL" for row in rows)
-    text = (_csv_text(config, "mc-validate", rows[0], rows)
-            + f"# result: {'PASS' if failures == 0 else 'FAIL'} "
-              f"({len(rows) - failures}/{len(rows)} checks)\n")
-    _emit(text, config["output"].get("path"))
+    output = config["output"]
+    if output["format"] == "json":
+        text = _json_text(config, "mc-validate", rows)
+    else:
+        text = (_csv_text(config, "mc-validate", rows[0], rows)
+                + f"# result: {'PASS' if failures == 0 else 'FAIL'} "
+                  f"({len(rows) - failures}/{len(rows)} checks)\n")
+    _emit(text, output.get("path"))
     return EXIT_OK if failures == 0 else EXIT_VALIDATION_FAILURE
 
 
@@ -773,32 +756,52 @@ def cmd_mc_validate(config):
 # entry points
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as a config error, as a bad config value is."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+_FLAGS = {
+    "--config": {"help": "path to a JSON configuration document"},
+    "--out": {"help": "output path (sweep-phi uses it as a prefix)"},
+    "--format": {"choices": ("csv", "json")},
+    "--threads": {"type": int, "help": "worker threads for trials"},
+    "--seed": {"type": int, "help": "master seed for sampling"},
+    "--trials": {"type": int, "help": "Monte Carlo trials"},
+    "--modes": {"help": "comma separated list of modes"},
+    "--p": {"type": float, "help": "uniform window height"},
+    "--phi": {"type": float, "help": "uniform window half-width"},
+    "--radius": {"type": float, "help": "circle radius"},
+}
+# the flags each command reads beyond --config, --out, --format and
+# --threads; every command takes --threads, a scheduling setting
+COMMAND_FLAGS = {
+    "clustering": ("--seed", "--trials", "--modes", "--p", "--phi", "--radius"),
+    "separation": ("--seed", "--trials", "--modes", "--p", "--phi", "--radius"),
+    "sweep-phi": ("--p",),
+    "mc-validate": ("--seed",),
+    "kernel-info": ("--p", "--phi", "--radius"),
+}
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ringnet",
         description="clustering and separation analytics for distance-kernel "
                     "random networks on circles and tori")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in ("clustering", "separation", "sweep-phi", "mc-validate",
-                 "kernel-info"):
+    for name, flags in COMMAND_FLAGS.items():
         sub = subparsers.add_parser(name)
-        sub.add_argument("--config", help="path to a JSON configuration document")
-        sub.add_argument("--out", help="output path (sweep-phi uses it as a prefix)")
-        sub.add_argument("--format", choices=("csv", "json"))
-        sub.add_argument("--seed", type=int, help="master seed for sampling")
-        sub.add_argument("--trials", type=int, help="Monte Carlo trials")
-        sub.add_argument("--threads", type=int, help="worker threads for trials")
-        sub.add_argument("--modes", help="comma separated list of modes")
-        sub.add_argument("--p", type=float, help="uniform window height")
-        sub.add_argument("--phi", type=float, help="uniform window half-width")
-        sub.add_argument("--radius", type=float, help="circle radius")
+        for flag in ("--config", "--out", "--format", "--threads") + flags:
+            sub.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = _resolve_config(args)
         if args.command == "mc-validate":
             return cmd_mc_validate(config)

@@ -388,14 +388,28 @@ def kernel_from_config(doc: dict):
     kind = doc.get("type")
     if kind == "uniform":
         _require_keys(doc, {"type", "p", "half_width"}, "uniform kernel")
-        return UniformWindow(p=float(doc["p"]), half_width=float(doc["half_width"]))
+        return UniformWindow(p=_number(doc["p"], "uniform kernel p"),
+                             half_width=_number(doc["half_width"], "uniform kernel half_width"))
     if kind == "cosine":
         _require_keys(doc, {"type", "coeffs"}, "cosine kernel")
-        return CosineSeries(coeffs=doc["coeffs"])
+        coeffs = doc["coeffs"]
+        if not isinstance(coeffs, (list, tuple)):
+            raise KernelValidationError(f"cosine kernel coeffs must be a list, got {coeffs!r}")
+        return CosineSeries(coeffs=[_number(c, "cosine coefficient") for c in coeffs])
     if kind == "product":
         _require_keys(doc, {"type", "factors"}, "product kernel")
         return ProductKernel(factors=tuple(kernel_from_config(f) for f in doc["factors"]))
     raise KernelValidationError(f"unknown kernel type: {kind!r}")
+
+
+def _number(value, label):
+    # a JSON number only: float() would also read the string "0.1" and true
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise KernelValidationError(f"{label} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond float range reads as 1e400 does
+        return math.inf if value > 0 else -math.inf
 
 
 def _require_keys(doc, allowed, label):
@@ -417,11 +431,12 @@ def model_from_config(doc: dict):
     if kind == "circle":
         if "radius" not in space:
             raise KernelValidationError("circle space needs a 'radius'")
-        return CircleModel(radius=float(space["radius"]), kernel=kernel)
+        return CircleModel(radius=_number(space["radius"], "radius"), kernel=kernel)
     if kind == "torus":
         if "radii" not in space:
             raise KernelValidationError("torus space needs 'radii'")
-        return TorusModel(radii=tuple(float(r) for r in space["radii"]), kernel=kernel)
+        return TorusModel(radii=tuple(_number(r, "radius") for r in space["radii"]),
+                          kernel=kernel)
     raise KernelValidationError(f"unknown space type: {kind!r}")
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ringnet import CircleModel, CosineSeries, cli, fourier, quadrature
+from ringnet import CircleModel, CosineSeries, cli, fourier, montecarlo, quadrature
 from ringnet.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_NUMERICAL_FAILURE,
@@ -1000,3 +1001,203 @@ def test_sweep_phi_refuses_bad_or_unused_model_flags(capsys, flags):
     assert captured.out == ""
     assert captured.err.startswith("config error: ")
     assert len(captured.err.strip().splitlines()) == 1
+
+
+COMMON_FLAGS = {"--config", "--out", "--format", "--threads"}
+COMMAND_FLAGS = {
+    "clustering": COMMON_FLAGS | {"--seed", "--trials", "--modes", "--p", "--phi", "--radius"},
+    "separation": COMMON_FLAGS | {"--seed", "--trials", "--modes", "--p", "--phi", "--radius"},
+    "sweep-phi": COMMON_FLAGS | {"--p"},
+    "mc-validate": COMMON_FLAGS | {"--seed"},
+    "kernel-info": COMMON_FLAGS | {"--p", "--phi", "--radius"},
+}
+FLAG_VALUES = {"--config": "c.json", "--out": "o.csv", "--format": "json",
+               "--threads": "2", "--seed": "7", "--trials": "3", "--modes": "mc",
+               "--p": "0.2", "--phi": "0.4", "--radius": "9"}
+REMOVED_PAIRS = [(command, flag) for command in COMMAND_FLAGS for flag in FLAG_VALUES
+                 if flag not in COMMAND_FLAGS[command]]
+TORUS_WINDOWS = {"space": {"type": "torus", "radii": [6.0, 5.0]},
+                 "kernel": {"type": "product", "factors": [CIRCLE_WINDOW, CIRCLE_WINDOW]}}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_each_command_takes_exactly_the_flags_it_reads(command):
+    accepted = set()
+    for flag, value in FLAG_VALUES.items():
+        try:
+            cli._build_parser().parse_args([command, flag, value])
+        except cli.ConfigError:
+            continue
+        accepted.add(flag)
+    assert accepted == COMMAND_FLAGS[command]
+    assert sum(map(len, COMMAND_FLAGS.values())) == 37 and len(REMOVED_PAIRS) == 13
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, flag, FLAG_VALUES[flag]] for command, flag in REMOVED_PAIRS),
+    ["clustering", "--threads", "abc"],
+    ["separation", "--bogus"],
+    ["kernel-info", "--format", "xml"],
+    ["no-such-command"],
+    [],
+], ids=[*(f"{command}{flag}" for command, flag in REMOVED_PAIRS), "threads-abc",
+        "unknown-flag", "format-xml", "unknown-command", "missing-command"])
+def test_refused_argv_exits_2_with_one_config_error_line(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    examples = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("ringnet ")]
+    assert len(examples) >= 5
+    for argv in examples:
+        cli._build_parser().parse_args(argv[1:])
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_mc_nodes_is_not_settable(tmp_path, capsys, command):
+    # the analytic rows would be for R = 20 and the sampled ones for 1000 nodes
+    config = write_config(tmp_path, {**CIRCLE, "mc": {"nodes": 1000}})
+    code = main([command, "--config", config])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("config error: mc.nodes is not settable")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, space, kernel", [
+    ("clustering", {"type": "circle", "radius": 0.3}, CIRCLE_WINDOW),
+    ("separation", {"type": "circle", "radius": 0.3}, CIRCLE_WINDOW),
+    ("clustering", {"type": "torus", "radii": [5.0, 0.3]}, TORUS_WINDOWS["kernel"]),
+], ids=["clustering-circle", "separation-circle", "clustering-torus"])
+def test_too_few_sampled_nodes_names_the_radius(tmp_path, capsys, command, space, kernel):
+    config = write_config(tmp_path, {"space": space, "kernel": kernel,
+                                     "computation": {"modes": ["mc"]}})
+    code = main([command, "--config", config])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    assert captured.out == ""
+    assert captured.err == ("config error: ring sampling needs at least 3 nodes per axis, "
+                            "round(2*pi*R): every radius must be at least 0.4\n")
+
+
+def test_sampled_nodes_follow_the_radius(tmp_path, capsys):
+    config = write_config(tmp_path, TORUS_WINDOWS)
+    code, out = run_cli(capsys, "kernel-info", "--config", config, "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["records"]["nodes"] == [38, 31]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+@pytest.mark.parametrize("document", [
+    {"space": 3, "kernel": CIRCLE_WINDOW},
+    {"space": None},
+    {"kernel": 3},
+    {"mc": []},
+    {"computation": 5},
+    {"output": "x"},
+], ids=["space", "space-null", "kernel", "mc", "computation", "output"])
+def test_non_object_section_exits_2_with_one_line(tmp_path, capsys, command, document):
+    config = write_config(tmp_path, document)
+    code = main([command, "--config", config])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    assert captured.out == ""
+    section = next(iter(document))
+    assert captured.err == f"config error: {section} must be a JSON object\n"
+
+
+def _no_route_may_run(*_args, **_kwargs):
+    raise AssertionError("a route ran before the modes were checked")
+
+
+@pytest.mark.parametrize("command, document, message", [
+    ("clustering", {**CIRCLE, "computation": {"modes": ["mc", "quadrature", "bogus"]}},
+     "unknown clustering mode 'bogus'; expected one of "
+     "('closed', 'leading', 'full', 'quadrature', 'mc')"),
+    ("separation", {**CIRCLE, "computation": {"modes": ["mc", "quadrature", "closed"]}},
+     "unknown separation mode 'closed'; expected one of "
+     "('leading', 'full', 'quadrature', 'mc')"),
+    ("clustering", {**TORUS_WINDOWS, "computation": {"modes": ["mc", "quadrature", "full"]}},
+     "full mode does not factorise over torus axes"),
+    ("clustering", {"space": CIRCLE["space"], "kernel": SMOOTH,
+                    "computation": {"modes": ["mc", "quadrature", "closed"]}},
+     "mode 'closed' needs a circle model with a uniform window kernel"),
+    ("separation", {**CIRCLE, "computation": {"modes": ["mc", "leading", "quadrature"],
+                                              "k_list": [1, 3]}},
+     "quadrature mode covers chain orders 1 and 2"),
+    ("separation", {**CIRCLE, "computation": {"modes": ["mc", "full"], "k_list": [3]}},
+     "full mode covers chain orders 1 and 2"),
+], ids=["clustering-unknown", "separation-unknown", "torus-full", "closed-cosine",
+        "quadrature-k3", "full-k3"])
+def test_modes_are_checked_before_any_route_runs(tmp_path, capsys, monkeypatch, command,
+                                                 document, message):
+    for module, name in ((montecarlo, "estimate_clustering"),
+                         (montecarlo, "estimate_separation_histograms"),
+                         (quadrature, "clustering_result"),
+                         (quadrature, "chain_count_curve"),
+                         (fourier, "clustering_uniform"),
+                         (fourier, "clustering_from_series"),
+                         (fourier, "leading_brackets")):
+        monkeypatch.setattr(module, name, _no_route_may_run)
+    code = main([command, "--config", write_config(tmp_path, document)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("command, kernel, fragment", [
+    ("clustering", {"type": "uniform", "p": "0.1", "half_width": True},
+     "uniform kernel p must be a number, got '0.1'"),
+    ("separation", {"type": "uniform", "p": 0.1, "half_width": "0.5"},
+     "uniform kernel half_width must be a number, got '0.5'"),
+    ("kernel-info", {"type": "cosine", "coeffs": ["0.1", True]},
+     "cosine coefficient must be a number, got '0.1'"),
+    ("clustering", {"type": "cosine", "coeffs": [0.1, False]},
+     "cosine coefficient must be a number, got False"),
+    # a JSON integer beyond float range reads as infinite, as 1e400 does
+    ("clustering", {"type": "uniform", "p": 10 ** 400, "half_width": 0.5},
+     "non-finite parameter"),
+], ids=["clustering-p-string", "separation-width-string", "kernel-info-coeffs",
+        "clustering-coeff-bool", "clustering-p-beyond-float"])
+def test_kernel_numbers_must_be_json_numbers(tmp_path, capsys, command, kernel, fragment):
+    config = write_config(tmp_path, {"space": CIRCLE["space"], "kernel": kernel})
+    code = main([command, "--config", config])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("config error: bad ")
+    assert captured.err.strip().endswith(fragment)
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_mc_validate_json_records_equal_the_csv_rows(tmp_path, capsys):
+    config = write_config(tmp_path, {"computation": {"battery_trials": FAST_BATTERY}})
+    code, csv_text = run_cli(capsys, "mc-validate", "--config", config)
+    assert code == EXIT_OK
+    code, json_text = run_cli(capsys, "mc-validate", "--config", config, "--format", "json")
+    assert code == EXIT_OK
+    document = json.loads(json_text)
+    assert document["schema"] == f"mc-validate v{cli.SCHEMA_VERSION}"
+    assert document["config_digest"] == csv_text.splitlines()[2].split(": ")[1]
+    rows = [{key: value if key in ("status", "check") else float(value)
+             for key, value in row.items()} for row in parse_csv(csv_text)]
+    assert document["records"] == rows and len(rows) == 14
+
+
+def test_mc_validate_json_keeps_the_failure_exit(tmp_path, capsys):
+    config = write_config(tmp_path, {"computation": {"terms": 2,
+                                                     "battery_trials": FAST_BATTERY}})
+    code, out = run_cli(capsys, "mc-validate", "--config", config, "--format", "json")
+    assert code == EXIT_VALIDATION_FAILURE
+    failed = [r["check"] for r in json.loads(out)["records"] if r["status"] == "FAIL"]
+    assert "clustering-closed-vs-quadrature" in failed

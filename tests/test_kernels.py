@@ -317,3 +317,43 @@ def test_config_rejects_extra_keys():
     with pytest.raises(KernelValidationError):
         kernel_from_config({"type": "uniform", "p": 0.1, "half_width": 1.0,
                             "extra": 2})
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": "uniform", "p": "0.1", "half_width": 0.5},
+    {"type": "uniform", "p": 0.1, "half_width": True},
+    {"type": "cosine", "coeffs": ["0.1", 0.2]},
+    {"type": "cosine", "coeffs": [0.1, True]},
+    {"type": "cosine", "coeffs": "0.1"},
+    {"type": "product", "factors": [{"type": "cosine", "coeffs": [0.5]},
+                                    {"type": "uniform", "p": False, "half_width": 1.0}]},
+], ids=["p-string", "width-bool", "coeff-string", "coeff-bool", "coeffs-string",
+        "factor-bool"])
+def test_config_numbers_must_be_json_numbers(doc):
+    # float() would read "0.1" as 0.1 and true as 1.0
+    with pytest.raises(KernelValidationError, match="must be a"):
+        kernel_from_config(doc)
+
+
+@pytest.mark.parametrize("space", [{"type": "circle", "radius": "20"},
+                                   {"type": "circle", "radius": True},
+                                   {"type": "torus", "radii": [5.0, "6"]},
+                                   {"type": "torus", "radii": [True, 6.0]}],
+                         ids=["radius-string", "radius-bool", "radii-string", "radii-bool"])
+def test_model_radii_must_be_json_numbers(space):
+    window = {"type": "uniform", "p": 0.1, "half_width": 0.5}
+    kernel = window if space["type"] == "circle" else {"type": "product",
+                                                       "factors": [window, window]}
+    with pytest.raises(KernelValidationError, match="radius must be a number"):
+        model_from_config({"space": space, "kernel": kernel})
+
+
+def test_config_integers_beyond_float_range_read_as_infinite():
+    # as the JSON number 1e400 reads inf, so does the integer 10**400
+    window = kernel_from_config({"type": "uniform", "p": 10 ** 400, "half_width": 0.5})
+    assert window.p == math.inf and validate(window) == ["non-finite parameter"]
+    with pytest.raises(KernelValidationError, match="non-finite coefficient"):
+        kernel_from_config({"type": "cosine", "coeffs": [0.1, -10 ** 400]})
+    with pytest.raises(KernelValidationError, match="radius must be positive and finite"):
+        model_from_config({"space": {"type": "circle", "radius": 10 ** 400},
+                           "kernel": {"type": "uniform", "p": 0.1, "half_width": 0.5}})
