@@ -314,13 +314,15 @@ def _series_for_kernel(kernel, terms):
     raise ConfigError("series modes need a uniform or cosine kernel per axis")
 
 
-def _ring_nodes(config):
-    """The sampled node count round(2 pi R), a tuple of them on a torus."""
+def _mc_settings(config):
+    """The sampled node count round(2 pi R) (a tuple of them on a torus),
+    the trial count, the master seed and the thread count of mode ``mc``."""
     nodes = config["mc"]["nodes"]
     if min(nodes if isinstance(nodes, list) else [nodes]) < 3:
         raise ConfigError("ring sampling needs at least 3 nodes per axis, "
                           "round(2*pi*R): every radius must be at least 0.4")
-    return tuple(nodes) if isinstance(nodes, list) else nodes
+    return (tuple(nodes) if isinstance(nodes, list) else nodes,
+            _positive_int(config, "mc", "trials"), _master_seed(config), _threads(config))
 
 
 # every record holds its keys in the order of its CSV columns
@@ -358,6 +360,8 @@ def cmd_clustering(config):
         degree = mean_degree(model)
     if degree == 0.0:
         raise ConfigError("mean degree is zero; clustering is undefined")
+    # mode mc's settings are checked before any mode runs
+    sampling = _mc_settings(config) if "mc" in modes else None
     records = []
     for mode in modes:
         if mode == "closed":
@@ -380,9 +384,9 @@ def cmd_clustering(config):
             records.append(_clustering_record(mode, result.value,
                                               result.error_estimate))
         else:
-            estimate = montecarlo.estimate_clustering(
-                _ring_nodes(config), model.kernel, _positive_int(config, "mc", "trials"),
-                _master_seed(config), threads=_threads(config))
+            nodes, trials, seed, threads = sampling
+            estimate = montecarlo.estimate_clustering(nodes, model.kernel, trials, seed,
+                                                      threads=threads)
             records.append(_clustering_record(mode, estimate.mean,
                                               estimate.std_error,
                                               estimate.trials))
@@ -445,13 +449,15 @@ def cmd_separation(config):
     if nested and max(orders, default=0) > 2:
         raise ConfigError(f"{nested[0]} mode covers chain orders 1 and 2")
     grid = _gap_grid(config)
+    # mode mc's settings and offsets are checked before any mode runs
+    sampling = _separation_sampling(config, grid) if "mc" in modes else None
     gaps = np.asarray(grid)
     direct = model.kernel.evaluate(gaps)
     records = []
     series = brackets = None
     for mode in modes:
         if mode == "mc":
-            records.extend(_separation_mc(config, model, orders, grid))
+            records.extend(_separation_mc(model, orders, *sampling))
             continue
         if mode != "quadrature" and series is None:
             # one series and its power sums serve every order of both modes
@@ -464,12 +470,9 @@ def cmd_separation(config):
     return records, SEPARATION_COLUMNS, "separation"
 
 
-def _separation_mc(config, model, orders, grid):
-    nodes = _ring_nodes(config)
-    trials = _positive_int(config, "mc", "trials")
-    seed = _master_seed(config)
-    threads = _threads(config)
-    max_sep = max(orders, default=0)
+def _separation_sampling(config, grid):
+    """Mode mc's settings and the node offsets its grid gaps map to."""
+    nodes, trials, seed, threads = _mc_settings(config)
     offsets = []
     for gap in grid:
         offset = round(gap * nodes / (2.0 * math.pi))
@@ -478,6 +481,11 @@ def _separation_mc(config, model, orders, grid):
             offsets.append(offset)
     if not offsets:
         raise ConfigError("no gap in the grid maps to a usable node offset")
+    return nodes, offsets, trials, seed, threads
+
+
+def _separation_mc(model, orders, nodes, offsets, trials, seed, threads):
+    max_sep = max(orders, default=0)
     histograms = montecarlo.estimate_separation_histograms(
         nodes, model.kernel, offsets, max_sep, trials, seed, threads=threads)
     measured = [(2.0 * math.pi * offset / nodes, histogram.probabilities())
@@ -801,7 +809,10 @@ def _build_parser():
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # only --help exits: it has printed the help
+            return exc.code
         config = _resolve_config(args)
         if args.command == "mc-validate":
             return cmd_mc_validate(config)

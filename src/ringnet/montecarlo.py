@@ -24,11 +24,17 @@ aggregation runs in trial order, so results are identical for any thread
 count; the worker pool never exceeds the CPUs available to the process.
 
 What does not depend on the seed is worked out once per (shape, kernel)
-and cached as a read-only sampling plan: the link probability of every
-offset block, the counter skips and draw sizes of the generator calls,
-and on a torus the coordinates of every node.  A sample keys its Philox
-stream with its seed and walks the plan.  The plan changes no random value
-and no edge.
+and cached as a read-only sampling plan: the link probability and first
+counter of every active offset block, the counter skips and draw sizes of
+the generator calls, and on a torus the coordinates of every node.  A
+sample keys its Philox stream with its seed and walks the plan.  The plan
+changes no random value and no edge.
+
+A separation histogram with ``max_sep`` 0 counts direct links, so a trial
+needs only the values that decide its pinned pairs.  When the plan shows
+that reading them costs fewer draws than sampling the graph, each trial
+keys its stream as a sample does, skips to the counter of each pair's
+value and draws up to it; the histogram is the one the sampled graphs give.
 
 The estimators run each worker's contiguous run of trials in batches of up
 to ``MAX_BATCH_DRAWS`` candidate draws.  A batch is the disjoint union of
@@ -75,6 +81,11 @@ MAX_BITSET_WORDS = 1 << 16
 # of more than one trial also holds at most this many nodes (and, counting
 # triangles, bitset words), so its union node numbers stay below it
 MAX_BATCH_DRAWS = 1 << 16
+# candidate draws that sampling a graph and searching it for direct links
+# take in the time of one read of a pinned pair's value (a counter skip and
+# a generator call); measured at 270 to 380 with 8 to 32 pairs a trial on
+# rings of 256 and 1024 nodes
+PAIR_READ_DRAWS = 256
 
 
 class EstimateUndefinedError(Exception):
@@ -287,6 +298,12 @@ class _SamplingPlan(NamedTuple):
     width: int
     chunks: tuple
     components: tuple | None  # torus: per-axis int32 coordinate of every node
+    # the active offset blocks in ascending order (block b holds the offset,
+    # or flattened offset vector, b + 1), the first counter of each, and
+    # each one's link probability
+    blocks: np.ndarray
+    counters: np.ndarray
+    probs: np.ndarray
 
 
 def _read_only(array) -> np.ndarray:
@@ -312,13 +329,13 @@ def _require_sampleable(n: int, what: str):
 def _chunk_schedule(blocks: np.ndarray, stride: int, columns: np.ndarray,
                     probs: np.ndarray, offsets: np.ndarray) -> tuple:
     # generator calls for the ascending active offset blocks ``blocks``, all
-    # from one counter-based stream per sample.  Block b owns the counters
-    # from b * stride on, so a pair's random value depends only on the seed
-    # and the pair's canonical index.  Consecutive blocks with the same
-    # candidate count are drawn together, at most MAX_RUN_DRAWS values per
-    # call, and the counter skips over inactive blocks.  Each block takes
-    # all 4 * stride values of its counter range, so the next block starts
-    # on its own first counter.
+    # from one counter-based stream per sample, and the first counter of
+    # each block.  Block b owns the counters from b * stride on, so a pair's
+    # random value depends only on the seed and the pair's canonical index.
+    # Consecutive blocks with the same candidate count are drawn together,
+    # at most MAX_RUN_DRAWS values per call, and the counter skips over
+    # inactive blocks.  Each block takes all 4 * stride values of its
+    # counter range, so the next block starts on its own first counter.
     width = 4 * stride
     per_call = max(1, MAX_RUN_DRAWS // width)
     breaks = np.nonzero((np.diff(blocks) != 1) | (np.diff(columns) != 0))[0] + 1
@@ -335,7 +352,7 @@ def _chunk_schedule(blocks: np.ndarray, stride: int, columns: np.ndarray,
                 probs=_read_only(probs[start:stop, None]),
                 offsets=_read_only(offsets[..., start:stop].astype(np.int32))))
             position = int(blocks[stop - 1]) + 1
-    return tuple(chunks)
+    return tuple(chunks), _read_only(blocks * stride)
 
 
 def _ring_plan(n: int, kernel) -> _SamplingPlan:
@@ -350,9 +367,11 @@ def _ring_plan(n: int, kernel) -> _SamplingPlan:
         raise CostBudgetError("candidate pairs for this ring sample",
                               total, MAX_CANDIDATE_DRAWS)
     stride = -(-n // 4)  # counters per block, 4 draws each
-    chunks = _chunk_schedule(active, stride, counts[active], probs[active],
-                             offsets[active])
-    return _SamplingPlan((n,), 4 * stride, chunks, None)
+    probs = _read_only(probs[active])
+    chunks, counters = _chunk_schedule(active, stride, counts[active], probs,
+                                       offsets[active])
+    return _SamplingPlan((n,), 4 * stride, chunks, None, _read_only(active), counters,
+                         probs)
 
 
 def _torus_plan(shape: tuple, kernel: ProductKernel) -> _SamplingPlan:
@@ -373,14 +392,14 @@ def _torus_plan(shape: tuple, kernel: ProductKernel) -> _SamplingPlan:
         raise CostBudgetError("candidate pairs for this torus sample",
                               total, MAX_CANDIDATE_DRAWS)
     stride = -(-total_nodes // 4)
-    chunks = _chunk_schedule(active_deltas - 1, stride,
-                             np.full(active_deltas.size, total_nodes),
-                             delta_probs[active_deltas],
-                             np.stack(np.unravel_index(active_deltas, shape)))
+    blocks, probs = _read_only(active_deltas - 1), _read_only(delta_probs[active_deltas])
+    chunks, counters = _chunk_schedule(blocks, stride,
+                                       np.full(active_deltas.size, total_nodes), probs,
+                                       np.stack(np.unravel_index(active_deltas, shape)))
     # component tables for vectorized wrapped addition of an offset vector
     components = tuple(_read_only(c.astype(np.int32)) for c in
                        np.unravel_index(np.arange(total_nodes), shape))
-    return _SamplingPlan(shape, 4 * stride, chunks, components)
+    return _SamplingPlan(shape, 4 * stride, chunks, components, blocks, counters, probs)
 
 
 @functools.lru_cache(maxsize=16)
@@ -425,6 +444,18 @@ def _wrap(values: np.ndarray, n: int) -> np.ndarray:
     return np.subtract(values, n, out=values, where=values >= n)
 
 
+def _philox_streams(seeds: np.ndarray) -> list:
+    # the Philox bit generator and its Generator of each seed's stream,
+    # keyed with the seed as the low word
+    words = np.zeros((seeds.size, 2), dtype=np.uint64)
+    words[:, 0] = seeds
+    streams = []
+    for key in words:
+        bits = np.random.Philox(_philox_key_type()(key))
+        streams.append((bits, np.random.Generator(bits)))
+    return streams
+
+
 def _batch_links(plan: _SamplingPlan, seeds: np.ndarray) -> tuple:
     # the links of the graphs with the given seeds as int32 arrays of their
     # low and high union nodes.  Each graph draws from its own Philox stream
@@ -433,12 +464,7 @@ def _batch_links(plan: _SamplingPlan, seeds: np.ndarray) -> tuple:
     # in one pass per call
     size, width = seeds.size, plan.width
     n = math.prod(plan.shape)
-    words = np.zeros((size, 2), dtype=np.uint64)
-    words[:, 0] = seeds
-    streams = []
-    for key in words:
-        bits = np.random.Philox(_philox_key_type()(key))
-        streams.append((bits, np.random.Generator(bits)))
+    streams = _philox_streams(seeds)
     lows, highs = [], []
     for chunk in plan.chunks:
         draws = np.empty((size, chunk.blocks * width))
@@ -481,6 +507,57 @@ def _batch_links(plan: _SamplingPlan, seeds: np.ndarray) -> tuple:
 
 def _sample_batch(plan: _SamplingPlan, seeds: np.ndarray) -> _Batch:
     return _Batch(math.prod(plan.shape), seeds.size, *_batch_links(plan, seeds))
+
+
+def _pair_blocks(plan: _SamplingPlan, source: int, targets: np.ndarray) -> tuple:
+    # where _batch_links decides each pair {source, target}: the index in
+    # ``plan.blocks`` of the pair's offset block (-1 if that block is
+    # inactive), and the pair's column, which candidate of the block it is
+    low, high = np.minimum(source, targets), np.maximum(source, targets)
+    if plan.components is None:
+        # a ring pair is drawn at its shorter offset from the node that
+        # offset leads away from, the half-circle pair from its lower node
+        span = high - low
+        forward = 2 * span <= plan.shape[0]
+        offset = np.where(forward, span, plan.shape[0] - span)
+        column = np.where(forward, low, high)
+    else:
+        # a torus pair from its lower node, at the wrapped offset vector
+        # that leads to its higher node
+        offset = np.zeros_like(low)
+        for length, node_axis in zip(plan.shape, plan.components):
+            offset = offset * length + (node_axis[high] - node_axis[low]) % length
+        column = low
+    index = np.searchsorted(plan.blocks, offset - 1)
+    found = index < plan.blocks.size
+    found[found] = plan.blocks[index[found]] == offset[found] - 1
+    return np.where(found, index, -1), column
+
+
+def _pair_links(plan: _SamplingPlan, seeds: np.ndarray, source: int,
+                targets: np.ndarray) -> np.ndarray:
+    # whether the graph of each seed (rows) links ``source`` to each target
+    # (columns), decided from the one value per pair that _batch_links
+    # draws for it: each graph's stream skips to every counter that holds a
+    # pair's value and draws up to that value.  A pair of an inactive block
+    # never links
+    index, column = _pair_blocks(plan, source, targets)
+    active = index >= 0
+    index, column = index[active], column[active]
+    words = column % 4  # each counter gives four values
+    counters, rows = np.unique(plan.counters[index] + column // 4, return_inverse=True)
+    draws = np.zeros(counters.size, dtype=np.int64)
+    np.maximum.at(draws, rows, words + 1)
+    # after reading a counter the stream stands on the next one
+    skips = counters - np.concatenate(([0], counters[:-1] + 1))
+    values = np.empty((seeds.size, counters.size, 4))
+    for (bits, generator), row in zip(_philox_streams(seeds), values):
+        for skip, count, out in zip(skips.tolist(), draws.tolist(), row):
+            bits.advance(skip)  # which also drops what the last counter left
+            generator.random(out=out[:count])
+    linked = np.zeros((seeds.size, targets.size), dtype=bool)
+    linked[:, active] = values[:, rows, words] < plan.probs[index]
+    return linked
 
 
 def _joined(parts: list, dtype) -> np.ndarray:
@@ -637,16 +714,21 @@ def empirical_clustering(samples: Iterable[GraphSample]) -> McEstimate:
     return _reduce_clustering(_clustering_counts(s) for s in samples)
 
 
-def _pinned_nodes(batch: _Batch, offsets, anchor: int):
-    # each graph's anchor and the node ``offset`` past it, for every offset
-    # (graphs x offsets), as union nodes
-    n = batch.n
+def _pinned_pair(n: int, offsets, anchor: int):
+    # a graph's anchor and the node ``offset`` past it, for every offset
     offsets = np.asarray(offsets, dtype=np.int64)
     if np.any((offsets <= 0) | (offsets > n // 2)):
         raise ValueError("offset must lie in (0, n/2]")
     _require_sampleable(n, "nodes of this graph")
-    first = np.arange(0, batch.size * n, n)
-    return first + anchor % n, first[:, None] + (anchor + offsets) % n
+    return anchor % n, (anchor + offsets) % n
+
+
+def _pinned_nodes(batch: _Batch, offsets, anchor: int):
+    # each graph's anchor and the node ``offset`` past it, for every offset
+    # (graphs x offsets), as union nodes
+    source, targets = _pinned_pair(batch.n, offsets, anchor)
+    first = np.arange(0, batch.size * batch.n, batch.n)
+    return first + source, first[:, None] + targets
 
 
 def _node_set(n: int, nodes) -> np.ndarray:
@@ -781,6 +863,25 @@ def empirical_separation_histogram(samples: Iterable[GraphSample], offset: int,
 # trial drivers (sampling and measuring fused, thread friendly)
 # ---------------------------------------------------------------------------
 
+def _run_seeds(task, cost: int, trials: int, master_seed: int,
+               threads: int) -> np.ndarray:
+    # ``task(seeds)`` on the trial seeds in batches of as many trials as
+    # keep ``cost`` values per trial within MAX_BATCH_DRAWS, or one trial;
+    # its rows (one per trial) stacked in trial order
+    per_batch = max(1, MAX_BATCH_DRAWS // max(1, cost))
+
+    def run(start, stop):
+        seeds = _trial_seeds(master_seed, np.arange(start, stop))
+        return [task(seeds[first:first + per_batch])
+                for first in range(0, stop - start, per_batch)]
+
+    return np.concatenate(_map_runs(run, trials, threads))
+
+
+def _graph_draws(plan: _SamplingPlan) -> int:
+    return plan.width * plan.blocks.size
+
+
 def _run_batches(shape, kernel, measure, trials: int, master_seed: int,
                  threads: int, bitset_rows: bool = False) -> np.ndarray:
     # ``measure(batch)`` on every batch of freshly sampled trials, its rows
@@ -789,16 +890,9 @@ def _run_batches(shape, kernel, measure, trials: int, master_seed: int,
     # bitset adjacency rows, within MAX_BATCH_DRAWS, or one trial
     plan = _sampling_plan(shape, kernel)
     n = math.prod(plan.shape)
-    draws = plan.width * sum(chunk.blocks for chunk in plan.chunks)
-    cost = max(draws, n * _bitset_words(n) if bitset_rows else n)
-    per_batch = max(1, MAX_BATCH_DRAWS // cost)
-
-    def run(start, stop):
-        seeds = _trial_seeds(master_seed, np.arange(start, stop))
-        return [measure(_sample_batch(plan, seeds[first:first + per_batch]))
-                for first in range(0, stop - start, per_batch)]
-
-    return np.concatenate(_map_runs(run, trials, threads))
+    cost = max(_graph_draws(plan), n * _bitset_words(n) if bitset_rows else n)
+    return _run_seeds(lambda seeds: measure(_sample_batch(plan, seeds)), cost, trials,
+                      master_seed, threads)
 
 
 def estimate_mean_degree(shape, kernel, trials: int, master_seed: int,
@@ -845,11 +939,26 @@ def estimate_separation_histograms(shape, kernel, offsets: Sequence[int],
     measured on the same trials.
 
     Each histogram equals the one a call with its offset alone returns, and
-    every trial graph is sampled and searched once.
+    every trial graph is sampled and searched once.  With ``max_sep`` 0 the
+    histogram counts direct links only; when the pinned pairs of a trial
+    cost fewer draws to read than its graph (``PAIR_READ_DRAWS`` each),
+    each trial reads the values that decide its pinned pairs instead.
+    Those are the values its graph's sample draws for them, so the result
+    is the same.
     """
     if max_sep < 0:
         raise ValueError("max_sep must be non-negative")
     offsets = tuple(offsets)
+    if max_sep == 0:
+        plan = _sampling_plan(shape, kernel)
+        source, targets = _pinned_pair(math.prod(plan.shape), offsets, anchor)
+        reads = np.count_nonzero(_pair_blocks(plan, source, targets)[0] >= 0)
+        if reads * PAIR_READ_DRAWS < _graph_draws(plan):
+            # a direct link is separation 0, its absence beyond max_sep
+            table = _run_seeds(
+                lambda seeds: _pair_links(plan, seeds, source, targets).astype(np.int64) - 1,
+                4 * reads, trials, master_seed, threads)
+            return tuple(_reduce_separations(column, max_sep) for column in table.T)
     table = _run_batches(shape, kernel,
                          lambda batch: _separation_table(batch, offsets, max_sep, anchor),
                          trials, master_seed, threads)

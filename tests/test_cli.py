@@ -1020,6 +1020,14 @@ TORUS_WINDOWS = {"space": {"type": "torus", "radii": [6.0, 5.0]},
                  "kernel": {"type": "product", "factors": [CIRCLE_WINDOW, CIRCLE_WINDOW]}}
 
 
+@pytest.mark.parametrize("command", [None, *sorted(COMMAND_FLAGS)])
+def test_help_prints_and_returns_0(capsys, command):
+    assert main(["--help"] if command is None else [command, "--help"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"usage: ringnet {command or ''}".rstrip())
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
 def test_each_command_takes_exactly_the_flags_it_reads(command):
     accepted = set()
@@ -1136,8 +1144,25 @@ def _no_route_may_run(*_args, **_kwargs):
      "quadrature mode covers chain orders 1 and 2"),
     ("separation", {**CIRCLE, "computation": {"modes": ["mc", "full"], "k_list": [3]}},
      "full mode covers chain orders 1 and 2"),
+    # mode mc's settings are read before any mode listed ahead of it runs
+    ("separation", {**CIRCLE, "mc": {"seed": -1},
+                    "computation": {"modes": ["quadrature", "mc"]}},
+     "mc.seed (--seed) must be a non-negative integer"),
+    ("clustering", {**CIRCLE, "mc": {"seed": -1},
+                    "computation": {"modes": ["leading", "quadrature", "mc"]}},
+     "mc.seed (--seed) must be a non-negative integer"),
+    ("separation", {**CIRCLE, "mc": {"trials": 0},
+                    "computation": {"modes": ["leading", "quadrature", "mc"]}},
+     "mc.trials must be a positive integer"),
+    ("clustering", {**CIRCLE, "mc": {"trials": 0},
+                    "computation": {"modes": ["closed", "quadrature", "mc"]}},
+     "mc.trials must be a positive integer"),
+    ("separation", {**CIRCLE, "computation": {"modes": ["leading", "quadrature", "mc"],
+                                              "gap_grid": [0.0, 0.01]}},
+     "no gap in the grid maps to a usable node offset"),
 ], ids=["clustering-unknown", "separation-unknown", "torus-full", "closed-cosine",
-        "quadrature-k3", "full-k3"])
+        "quadrature-k3", "full-k3", "separation-mc-seed", "clustering-mc-seed",
+        "separation-mc-trials", "clustering-mc-trials", "separation-mc-no-offset"])
 def test_modes_are_checked_before_any_route_runs(tmp_path, capsys, monkeypatch, command,
                                                  document, message):
     for module, name in ((montecarlo, "estimate_clustering"),

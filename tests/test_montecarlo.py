@@ -1,6 +1,7 @@
 """Graph sampling, estimators, and the determinism contract."""
 
 import math
+import re
 import threading
 import time
 import tracemalloc
@@ -17,6 +18,7 @@ from ringnet import (
     CostBudgetError,
     EstimateUndefinedError,
     GraphSample,
+    KernelValidationError,
     ProductKernel,
     UniformWindow,
     chain_count_in_sample,
@@ -922,13 +924,117 @@ def test_batched_estimators_match_per_trial_references(case, trials, per_batch, 
     with batches():
         histograms = estimate_separation_histograms(shape, kernel, offsets, max_sep,
                                                     trials, seed, anchor=anchor)
-    assert sizes == expected_sizes
+    # direct links come from the pinned pairs' values, not from sampled
+    # graphs, where reading those costs fewer draws than a graph
+    assert sizes == ([] if pair_read_selected(shape, kernel, offsets, max_sep, anchor)
+                     else expected_sizes)
     for offset, histogram in zip(offsets, histograms):
         buckets = [0] * (max_sep + 2)
         for sample in samples:
             sep = reference_separation(sample, offset, max_sep, anchor)
             buckets[-1 if sep is None else sep] += 1
         assert histogram.counts == tuple(buckets)
+
+
+def pair_read_selected(shape, kernel, offsets, max_sep, anchor):
+    """Whether a histogram reads its pinned pairs' values: a direct-link
+    histogram whose active pairs cost fewer draws to read than a graph."""
+    plan = montecarlo._sampling_plan(shape, kernel)
+    source, targets = montecarlo._pinned_pair(math.prod(plan.shape), offsets, anchor)
+    reads = np.count_nonzero(montecarlo._pair_blocks(plan, source, targets)[0] >= 0)
+    return max_sep == 0 and reads * montecarlo.PAIR_READ_DRAWS < montecarlo._graph_draws(plan)
+
+
+# ---------------------------------------------------------------------------
+# direct links read from the pinned pairs' own values
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape, kernel", BATCH_CASES)
+def test_pair_reads_equal_the_sampled_graphs(shape, kernel):
+    plan = montecarlo._sampling_plan(shape, kernel)
+    n = math.prod(plan.shape)
+    offsets = list(range(1, n // 2 + 1))  # n/2 on even grids, inactive blocks
+    trials, seed = 6, 20260822
+    samples = [sample_graph(shape, kernel, trial_seed(seed, t)) for t in range(trials)]
+    seeds = montecarlo._trial_seeds(seed, range(trials))
+    inactive = 0
+    for anchor in (0, 1, n // 2 + 1, n - 1, 2 * n):
+        source, targets = montecarlo._pinned_pair(n, offsets, anchor)
+        inactive += np.count_nonzero(montecarlo._pair_blocks(plan, source, targets)[0] < 0)
+        expected = [[reference_separation(sample, offset, 0, anchor) == 0
+                     for offset in offsets] for sample in samples]
+        assert montecarlo._pair_links(plan, seeds, source, targets).tolist() == expected
+        # both sides of the selection give the histogram of the sampled graphs
+        histograms = []
+        for per_read in (0, 10 ** 9):
+            with mock.patch.object(montecarlo, "PAIR_READ_DRAWS", per_read):
+                histograms.append(estimate_separation_histograms(
+                    shape, kernel, offsets, 0, trials, seed, anchor=anchor))
+        assert histograms[0] == histograms[1]
+        assert [h.counts[0] for h in histograms[0]] == np.sum(expected, axis=0).tolist()
+    # every grid but the dense ring has offsets whose block never links
+    assert inactive > 0 or plan.blocks.size == n // 2
+
+
+@pytest.mark.parametrize("shape, kernel, offsets, pair_read", [
+    # the direct-link check of the battery: one active read against 12,288
+    # draws per graph
+    (256, UniformWindow(0.3, 1.2), (20, 100), True),
+    ((12, 10), ProductKernel((UniformWindow(0.7, 0.9), UniformWindow(0.6, 1.0))),
+     (1, 13, 60), True),
+    # 63 active reads cost more than the 8,064 draws of a graph
+    (126, UniformWindow(0.2, math.pi), tuple(range(1, 64)), False),
+])
+def test_pair_read_is_selected_by_its_cost(monkeypatch, shape, kernel, offsets, pair_read):
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+    trials, seed = 40, 7
+    assert pair_read_selected(shape, kernel, offsets, 0, 0) == pair_read
+    with mock.patch.object(montecarlo, "PAIR_READ_DRAWS", 0 if not pair_read else 10 ** 9):
+        other_path = estimate_separation_histograms(shape, kernel, offsets, 0, trials, seed)
+    sampled = []
+    original = montecarlo._sample_batch
+
+    def recording(plan, seeds):
+        sampled.append(seeds.size)
+        return original(plan, seeds)
+
+    monkeypatch.setattr(montecarlo, "_sample_batch", recording)
+    streams = counting_philox_streams(monkeypatch)
+    single = estimate_separation_histograms(shape, kernel, offsets, 0, trials, seed)
+    assert streams == [trial_seed(seed, t) for t in range(trials)]
+    assert (sum(sampled) == 0) == pair_read
+    assert single == other_path
+    streams.clear()
+    assert estimate_separation_histograms(shape, kernel, offsets, 0, trials, seed,
+                                          threads=2) == single
+    # two workers make their streams side by side
+    assert sorted(streams) == sorted(trial_seed(seed, t) for t in range(trials))
+
+
+@pytest.mark.parametrize("shape, kernel, offsets, max_sep, error", [
+    (256, UniformWindow(0.3, 1.2), (20, 0), 0, ValueError),
+    (256, UniformWindow(0.3, 1.2), (129,), 0, ValueError),
+    ((6, 5), ProductKernel((UniformWindow(0.7, 0.9), UniformWindow(0.6, 1.0))),
+     (16,), 0, ValueError),
+    (256, UniformWindow(0.3, 1.2), (20,), -1, ValueError),
+    (HUGE_NODES, UniformWindow(0.1, 0.5), (20,), 0, CostBudgetError),
+    (256, CosineSeries((0.1, 0.5)), (20,), 0, KernelValidationError),
+    (256, ProductKernel((UniformWindow(0.7, 0.9), UniformWindow(0.6, 1.0))), (20,), 0,
+     ValueError),
+])
+def test_pair_read_refuses_as_the_sampled_graphs_do(shape, kernel, offsets, max_sep, error):
+    # the same call with the pair read always and never selected
+    messages = []
+    for per_read in (0, 10 ** 9):
+        with mock.patch.object(montecarlo, "PAIR_READ_DRAWS", per_read):
+            with pytest.raises(error) as raised:
+                estimate_separation_histograms(shape, kernel, offsets, max_sep, 5, 3)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    # a larger max_sep, which always samples, raises the same
+    if max_sep == 0:
+        with pytest.raises(error, match=re.escape(messages[0])):
+            estimate_separation_histograms(shape, kernel, offsets, 1, 5, 3)
 
 
 def test_batched_chain_count_memory_does_not_grow_with_trials():
