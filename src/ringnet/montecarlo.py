@@ -18,15 +18,21 @@ at every requested offset.
 Reproducibility contract: the random value deciding a candidate pair is a
 pure function of the sample seed and the pair's canonical position (offset
 block times base node), realized with one counter-based bit generator per
-sample whose counter skips directly to each active pair block.  Trial
-seeds are derived from a master seed and the trial index alone, and all
-aggregation runs in trial order, so results are identical for any thread
-count; the worker pool never exceeds the CPUs available to the process.
+sample whose counter skips directly to each active pair block.  The node
+grid is the group Z_n1 x ... x Z_nd, and a ring is its one-axis case.  An
+offset vector d and its negation -d link the same pairs, so only the
+block that comes first of the two in flat mixed-radix order is drawn; in
+a self-inverse block (d = -d, on a ring the half-circle offset n/2) only
+the candidates whose partner is the higher node link.  So every pair is
+drawn once.  Trial seeds are derived from a master seed and the trial
+index alone, and all aggregation runs in trial order, so results are
+identical for any thread count; the worker pool never exceeds the CPUs
+available to the process.
 
 What does not depend on the seed is worked out once per (shape, kernel)
 and cached as a read-only sampling plan: the link probability and first
 counter of every active offset block, the counter skips and draw sizes of
-the generator calls, and on a torus the coordinates of every node.  A
+the generator calls, and the per-axis coordinates of every node.  A
 sample keys its Philox stream with its seed and walks the plan.  The plan
 changes no random value and no edge.
 
@@ -102,11 +108,14 @@ class McEstimate(NamedTuple):
 
 @dataclass(frozen=True)
 class GraphSample:
-    """One realized random graph on ring- or torus-positioned nodes.
+    """One realized random graph on a node grid.
 
-    ``edges`` is the canonical pair set: an (E, 2) integer array, each row
-    an unordered pair stored as (low, high), rows sorted lexicographically.
-    That representation is symmetric and self-loop free by construction.
+    ``shape`` holds the node count of each grid axis, one axis for a ring
+    and more for a torus; node numbers run over the grid in flat
+    mixed-radix order.  ``edges`` is the canonical pair set: an (E, 2)
+    integer array, each row an unordered pair stored as (low, high), rows
+    sorted lexicographically.  That representation is symmetric and
+    self-loop free by construction.
     """
 
     shape: tuple[int, ...]
@@ -115,10 +124,7 @@ class GraphSample:
 
     def __post_init__(self):
         shape = tuple(int(s) for s in self.shape)
-        if not shape or any(s < 1 for s in shape):
-            raise ValueError("node grid shape must be positive in every axis")
-        if math.prod(shape) < 2:
-            raise ValueError("a graph needs at least two nodes")
+        _require_grid(shape)
         edges = np.asarray(self.edges, dtype=np.int64)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ValueError("edges must be an (E, 2) array")
@@ -281,26 +287,31 @@ def _philox_key_type():
 
 class _Chunk(NamedTuple):
     # one generator call: advance the counter by ``skip``, draw ``blocks``
-    # offset blocks of the plan's ``width`` values each, and link the first
-    # ``columns`` candidates of every block whose draw is below its link
-    # probability
+    # offset blocks of the plan's ``width`` values each, and link the
+    # candidates of every block whose draw is below its link probability.
+    # A candidate is a node, and its partner is the node its block's offset
+    # vector leads to; the draws past the last node decide nothing.  In a
+    # self-inverse block (an offset vector equal to its negation) every
+    # pair is a candidate twice, and only the candidate whose partner is
+    # the higher node links
     skip: int
     blocks: int
-    columns: int
+    self_inverse: bool
     probs: np.ndarray    # (blocks, 1)
-    offsets: np.ndarray  # int32; ring: (blocks,) offsets; torus: (axes, blocks) components
+    offsets: np.ndarray  # int32 (axes, blocks): the offset vector of each block
 
 
 class _SamplingPlan(NamedTuple):
     # everything a sample of one (shape, kernel) needs that does not
-    # depend on its seed; the arrays are read-only
+    # depend on its seed; the arrays are read-only.  A ring is the torus
+    # of one axis
     shape: tuple
     width: int
     chunks: tuple
-    components: tuple | None  # torus: per-axis int32 coordinate of every node
-    # the active offset blocks in ascending order (block b holds the offset,
-    # or flattened offset vector, b + 1), the first counter of each, and
-    # each one's link probability
+    components: tuple  # per-axis int32 coordinate of every node
+    # the active offset blocks in ascending order (block b holds the offset
+    # vector whose flat mixed-radix index is b + 1), the first counter of
+    # each, and each one's link probability
     blocks: np.ndarray
     counters: np.ndarray
     probs: np.ndarray
@@ -318,6 +329,13 @@ def _require_valid(kernel):
         raise KernelValidationError("; ".join(problems))
 
 
+def _require_grid(shape: tuple):
+    if not shape or any(s < 1 for s in shape):
+        raise ValueError("node grid shape must be positive in every axis")
+    if math.prod(shape) < 2:
+        raise ValueError("a graph needs at least two nodes")
+
+
 def _require_sampleable(n: int, what: str):
     # every active offset block draws one candidate per node, so a graph
     # with more nodes than the draw budget can never be sampled; refusing
@@ -326,20 +344,44 @@ def _require_sampleable(n: int, what: str):
         raise CostBudgetError(what, n, MAX_CANDIDATE_DRAWS)
 
 
-def _chunk_schedule(blocks: np.ndarray, stride: int, columns: np.ndarray,
-                    probs: np.ndarray, offsets: np.ndarray) -> tuple:
-    # generator calls for the ascending active offset blocks ``blocks``, all
-    # from one counter-based stream per sample, and the first counter of
-    # each block.  Block b owns the counters from b * stride on, so a pair's
-    # random value depends only on the seed and the pair's canonical index.
-    # Consecutive blocks with the same candidate count are drawn together,
-    # at most MAX_RUN_DRAWS values per call, and the counter skips over
-    # inactive blocks.  Each block takes all 4 * stride values of its
-    # counter range, so the next block starts on its own first counter.
-    width = 4 * stride
-    per_call = max(1, MAX_RUN_DRAWS // width)
-    breaks = np.nonzero((np.diff(blocks) != 1) | (np.diff(columns) != 0))[0] + 1
-    bounds = [0, *breaks.tolist(), blocks.size]
+def _plan(shape: tuple, factors: tuple) -> _SamplingPlan:
+    # the half-offset layout on Z_n1 x ... x Z_nd.  An offset vector and its
+    # negation link the same pairs, so only the one that comes first in
+    # flat order is drawn; all of those have a first component of at most
+    # half its axis.  Block b owns the counters from b * stride on, so a
+    # pair's random value depends only on the seed and the pair's position
+    n = math.prod(shape)
+    space = "ring" if len(shape) == 1 else "torus"
+    _require_sampleable(n, f"candidate pairs per offset block of this {space} sample")
+    # per-axis kernel values at every axis offset (on the first axis up to
+    # half its length), combined into the link probability of every offset
+    # vector in flat order
+    grid = np.ones((1,))
+    for axis, (length, factor) in enumerate(zip(shape, factors)):
+        steps = np.arange(length // 2 + 1 if axis == 0 else length)
+        grid = np.multiply.outer(grid, np.asarray(factor.evaluate(TWO_PI * steps / length)))
+    grid = grid.reshape(-1)  # leading singleton folds away
+    deltas = np.flatnonzero(grid > 0.0)
+    deltas = deltas[deltas != 0]
+    negated = np.ravel_multi_index([(-c) % length for c, length
+                                    in zip(np.unravel_index(deltas, shape), shape)], shape)
+    first = deltas <= negated
+    deltas, self_inverse = deltas[first], (deltas == negated)[first]
+    # a self-inverse block holds n / 2 candidate pairs, any other n
+    total = int(deltas.size) * n - int(np.count_nonzero(self_inverse)) * (n // 2)
+    if total > MAX_CANDIDATE_DRAWS:
+        raise CostBudgetError(f"candidate pairs for this {space} sample",
+                              total, MAX_CANDIDATE_DRAWS)
+    stride = -(-n // 4)  # counters per block, 4 draws each
+    blocks, probs = _read_only(deltas - 1), _read_only(grid[deltas])
+    offsets = _read_only(np.stack(np.unravel_index(deltas, shape)).astype(np.int32))
+    # Consecutive blocks of one kind are drawn together, at most
+    # MAX_RUN_DRAWS values per call, and the counter skips over the blocks
+    # between.  Each block takes all 4 * stride values of its counter
+    # range, so the next block starts on its own first counter
+    per_call = max(1, MAX_RUN_DRAWS // (4 * stride))
+    breaks = np.flatnonzero((np.diff(deltas) != 1) | np.diff(self_inverse)) + 1
+    bounds = [0, *breaks.tolist(), deltas.size]
     chunks = []
     position = 0  # block at which the stream stands
     for run_start, run_stop in zip(bounds, bounds[1:]):
@@ -348,74 +390,30 @@ def _chunk_schedule(blocks: np.ndarray, stride: int, columns: np.ndarray,
             chunks.append(_Chunk(
                 skip=int(blocks[start] - position) * stride,
                 blocks=stop - start,
-                columns=int(columns[start]),
-                probs=_read_only(probs[start:stop, None]),
-                offsets=_read_only(offsets[..., start:stop].astype(np.int32))))
+                self_inverse=bool(self_inverse[start]),
+                probs=probs[start:stop, None],
+                offsets=offsets[:, start:stop]))
             position = int(blocks[stop - 1]) + 1
-    return tuple(chunks), _read_only(blocks * stride)
-
-
-def _ring_plan(n: int, kernel) -> _SamplingPlan:
-    _require_sampleable(n, "candidate pairs per offset block of this ring sample")
-    offsets = np.arange(1, n // 2 + 1)
-    probs = np.asarray(kernel.evaluate(TWO_PI * offsets / n))
-    # the half-circle block holds only n/2 candidates
-    counts = np.where(2 * offsets == n, n // 2, n)
-    active = np.nonzero(probs > 0.0)[0]
-    total = int(np.sum(counts[active]))
-    if total > MAX_CANDIDATE_DRAWS:
-        raise CostBudgetError("candidate pairs for this ring sample",
-                              total, MAX_CANDIDATE_DRAWS)
-    stride = -(-n // 4)  # counters per block, 4 draws each
-    probs = _read_only(probs[active])
-    chunks, counters = _chunk_schedule(active, stride, counts[active], probs,
-                                       offsets[active])
-    return _SamplingPlan((n,), 4 * stride, chunks, None, _read_only(active), counters,
-                         probs)
-
-
-def _torus_plan(shape: tuple, kernel: ProductKernel) -> _SamplingPlan:
-    total_nodes = math.prod(shape)
-    _require_sampleable(total_nodes,
-                        "candidate pairs per offset block of this torus sample")
-    # per-axis kernel values at every axis offset, combined into the link
-    # probability of every offset vector (flattened mixed-radix order)
-    grid = np.ones((1,))
-    for length, factor in zip(shape, kernel.factors):
-        values = np.asarray(factor.evaluate(TWO_PI * np.arange(length) / length))
-        grid = np.multiply.outer(grid, values)
-    delta_probs = grid.reshape(-1)  # leading singleton folds away
-    active_deltas = np.nonzero(delta_probs > 0.0)[0]
-    active_deltas = active_deltas[active_deltas != 0]
-    total = int(active_deltas.size) * total_nodes
-    if total > MAX_CANDIDATE_DRAWS:
-        raise CostBudgetError("candidate pairs for this torus sample",
-                              total, MAX_CANDIDATE_DRAWS)
-    stride = -(-total_nodes // 4)
-    blocks, probs = _read_only(active_deltas - 1), _read_only(delta_probs[active_deltas])
-    chunks, counters = _chunk_schedule(blocks, stride,
-                                       np.full(active_deltas.size, total_nodes), probs,
-                                       np.stack(np.unravel_index(active_deltas, shape)))
-    # component tables for vectorized wrapped addition of an offset vector
+    # coordinate tables for wrapped addition of an offset vector
     components = tuple(_read_only(c.astype(np.int32)) for c in
-                       np.unravel_index(np.arange(total_nodes), shape))
-    return _SamplingPlan(shape, 4 * stride, chunks, components, blocks, counters, probs)
+                       np.unravel_index(np.arange(n), shape))
+    return _SamplingPlan(shape, 4 * stride, tuple(chunks), components, blocks,
+                         _read_only(blocks * stride), probs)
 
 
 @functools.lru_cache(maxsize=16)
 def _cached_plan(shape: tuple, kernel) -> _SamplingPlan:
     # a refused or invalid request raises, and lru_cache stores no result
     _require_valid(kernel)
+    _require_grid(shape)
     if len(shape) == 1:
-        if shape[0] < 2:
-            raise ValueError("a graph needs at least two nodes")
         if isinstance(kernel, ProductKernel):
             raise ValueError("a ring sample needs a one-dimensional kernel")
-        return _ring_plan(shape[0], kernel)
+        return _plan(shape, (kernel,))
     if not isinstance(kernel, ProductKernel) or len(kernel.factors) != len(shape):
         raise ValueError("a torus sample needs a product kernel with one "
                          "factor per grid axis")
-    return _torus_plan(shape, kernel)
+    return _plan(shape, kernel.factors)
 
 
 _PLAN_LOCK = threading.Lock()
@@ -477,26 +475,27 @@ def _batch_links(plan: _SamplingPlan, seeds: np.ndarray) -> tuple:
                                 < chunk.probs).astype(np.int32)
         rows = linked // width  # graph * blocks + block
         hits = linked - rows * width
-        if chunk.columns < width:  # draws past the block's candidates
-            keep = hits < chunk.columns
+        if n < width:  # draws past the last node
+            keep = hits < n
             rows, hits = rows[keep], hits[keep]
         if size > 1:
             graphs = rows // chunk.blocks
             rows -= graphs * chunk.blocks
-        if plan.components is None:
-            partner = _wrap(hits + chunk.offsets[rows], n)
-            low, high = np.minimum(hits, partner), np.maximum(hits, partner)
-        else:
-            partner = np.zeros_like(hits)
-            for length, node_axis, delta_axis in zip(plan.shape, plan.components,
-                                                     chunk.offsets):
-                partner = partner * length + _wrap(node_axis[hits] + delta_axis[rows], length)
-            # each unordered pair shows up under an offset and its negation;
-            # keeping source < partner picks exactly one of the two
+        # the partner, node plus offset vector wrapped axis by axis, as a
+        # flat index built up from the first axis
+        axes = zip(plan.shape, plan.components, chunk.offsets)
+        length, node_axis, delta_axis = next(axes)
+        partner = _wrap(node_axis[hits] + delta_axis[rows], length)
+        for length, node_axis, delta_axis in axes:
+            partner *= length
+            partner += _wrap(node_axis[hits] + delta_axis[rows], length)
+        if chunk.self_inverse:
             keep = hits < partner
             low, high = hits[keep], partner[keep]
             if size > 1:
                 graphs = graphs[keep]
+        else:
+            low, high = np.minimum(hits, partner), np.maximum(hits, partner)
         if size > 1:  # node i of graph g is the union node g * n + i
             graphs *= n
             low, high = low + graphs, high + graphs
@@ -512,22 +511,19 @@ def _sample_batch(plan: _SamplingPlan, seeds: np.ndarray) -> _Batch:
 def _pair_blocks(plan: _SamplingPlan, source: int, targets: np.ndarray) -> tuple:
     # where _batch_links decides each pair {source, target}: the index in
     # ``plan.blocks`` of the pair's offset block (-1 if that block is
-    # inactive), and the pair's column, which candidate of the block it is
+    # inactive), and the pair's column, which candidate of the block it is.
+    # A pair {a, b}, a < b, is candidate a of the block of the offset vector
+    # d from a to b when d comes first of d and -d in flat order (so always
+    # when d is self-inverse), and candidate b of the block of -d otherwise
     low, high = np.minimum(source, targets), np.maximum(source, targets)
-    if plan.components is None:
-        # a ring pair is drawn at its shorter offset from the node that
-        # offset leads away from, the half-circle pair from its lower node
-        span = high - low
-        forward = 2 * span <= plan.shape[0]
-        offset = np.where(forward, span, plan.shape[0] - span)
-        column = np.where(forward, low, high)
-    else:
-        # a torus pair from its lower node, at the wrapped offset vector
-        # that leads to its higher node
-        offset = np.zeros_like(low)
-        for length, node_axis in zip(plan.shape, plan.components):
-            offset = offset * length + (node_axis[high] - node_axis[low]) % length
-        column = low
+    delta = negated = 0
+    for length, node_axis in zip(plan.shape, plan.components):
+        step = (node_axis[high] - node_axis[low]) % length
+        delta = delta * length + step
+        negated = negated * length + (length - step) % length
+    forward = delta <= negated
+    offset = np.where(forward, delta, negated)
+    column = np.where(forward, low, high)
     index = np.searchsorted(plan.blocks, offset - 1)
     found = index < plan.blocks.size
     found[found] = plan.blocks[index[found]] == offset[found] - 1

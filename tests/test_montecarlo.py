@@ -201,33 +201,42 @@ def test_sample_torus_shape():
 def contract_torus_edges(shape, kernel, seed):
     """Edges rebuilt from the sampling contract, one offset block at a time.
 
-    Offset block b (offset vector b + 1, flattened in mixed-radix order)
-    draws its N candidates from a fresh ``Philox(key=seed)`` advanced to
-    counter ``b * ceil(N / 4)``; candidate i links node i to node i + offset
-    when its draw is below the link probability.
+    Offset block b holds the offset vector d whose flat mixed-radix index
+    is b + 1, and is drawn only when d comes first of d and -d in flat
+    order.  Its N candidates draw from a fresh ``Philox(key=seed)``
+    advanced to counter ``b * ceil(N / 4)``; candidate i links node i to
+    node i + d when its draw is below the link probability.  In a
+    self-inverse block (d = -d) only the candidates whose partner is the
+    higher node link.  No pair is drawn twice.
     """
     shape = tuple(shape)
     total = math.prod(shape)
     stride = -(-total // 4)
     axis_probs = [np.asarray(factor.evaluate(2.0 * math.pi * np.arange(length) / length))
                   for length, factor in zip(shape, kernel.factors)]
-    pairs = set()
+    drawn, pairs = set(), []
     for delta in range(1, total):
         components = np.unravel_index(delta, shape)
+        negated = int(np.ravel_multi_index(
+            [(-c) % length for c, length in zip(components, shape)], shape))
         prob = math.prod(float(p[c]) for p, c in zip(axis_probs, components))
-        if prob <= 0.0:
+        if negated < delta or prob <= 0.0:
             continue
         bits = np.random.Philox(key=np.uint64(seed))
         bits.advance((delta - 1) * stride)
         draws = np.random.Generator(bits).random(total)
-        for node in np.nonzero(draws < prob)[0]:
-            node_components = np.unravel_index(int(node), shape)
+        for node in range(total):
+            node_components = np.unravel_index(node, shape)
             partner = int(np.ravel_multi_index(
                 [(a + c) % length for a, c, length
                  in zip(node_components, components, shape)], shape))
-            # each pair shows up under an offset and its negation
-            if node < partner:
-                pairs.add((int(node), partner))
+            if negated == delta and partner < node:
+                continue
+            pair = (min(node, partner), max(node, partner))
+            assert pair not in drawn
+            drawn.add(pair)
+            if draws[node] < prob:
+                pairs.append(pair)
     return sorted(pairs)
 
 
@@ -549,6 +558,23 @@ def test_sample_budget_guard():
         sample_graph(1 << 22, UniformWindow(0.5, math.pi), seed=1)
 
 
+@pytest.mark.parametrize("shape", [(5, 0), (-3, 4), (1, 1)])
+@pytest.mark.parametrize("call", [
+    lambda shape, kernel: sample_graph(shape, kernel, 1),
+    lambda shape, kernel: estimate_mean_degree(shape, kernel, 3, 1),
+    lambda shape, kernel: estimate_clustering(shape, kernel, 3, 1),
+    lambda shape, kernel: estimate_chain_counts(shape, kernel, 1, (1,), 3, 1),
+    lambda shape, kernel: estimate_separation_histograms(shape, kernel, (1,), 0, 3, 1),
+], ids=["sample_graph", "mean_degree", "clustering", "chain_counts", "separation"])
+def test_every_sampled_space_refuses_a_bad_shape(call, shape):
+    # the refusal a graph sample of that shape gives
+    with pytest.raises(ValueError) as expected:
+        GraphSample(shape, 0, np.zeros((0, 2), dtype=np.int64))
+    kernel = ProductKernel((UniformWindow(0.5, 0.9), UniformWindow(0.4, 1.1)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        call(shape, kernel)
+
+
 # a node count whose per-node arrays the operating system refuses outright:
 # any check that came after an allocation of size n would fail with
 # MemoryError instead of the budget error
@@ -840,6 +866,9 @@ BATCH_CASES = [
     ((6, 5), ProductKernel((UniformWindow(0.7, 0.9), UniformWindow(0.6, 1.0)))),
     ((4, 4, 3), ProductKernel((UniformWindow(0.5, 1.6), interior_zero_kernel(),
                                UniformWindow(0.4, 1.3)))),
+    # every nonzero offset vector is self-inverse; only (0, 1) links, from
+    # nodes 0 and 2, which are not the first columns of its block
+    ((2, 2), ProductKernel((UniformWindow(0.7, 1.0), UniformWindow(0.6, math.pi)))),
 ]
 
 
@@ -1088,6 +1117,18 @@ def test_plan_built_once_per_shape_and_kernel(monkeypatch, shape, kernel, thread
     assert calls == list(factors)
 
 
+@pytest.mark.parametrize("shape, kernel, blocks", [
+    # the battery's clustering graph
+    (4096, UniformWindow(0.1, 1.0), 651),
+    # 436 active offset vectors, drawn once for each pair d, -d
+    ((64, 64), ProductKernel((UniformWindow(0.5, 0.9), UniformWindow(0.4, 1.1))), 218),
+])
+def test_plan_draws_each_offset_pair_once(shape, kernel, blocks):
+    plan = montecarlo._sampling_plan(shape, kernel)
+    assert plan.blocks.size == blocks
+    assert montecarlo._graph_draws(plan) == 4096 * blocks  # 2,666,496 and 892,928
+
+
 def test_plan_arrays_are_read_only():
     ring = montecarlo._sampling_plan((130,), UniformWindow(0.5, math.pi))
     torus = montecarlo._sampling_plan(
@@ -1147,7 +1188,8 @@ def reference_batch_links(plan, seeds):
     """The links of a batch by the key round trip they were once decoded
     with: each link as the int64 key low * N + high of its union nodes (N
     of them), one key array per generator call, and the keys split again by
-    division; wraps and graph numbers by ``%`` and ``divmod``."""
+    division; node coordinates, wraps and graph numbers by
+    ``np.unravel_index``, ``%`` and ``divmod``."""
     size, width, n = len(seeds), plan.width, math.prod(plan.shape)
     nodes = size * n
     streams = [np.random.Philox(key=np.uint64(seed)) for seed in seeds]
@@ -1159,19 +1201,17 @@ def reference_batch_links(plan, seeds):
             np.random.Generator(bits).random(out=row)
         linked = np.flatnonzero(draws.reshape(size, chunk.blocks, width) < chunk.probs)
         rows, hits = np.divmod(linked, width)
-        keep = hits < chunk.columns
+        keep = hits < n
         graphs, rows = np.divmod(rows[keep], chunk.blocks)
         hits = hits[keep]
-        offsets = chunk.offsets.astype(np.int64)
-        if plan.components is None:
-            partner = (hits + offsets[rows]) % n
-            low, high = np.minimum(hits, partner), np.maximum(hits, partner)
-        else:
-            partner = np.zeros_like(hits)
-            for length, node_axis, delta_axis in zip(plan.shape, plan.components, offsets):
-                partner = partner * length + (node_axis[hits] + delta_axis[rows]) % length
+        partner = np.zeros_like(hits)
+        for length, node_axis, delta_axis in zip(plan.shape, np.unravel_index(hits, plan.shape),
+                                                 chunk.offsets.astype(np.int64)):
+            partner = partner * length + (node_axis + delta_axis[rows]) % length
+        if chunk.self_inverse:
             keep = hits < partner
-            low, high, graphs = hits[keep], partner[keep], graphs[keep]
+            hits, partner, graphs = hits[keep], partner[keep], graphs[keep]
+        low, high = np.minimum(hits, partner), np.maximum(hits, partner)
         keys.append((low + graphs * n) * nodes + high + graphs * n)
     return np.divmod(np.concatenate(keys) if keys else np.empty(0, dtype=np.int64), nodes)
 
@@ -1199,6 +1239,8 @@ def link_batches(draw):
                                          UniformWindow(0.4, 1.3))), [9]))
 @example(case=((12, 10), ProductKernel((UniformWindow(0.7, 0.9),
                                         UniformWindow(0.6, 1.0))), [9, 10, 11, 12]))
+@example(case=((2, 2), ProductKernel((UniformWindow(0.7, math.pi),
+                                      UniformWindow(0.6, math.pi))), [5, 6]))
 def test_decoded_links_equal_the_key_round_trip(case):
     shape, kernel, seeds = case
     plan = montecarlo._sampling_plan(shape, kernel)
