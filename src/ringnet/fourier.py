@@ -57,8 +57,9 @@ MAX_SERIES_TERMS = 1 << 23
 # power-sum cosine table or images times order of a B-spline recurrence: a
 # fixed bound on the memory of a curve's temporaries (512 KiB), not an option
 MAX_TABLE_CELLS = 1 << 16
-# harmonics per block of a closed-form sum: its terms are formed block by
-# block into one full-length buffer, so the temporaries stay 128 KiB each
+# harmonics per block of a closed-form sum or a sharp-window series: terms
+# are formed block by block into one full-length buffer, so the
+# temporaries stay 128 KiB each
 SUM_BLOCK_TERMS = 1 << 14
 # upper bounds on sum 1/n^2 = pi^2/6 = 1.64493... and sum 1/n^3 = 1.20205...
 _ZETA_TWO_BOUND = 1.645
@@ -94,11 +95,13 @@ def uniform_window_series(window: UniformWindow, terms: int = DEFAULT_TERMS) -> 
     _check_series_terms("sharp-window series", terms)
     coeffs = np.empty(terms + 1)
     coeffs[0] = window.p * window.half_width / np.pi
-    n = np.arange(1.0, terms + 1)  # the tail p*sin(n*w)/(pi*n), formed in place
-    tail = np.sin(np.multiply(n, window.half_width, out=coeffs[1:]), out=coeffs[1:])
-    tail *= window.p
-    tail /= np.multiply(n, np.pi, out=n)
-    return FourierSeries(coeffs)
+    for block, n in _harmonic_blocks(terms):
+        # the tail p*sin(n*w)/(pi*n), formed in place a block at a time
+        tail = coeffs[1:][block]
+        np.sin(np.multiply(n, window.half_width, out=tail), out=tail)
+        tail *= window.p
+        tail /= np.multiply(n, np.pi, out=n)
+    return FourierSeries._owning(coeffs)
 
 
 # ---------------------------------------------------------------------------

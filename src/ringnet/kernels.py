@@ -126,7 +126,17 @@ class CosineSeries:
     _array: np.ndarray
 
     def __init__(self, coeffs):
-        array = np.array(coeffs, dtype=float)
+        self._adopt(np.array(coeffs, dtype=float))
+
+    @classmethod
+    def _owning(cls, array: np.ndarray) -> "CosineSeries":
+        # the series of a float array that no one else holds, taken as the
+        # series' own instead of copied as the constructor copies
+        series = cls.__new__(cls)
+        series._adopt(array)
+        return series
+
+    def _adopt(self, array: np.ndarray):
         if array.ndim != 1:
             raise KernelValidationError("cosine coefficients must be a flat sequence")
         if not array.size:

@@ -10,8 +10,10 @@ path length minus one).  Measurements run on whole arrays.  Each triangle
 is counted once, on its link from first to second node under a direction
 of the links that leaves no directed triangle, by ANDing bitset rows of
 forward neighbours; when every link is shorter than a third of the ring,
-a row holds only the band of words that such links reach.  Chain counts
-and the separations read the edge columns through boolean node masks.
+a row holds only the band of words that such links reach.  The rows are
+laid out before any draw from the longest link the plan can make, and
+each generator call's links are set into them and dropped.  Chain counts
+and the separations read joined edge columns through boolean node masks.
 One breadth-first search, a whole frontier per step, gives the separation
 at every requested offset.
 
@@ -46,10 +48,11 @@ The estimators run each worker's contiguous run of trials in batches of up
 to ``MAX_BATCH_DRAWS`` candidate draws.  A batch is the disjoint union of
 its graphs: node i of the batch's graph t is the union node t * n + i.
 Every graph still draws from its own stream, writing its values into its
-row of one buffer per generator call of the plan, and the batch is linked
-and measured in a few array passes over the union, with per-graph results
-split off by node number.  A graph's random values, edges and measurements
-do not depend on the batch it is in, so batching changes no result.  A
+row of one buffer per generator call of the plan.  Each call's links of
+the whole union come out as one chunk, measured as it comes or joined,
+and per-graph results are split off by node number.  A graph's random
+values, edges and measurements do not depend on the batch it is in, so
+batching changes no result.  A
 :class:`GraphSample` is the batch of one, its edges sorted once as integer
 keys low * n + high.
 """
@@ -315,6 +318,9 @@ class _SamplingPlan(NamedTuple):
     blocks: np.ndarray
     counters: np.ndarray
     probs: np.ndarray
+    # the longest link any active block can make, counted round the ring of
+    # node numbers
+    reach: int
 
 
 def _read_only(array) -> np.ndarray:
@@ -397,8 +403,17 @@ def _plan(shape: tuple, factors: tuple) -> _SamplingPlan:
     # coordinate tables for wrapped addition of an offset vector
     components = tuple(_read_only(c.astype(np.int32)) for c in
                        np.unravel_index(np.arange(n), shape))
+    # a link of offset vector d moves a node's number by d_i - w_i L_i on
+    # each axis i of length L_i, in mixed radix, where w_i = 1 if the link
+    # wraps round the axis, as it can wherever d_i > 0
+    moves = np.zeros((1, deltas.size), dtype=np.int64)
+    for length, delta_axis in zip(shape, offsets.astype(np.int64)):
+        wrapped = np.where(delta_axis > 0, delta_axis - length, delta_axis)
+        moves = np.concatenate((moves * length + delta_axis, moves * length + wrapped))
+    moves = np.abs(moves)
     return _SamplingPlan(shape, 4 * stride, tuple(chunks), components, blocks,
-                         _read_only(blocks * stride), probs)
+                         _read_only(blocks * stride), probs,
+                         int(np.max(np.minimum(moves, n - moves), initial=0)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -454,16 +469,15 @@ def _philox_streams(seeds: np.ndarray) -> list:
     return streams
 
 
-def _batch_links(plan: _SamplingPlan, seeds: np.ndarray) -> tuple:
-    # the links of the graphs with the given seeds as int32 arrays of their
-    # low and high union nodes.  Each graph draws from its own Philox stream
-    # as a sample alone does, writing the values of each generator call into
-    # its row of the call's buffer; the links of all graphs are then found
-    # in one pass per call
+def _batch_links(plan: _SamplingPlan, seeds: np.ndarray):
+    # the links of the graphs with the given seeds, one chunk per generator
+    # call of the plan: int32 arrays of their low and high union nodes.
+    # Each graph draws from its own Philox stream as a sample alone does,
+    # writing the values of each call into its row of the call's buffer,
+    # and the links of all graphs are found in one pass per call
     size, width = seeds.size, plan.width
     n = math.prod(plan.shape)
     streams = _philox_streams(seeds)
-    lows, highs = [], []
     for chunk in plan.chunks:
         draws = np.empty((size, chunk.blocks * width))
         for (bits, generator), row in zip(streams, draws):
@@ -499,13 +513,14 @@ def _batch_links(plan: _SamplingPlan, seeds: np.ndarray) -> tuple:
         if size > 1:  # node i of graph g is the union node g * n + i
             graphs *= n
             low, high = low + graphs, high + graphs
-        lows.append(low)
-        highs.append(high)
-    return _joined(lows, np.int32), _joined(highs, np.int32)
+        yield low, high
 
 
 def _sample_batch(plan: _SamplingPlan, seeds: np.ndarray) -> _Batch:
-    return _Batch(math.prod(plan.shape), seeds.size, *_batch_links(plan, seeds))
+    # the links of all calls joined, for measurements that read them twice
+    chunks = list(_batch_links(plan, seeds))
+    return _Batch(math.prod(plan.shape), seeds.size,
+                  *(_joined([chunk[end] for chunk in chunks], np.int32) for end in (0, 1)))
 
 
 def _pair_blocks(plan: _SamplingPlan, source: int, targets: np.ndarray) -> tuple:
@@ -580,51 +595,23 @@ def sample_graph(shape, kernel, seed: int) -> GraphSample:
     of the work, the sampling plan, is built once per (shape, kernel).
     """
     plan = _sampling_plan(shape, kernel)
-    n = math.prod(plan.shape)
-    low, high = _batch_links(plan, np.array([seed], dtype=np.uint64))
-    return GraphSample(plan.shape, seed, _canonical_edges([low.astype(np.int64) * n + high], n))
+    batch = _sample_batch(plan, np.array([seed], dtype=np.uint64))
+    return GraphSample(plan.shape, seed,
+                       _canonical_edges([batch.low.astype(np.int64) * batch.n + batch.high],
+                                        batch.n))
 
 
 # ---------------------------------------------------------------------------
 # measurements on a batch of graphs, and on one sample as a batch of one
 # ---------------------------------------------------------------------------
 
-def _bitset_words(n: int) -> int:
-    # 64-bit words of one node's adjacency row
-    return -(-n // 64)
-
-
-def _link_blocks(batch: _Batch, per_block: int):
-    # the batch's links as (low, high) views of at most ``per_block`` links
-    for start in range(0, batch.low.size, per_block):
-        yield batch.low[start:start + per_block], batch.high[start:start + per_block]
-
-
-def _triangle_counts(batch: _Batch):
-    # pooled numerator and denominator per graph: linked neighbour pairs
-    # and all neighbour pairs, summed over nodes.  A triangle is a linked
-    # pair of neighbours at each of its three corners, so the numerator is
-    # three times the triangle count.  Each link is directed a -> b by an
-    # order of the nodes, so that a triangle has a first, a second and a
-    # third node and is counted once, on its link from first to second, as
-    # the forward neighbours that a and b share, |F(a) & F(b)|.  Row a holds
-    # F(a) as bits (bit j % 64 of word j // 64 stands for node j of a's
-    # graph), and the rows of a block of links are gathered and ANDed at once
-    n, size = batch.n, batch.size
-    if n * n > MAX_ADJACENCY_CELLS:
-        raise CostBudgetError("packed adjacency for this graph",
-                              n * n, MAX_ADJACENCY_CELLS)
-    nodes = size * n
-    degrees = np.bincount(batch.low, minlength=nodes) + np.bincount(batch.high,
-                                                                     minlength=nodes)
-    degrees = degrees.reshape(size, n)
-    pairs = np.sum(degrees * (degrees - 1) // 2, axis=1)
-    # reach: the longest link, counted round the ring of node numbers
-    reach = 0
-    for low, high in _link_blocks(batch, MAX_BITSET_WORDS):
-        length = high - low
-        reach = max(reach, int(np.max(np.minimum(length, n - length))))
-    words = _bitset_words(n)
+def _bitset_rows(n: int, reach: int) -> tuple:
+    # (banded, words, width, span) of the bitset rows of graphs of n nodes
+    # whose links are at most ``reach`` long round the ring of node numbers:
+    # ``width`` words a row, ``span`` of them ANDed per link, of the
+    # ``words`` of a full row.  Refuses rows of more than
+    # MAX_ADJACENCY_CELLS cells (a bit each) per graph before any exist
+    words = -(-n // 64)
     # a node at most ``reach`` ahead of a lies in the ``band`` words from
     # a's own word on, counted round the ring of words; across the seam
     # the last word's 64 * words - n unused bits count too
@@ -638,50 +625,108 @@ def _triangle_counts(batch: _Batch):
     # a row holds all words of the graph and a link points to its higher node
     banded = 3 * reach < n and 2 * band <= words
     width = 2 * band if banded else words
-    span = band if banded else words  # words ANDed per link
-    per_block = max(1, MAX_BITSET_WORDS // span)
+    if 64 * n * width > MAX_ADJACENCY_CELLS:
+        raise CostBudgetError("bitset adjacency rows for this graph",
+                              64 * n * width, MAX_ADJACENCY_CELLS)
+    return banded, words, width, band if banded else words
 
-    def forward_links():
-        # blocks of links a -> b, with the flat int64 indices of the rows of
-        # a and b and the word of a's row that holds b
-        for low, high in _link_blocks(batch, per_block):
-            if banded:
-                ahead = high - low <= reach  # else low is ahead, across the seam
-                low, high = np.where(ahead, low, high), np.where(ahead, high, low)
-            local = high % n if size > 1 else high  # b's number in its graph
-            word = local >> 6
-            if banded:
-                word = (word - ((low % n if size > 1 else low) >> 6)) % words
-            yield (low, low.astype(np.int64) * width, high.astype(np.int64) * width,
-                   local, word)
 
-    rows = np.zeros(nodes * width, dtype=np.uint64)
-    for _, src_row, _, local, word in forward_links():
+def _triangle_counts(n: int, size: int, reach: int, links):
+    # pooled numerator and denominator of each of ``size`` graphs of n
+    # nodes: linked neighbour pairs and all neighbour pairs, summed over
+    # nodes.  ``links`` yields (low, high) union node arrays, each link once
+    # and none longer than ``reach``.  A triangle is a linked pair of
+    # neighbours at each of its three corners, so the numerator is three
+    # times the triangle count.  Each link is directed a -> b by an order of
+    # the nodes, so that a triangle has a first, a second and a third node
+    # and is counted once, on its link from first to second, as the forward
+    # neighbours that a and b share, |F(a) & F(b)|.  Row a holds F(a) as
+    # bits (bit j % 64 of word j // 64 stands for node j of a's graph)
+    banded, words, width, span = _bitset_rows(n, reach)
+    nodes = size * n
+    # link a -> b is bit a * row_bits + column of the rows, with b's column
+    # in a banded row counted from a's own word on, round the ring of
+    # ``ring_bits`` bits; the budgets keep these numbers below 2**28, so
+    # int32 chunks hold them
+    row_bits, ring_bits = 64 * width, 64 * words
+    rows = np.zeros(nodes * width, dtype="<u8")  # byte k of a word: its bits 8k on
+    word_bits = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))  # bit j
+    for low, high in links:
+        if banded:
+            length = high - low
+            ahead = length <= reach  # else low is ahead, across the seam
+            src = np.where(ahead, low, high)
+            column = np.where(ahead, length, ring_bits - length)
+            column += (src % n if size > 1 else src) & 63
+        else:
+            src, column = low, high % n if size > 1 else high
+        bit = src * row_bits + column
         # every link is stored once, so no bit is set twice and adding is or-ing
-        np.add.at(rows, src_row + word,
-                  np.left_shift(np.uint64(1), (local & 63).astype(np.uint64)))
+        np.add.at(rows, bit >> 6, word_bits[bit & 63])
+    forward = np.bitwise_count(rows.reshape(nodes, width)).sum(axis=1, dtype=np.int64)
+    degrees = forward.copy()
+    # the rows are read back in runs of whole nodes that end where their
+    # links pass a multiple of ``per_run``, so that a run holds one block of
+    # ``per_block`` links unless a node has more than half a block's
+    per_block = max(1, MAX_BITSET_WORDS // span)
+    per_run = max(1, per_block // 2, per_block - int(forward.max()))
+    ends = np.cumsum(forward)
+    bounds = np.append(np.searchsorted(ends, np.arange(0, ends[-1], per_run), side="right"),
+                       nodes).tolist()
     # every word of the rows starts a record of the ``span`` words from it
     # on, so that a link's words are gathered as one record copy
     windows = np.ndarray((rows.size - span + 1,), np.dtype((np.void, 8 * span)),
                          rows, strides=(8,))
     linked = np.zeros(size, dtype=np.int64)
-    for src, src_row, dst_row, _, word in forward_links():
-        common = windows[src_row + word if banded else src_row].view(np.uint64)
-        common &= windows[dst_row].view(np.uint64)
-        # a block's bits number far below 2**31, and its per-graph sums
-        # stay exact in the float weights of bincount
-        common = np.bitwise_count(common)
-        if size > 1:
-            per_link = common.reshape(-1, span).sum(axis=1, dtype=np.int32)
-            linked += np.bincount(src // n, weights=per_link,
-                                  minlength=size).astype(np.int64)
-        else:
-            linked += int(common.sum(dtype=np.int32))
-    return 3 * linked, pairs
+    row_bytes = rows.view(np.uint8)
+    for start, stop in zip(bounds, bounds[1:]):
+        if start == stop:
+            continue
+        # the set bits of rows start..stop - 1, numbered from row start's first
+        block = row_bytes[8 * width * start:8 * width * stop]
+        held = np.flatnonzero(block != 0)
+        bits = np.flatnonzero(np.unpackbits(block[held], bitorder="little").view(bool))
+        bits = (held[bits >> 3] << 3) + (bits & 7)
+        src, column = np.divmod(bits, row_bits)
+        src += start
+        cell = (bits >> 6) + start * width  # the word of the rows that holds b
+        del held, bits  # before the gathers, the largest arrays of a run
+        local = src % n if size > 1 else src  # a's number in its graph
+        if banded:
+            column += local & -64
+            _wrap(column, ring_bits)
+        dst = column + (src - local) if size > 1 else column
+        np.add.at(degrees, dst, 1)
+        gather = cell if banded else src * width
+        for first in range(0, src.size, per_block):
+            part = slice(first, first + per_block)
+            common = windows[gather[part]].view(rows.dtype)
+            common &= windows[dst[part] * width].view(rows.dtype)
+            # a block's bits number far below 2**31, and its per-graph sums
+            # stay exact in the float weights of bincount
+            common = np.bitwise_count(common)
+            if size > 1:
+                per_link = common.reshape(-1, span).sum(axis=1, dtype=np.int32)
+                linked += np.bincount(src[part] // n, weights=per_link,
+                                      minlength=size).astype(np.int64)
+            else:
+                linked += int(common.sum(dtype=np.int32))
+    degrees = degrees.reshape(size, n)
+    return 3 * linked, np.sum(degrees * (degrees - 1) // 2, axis=1)
+
+
+def _link_reach(n: int, links) -> int:
+    # the longest of the links, counted round the ring of node numbers
+    return max((int(np.max(np.minimum(high - low, n + low - high), initial=0))
+                for low, high in links), default=0)
 
 
 def _clustering_counts(sample: GraphSample) -> tuple[int, int]:
-    linked, pairs = _triangle_counts(_single(sample))
+    # the edges go in views of a generator call's size, as sampled links do
+    low, high = sample.edges.T
+    links = [(low[start:start + MAX_RUN_DRAWS], high[start:start + MAX_RUN_DRAWS])
+             for start in range(0, low.size, MAX_RUN_DRAWS)]
+    linked, pairs = _triangle_counts(sample.n, 1, _link_reach(sample.n, links), links)
     return int(linked[0]), int(pairs[0])
 
 
@@ -878,35 +923,42 @@ def _graph_draws(plan: _SamplingPlan) -> int:
     return plan.width * plan.blocks.size
 
 
-def _run_batches(shape, kernel, measure, trials: int, master_seed: int,
-                 threads: int, bitset_rows: bool = False) -> np.ndarray:
-    # ``measure(batch)`` on every batch of freshly sampled trials, its rows
-    # (one per graph) stacked in trial order.  A batch holds as many trials
-    # as keep its draws and nodes, and with ``bitset_rows`` the words of its
-    # bitset adjacency rows, within MAX_BATCH_DRAWS, or one trial
-    plan = _sampling_plan(shape, kernel)
-    n = math.prod(plan.shape)
-    cost = max(_graph_draws(plan), n * _bitset_words(n) if bitset_rows else n)
-    return _run_seeds(lambda seeds: measure(_sample_batch(plan, seeds)), cost, trials,
-                      master_seed, threads)
+def _run_batches(plan: _SamplingPlan, measure, trials: int, master_seed: int,
+                 threads: int, row_words: int = 1) -> np.ndarray:
+    # ``measure(seeds)`` on every batch of trial seeds, its rows (one per
+    # graph) stacked in trial order.  A batch holds as many trials as keep
+    # its draws, and its nodes times ``row_words``, within MAX_BATCH_DRAWS,
+    # or one trial
+    cost = max(_graph_draws(plan), math.prod(plan.shape) * row_words)
+    return _run_seeds(measure, cost, trials, master_seed, threads)
 
 
 def estimate_mean_degree(shape, kernel, trials: int, master_seed: int,
                          threads: int = 1) -> McEstimate:
     """Mean degree over freshly sampled trials."""
-    def degrees(batch):
-        return 2.0 * np.bincount(batch.low // batch.n, minlength=batch.size) / batch.n
+    plan = _sampling_plan(shape, kernel)
+    n = math.prod(plan.shape)
 
-    return _reduce_counts(_run_batches(shape, kernel, degrees, trials, master_seed,
-                                       threads))
+    def degrees(seeds):  # each graph's links counted a chunk at a time
+        return 2.0 * sum((np.bincount(low // n, minlength=seeds.size)
+                          for low, _ in _batch_links(plan, seeds)),
+                         np.zeros(seeds.size, dtype=np.int64)) / n
+
+    return _reduce_counts(_run_batches(plan, degrees, trials, master_seed, threads))
 
 
 def estimate_clustering(shape, kernel, trials: int, master_seed: int,
                         threads: int = 1) -> McEstimate:
     """Pooled clustering over freshly sampled trials."""
-    counts = _run_batches(shape, kernel,
-                          lambda batch: np.stack(_triangle_counts(batch), axis=1),
-                          trials, master_seed, threads, bitset_rows=True)
+    plan = _sampling_plan(shape, kernel)
+    n = math.prod(plan.shape)
+    # the links of a sampled graph reach no further than the plan's blocks,
+    # so its rows are laid out, and refused, before any draw
+    width = _bitset_rows(n, plan.reach)[2]
+    counts = _run_batches(
+        plan, lambda seeds: np.stack(_triangle_counts(n, seeds.size, plan.reach,
+                                                      _batch_links(plan, seeds)), axis=1),
+        trials, master_seed, threads, width)
     return _reduce_clustering(counts.tolist())
 
 
@@ -921,9 +973,10 @@ def estimate_chain_counts(shape, kernel, offset: int, orders: Sequence[int],
     """
     orders = tuple(orders)
     _check_orders(orders)
-    table = _run_batches(shape, kernel,
-                         lambda batch: _chain_counts(batch, offset, orders, anchor),
-                         trials, master_seed, threads)
+    plan = _sampling_plan(shape, kernel)
+    table = _run_batches(
+        plan, lambda seeds: _chain_counts(_sample_batch(plan, seeds), offset, orders, anchor),
+        trials, master_seed, threads)
     return tuple(_reduce_counts(column) for column in table.T)
 
 
@@ -945,8 +998,8 @@ def estimate_separation_histograms(shape, kernel, offsets: Sequence[int],
     if max_sep < 0:
         raise ValueError("max_sep must be non-negative")
     offsets = tuple(offsets)
+    plan = _sampling_plan(shape, kernel)
     if max_sep == 0:
-        plan = _sampling_plan(shape, kernel)
         source, targets = _pinned_pair(math.prod(plan.shape), offsets, anchor)
         reads = np.count_nonzero(_pair_blocks(plan, source, targets)[0] >= 0)
         if reads * PAIR_READ_DRAWS < _graph_draws(plan):
@@ -955,7 +1008,8 @@ def estimate_separation_histograms(shape, kernel, offsets: Sequence[int],
                 lambda seeds: _pair_links(plan, seeds, source, targets).astype(np.int64) - 1,
                 4 * reads, trials, master_seed, threads)
             return tuple(_reduce_separations(column, max_sep) for column in table.T)
-    table = _run_batches(shape, kernel,
-                         lambda batch: _separation_table(batch, offsets, max_sep, anchor),
-                         trials, master_seed, threads)
+    table = _run_batches(
+        plan, lambda seeds: _separation_table(_sample_batch(plan, seeds), offsets, max_sep,
+                                              anchor),
+        trials, master_seed, threads)
     return tuple(_reduce_separations(column, max_sep) for column in table.T)

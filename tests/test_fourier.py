@@ -32,6 +32,8 @@ from ringnet import (
     uniform_window_series,
 )
 
+from memory import traced_peak
+
 
 # ---------------------------------------------------------------------------
 # coefficients
@@ -192,7 +194,8 @@ def test_window_series_builds_no_per_coefficient_objects():
 
 @pytest.mark.parametrize("window", [UniformWindow(0.1, 1.0), UniformWindow(1.0, math.pi),
                                     UniformWindow(0.3, 1e-3), UniformWindow(1e-300, 0.5)])
-@pytest.mark.parametrize("terms", [1, 7, 4096, 200_000])
+@pytest.mark.parametrize("terms", [1, 7, 4096, fourier.SUM_BLOCK_TERMS,
+                                   fourier.SUM_BLOCK_TERMS + 1, 200_000])
 def test_window_series_tail_formed_in_place_keeps_its_bits(window, terms):
     n = np.arange(1, terms + 1)
     tail = window.p * np.sin(n * window.half_width) / (np.pi * n)
@@ -203,14 +206,20 @@ def test_window_series_tail_formed_in_place_keeps_its_bits(window, terms):
 
 def test_window_series_tail_needs_one_more_array():
     terms = 200_000
-    tracemalloc.start()
-    try:
-        uniform_window_series(UniformWindow(0.1, 1.0), terms)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the coefficients, the harmonic numbers and the series' own copy
+    peak = traced_peak(lambda: uniform_window_series(UniformWindow(0.1, 1.0), terms))
     assert peak <= 3.25 * 8 * (terms + 1)
+
+
+def test_window_series_keeps_the_array_it_forms():
+    # the tail is formed a block of SUM_BLOCK_TERMS harmonics at a time, and
+    # the series takes the coefficient array as its own; formed whole and
+    # copied into the series, 200,000 terms peaked at 4.77 MiB
+    assert traced_peak(lambda: uniform_window_series(UniformWindow(0.1, 1.0), 200_000)) \
+        <= 1.8 * 2 ** 20
+    coeffs = np.array([0.2, 0.1, 0.05])
+    series = FourierSeries(coeffs)  # the public constructor copies
+    coeffs[1] = 0.3
+    assert series.coeffs == (0.2, 0.1, 0.05)
 
 
 @pytest.mark.parametrize("values", [(), (1.0, math.nan), (math.inf,), ((1.0, 2.0),)])
@@ -630,23 +639,14 @@ def test_blocked_sums_equal_unblocked_sums_at_the_block_size(terms):
         _assert_blocked_sums_match_unblocked(p, width, terms, 2, 0.4)
 
 
-def _traced_peak(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_closed_form_sum_memory_is_one_or_two_term_buffers():
     # unblocked, the clustering sum peaked at three and the chain sum at
     # nine arrays of N floats (24 and 72 MiB here)
     terms = 2 ** 20
     full = 8 * terms
-    assert _traced_peak(lambda: clustering_uniform(0.1, 1.0, tail_terms=terms)) \
+    assert traced_peak(lambda: clustering_uniform(0.1, 1.0, tail_terms=terms)) \
         <= 1.25 * full
-    assert _traced_peak(lambda: chain_count_uniform(0.1, 1.0, 4.0, 3, 0.5,
+    assert traced_peak(lambda: chain_count_uniform(0.1, 1.0, 4.0, 3, 0.5,
                                                     tail_terms=terms)) <= 2.25 * full
 
 

@@ -2,7 +2,6 @@
 
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +26,8 @@ from ringnet import (
     validate,
     wrap_angle,
 )
+
+from memory import traced_peak
 
 
 def test_uniform_window_inside():
@@ -269,12 +270,11 @@ def test_range_check_evaluates_the_whole_grid_in_one_call(monkeypatch):
 def test_range_check_memory_is_capped():
     # 2048 harmonics: one dense table over the whole check grid took 258 MiB
     kernel = CosineSeries([0.25] + [0.1 * 0.5 ** n for n in range(1, 2048)])
-    tracemalloc.start()
-    try:
+
+    def check():
         assert kernel.violations() == []
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    peak = traced_peak(check)
     # the recurrence holds a few arrays of the 8,252 angles of the grid
     assert peak <= 32 * 2 ** 20
 

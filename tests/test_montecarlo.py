@@ -4,7 +4,6 @@ import math
 import re
 import threading
 import time
-import tracemalloc
 from collections import deque
 from unittest import mock
 
@@ -34,6 +33,8 @@ from ringnet import (
     separation_in_sample,
     trial_seed,
 )
+
+from memory import traced_peak
 
 
 def ring_sample(n, edges):
@@ -422,13 +423,11 @@ def test_chain_count_memory_is_linear_in_nodes():
     n = 1 << 20
     edgeless = GraphSample(shape=(n,), seed=0,
                            edges=np.zeros((0, 2), dtype=np.int64))
-    tracemalloc.start()
-    try:
+
+    def count():
         assert chain_count_in_sample(edgeless, n // 2, 3) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 64 * 2 ** 20
+
+    assert traced_peak(count) <= 64 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -783,23 +782,23 @@ def test_forward_triangle_counts_match_reference(case):
     expected = [reference_clustering_counts(GraphSample(shape, 0, edges))
                 for edges in graphs]
     words = 1 if one_word else montecarlo.MAX_BITSET_WORDS
+    batch = union_batch(shape, graphs)
     with mock.patch.object(montecarlo, "MAX_BITSET_WORDS", words):
-        linked, pairs = montecarlo._triangle_counts(union_batch(shape, graphs))
+        links = [(batch.low, batch.high)]
+        linked, pairs = montecarlo._triangle_counts(
+            batch.n, batch.size, montecarlo._link_reach(batch.n, links), links)
     assert list(zip(linked.tolist(), pairs.tolist())) == expected
 
 
 def test_triangle_count_memory_on_the_clustering_check_graph():
-    # the battery's 4096-node clustering graph, reach 652 of 4096 nodes:
-    # banded rows peak at 2.0 MiB, full forward rows at 3.1 MiB and full
-    # rows counting each triangle three times at 8.1 MiB
+    # the battery's 4096-node clustering graph, reach 651 of 4096 nodes,
+    # streamed into banded rows; from a joined batch, banded rows peaked at
+    # 2.0 MiB, full forward rows at 3.1 MiB and full rows counting each
+    # triangle three times at 8.1 MiB
     plan = montecarlo._sampling_plan(4096, UniformWindow(0.1, 1.0))
-    batch = montecarlo._sample_batch(plan, montecarlo._trial_seeds(20260822, [0]))
-    tracemalloc.start()
-    try:
-        montecarlo._triangle_counts(batch)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    seeds = montecarlo._trial_seeds(20260822, [0])
+    peak = traced_peak(lambda: montecarlo._triangle_counts(
+        4096, 1, plan.reach, montecarlo._batch_links(plan, seeds)))
     assert peak <= 2.5 * 2 ** 20
 
 
@@ -911,7 +910,7 @@ def test_batched_estimators_match_per_trial_references(case, trials, per_batch, 
         anchor = data.draw(st.integers(0, 2 * n), label="anchor")
         max_sep = data.draw(st.integers(0, 3), label="max_sep")
     sizes = []
-    original = montecarlo._sample_batch
+    original = montecarlo._batch_links
 
     def recording(plan, seeds):
         sizes.append(seeds.size)
@@ -923,7 +922,7 @@ def test_batched_estimators_match_per_trial_references(case, trials, per_batch, 
         budget = 1 if per_batch == 1 else batch_budget(shape, kernel, per_batch, bitset_rows)
         sizes.clear()
         return mock.patch.multiple(montecarlo, MAX_BATCH_DRAWS=budget,
-                                   _sample_batch=recording)
+                                   _batch_links=recording)
 
     expected_sizes = [per_batch] * (trials // per_batch) + [trials % per_batch] * (
         trials % per_batch > 0)
@@ -972,6 +971,78 @@ def pair_read_selected(shape, kernel, offsets, max_sep, anchor):
     source, targets = montecarlo._pinned_pair(math.prod(plan.shape), offsets, anchor)
     reads = np.count_nonzero(montecarlo._pair_blocks(plan, source, targets)[0] >= 0)
     return max_sep == 0 and reads * montecarlo.PAIR_READ_DRAWS < montecarlo._graph_draws(plan)
+
+
+# ---------------------------------------------------------------------------
+# triangle counts streamed from the sampler
+# ---------------------------------------------------------------------------
+
+def test_clustering_memory_on_the_clustering_check_graph():
+    # sampling, row filling and read-back of two 4096-node graphs; joining
+    # each graph's 266,789 links into arrays peaked at 4.23 MiB
+    kernel = UniformWindow(0.1, 1.0)
+    assert traced_peak(lambda: estimate_clustering(4096, kernel, 2, 20260822)) <= 2.5 * 2 ** 20
+    # a sample's edges go in as chunks too; in one piece they peaked at 15.2 MiB
+    sample = sample_graph(4096, kernel, 5)
+    assert traced_peak(lambda: empirical_clustering([sample])) <= 2.5 * 2 ** 20
+
+
+# the sampled grids of BATCH_CASES have full rows; these two have banded ones
+BANDED_ROW_CASES = [
+    (512, UniformWindow(0.3, 0.6)),
+    ((40, 40), ProductKernel((UniformWindow(0.5, 0.5), UniformWindow(0.4, 0.9)))),
+]
+
+
+@pytest.mark.parametrize("words", [1, None], ids=["one-word-blocks", "default-blocks"])
+@pytest.mark.parametrize("shape, kernel", [*BATCH_CASES, *BANDED_ROW_CASES])
+def test_streamed_triangle_counts_match_reference(shape, kernel, words):
+    plan = montecarlo._sampling_plan(shape, kernel)
+    n = math.prod(plan.shape)
+    assert montecarlo._bitset_rows(n, plan.reach)[0] == (
+        (shape, kernel) in BANDED_ROW_CASES)
+    seeds = montecarlo._trial_seeds(20260822, range(4))
+    samples = [sample_graph(shape, kernel, seed) for seed in seeds.tolist()]
+    expected = [reference_clustering_counts(sample) for sample in samples]
+    with mock.patch.object(montecarlo, "MAX_BITSET_WORDS",
+                           words or montecarlo.MAX_BITSET_WORDS):
+        # batches of one graph, and of three with a shorter last batch
+        for size in (1, 3):
+            counts = []
+            for first in range(0, seeds.size, size):
+                batch = seeds[first:first + size]
+                linked, pairs = montecarlo._triangle_counts(
+                    n, batch.size, plan.reach, montecarlo._batch_links(plan, batch))
+                counts += zip(linked.tolist(), pairs.tolist())
+            assert counts == expected
+        assert [montecarlo._clustering_counts(sample) for sample in samples] == expected
+        if sum(pairs for _, pairs in expected):
+            assert empirical_clustering(samples) == reference_pooled_clustering(expected)
+
+
+def test_clustering_budget_counts_row_cells_before_any_draw(monkeypatch):
+    streams = counting_philox_streams(monkeypatch)
+    # 22,500 nodes whose links reach 47 rows of the grid: banded rows of 224
+    # words, 323M cells, are over the budget though the draws are not
+    kernel = ProductKernel((UniformWindow(0.5, 2.0), UniformWindow(0.5, 0.01)))
+    with pytest.raises(CostBudgetError, match="bitset adjacency rows"):
+        estimate_clustering((150, 150), kernel, 3, 1)
+    assert streams == []
+    # a banded ring counts 20,000 * 8 words of rows, far below the n**2
+    # cells that were once refused
+    estimate = estimate_clustering(20_000, UniformWindow(0.1, 0.05), 2, 1)
+    assert abs(estimate.mean - 0.075) < 0.003
+    assert len(streams) == 2
+
+
+def test_degree_and_clustering_estimates_join_no_links(monkeypatch):
+    def joined(plan, seeds):
+        raise AssertionError("the links were joined")
+
+    monkeypatch.setattr(montecarlo, "_sample_batch", joined)
+    for shape, kernel in (BATCH_CASES[2], BANDED_ROW_CASES[1]):
+        estimate_mean_degree(shape, kernel, 3, 1)
+        estimate_clustering(shape, kernel, 3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1069,12 +1140,8 @@ def test_pair_read_refuses_as_the_sampled_graphs_do(shape, kernel, offsets, max_
 def test_batched_chain_count_memory_does_not_grow_with_trials():
     kernel = UniformWindow(0.05, 0.5)
     for trials in (2_000, 20_000):
-        tracemalloc.start()
-        try:
-            estimate_chain_counts(128, kernel, 16, (2,), trials, master_seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: estimate_chain_counts(128, kernel, 16, (2,), trials,
+                                                         master_seed=3))
         assert peak <= 3 * 2 ** 20
 
 
@@ -1244,7 +1311,8 @@ def link_batches(draw):
 def test_decoded_links_equal_the_key_round_trip(case):
     shape, kernel, seeds = case
     plan = montecarlo._sampling_plan(shape, kernel)
-    low, high = montecarlo._batch_links(plan, np.array(seeds, dtype=np.uint64))
+    batch = montecarlo._sample_batch(plan, np.array(seeds, dtype=np.uint64))
+    low, high = batch.low, batch.high
     expected_low, expected_high = reference_batch_links(plan, seeds)
     assert np.array_equal(low, expected_low)
     assert np.array_equal(high, expected_high)

@@ -2,7 +2,6 @@
 
 import collections
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +28,8 @@ from ringnet import (
     discrete_mean_degree,
     uniform_window_series,
 )
+
+from memory import traced_peak
 
 
 def test_clustering_quad_constant_kernel():
@@ -640,13 +641,8 @@ def test_curve_memory_does_not_grow_with_gaps():
     # so 4,000 gaps peak no higher than 1,000 do
     model = CircleModel(20.0, UniformWindow(0.1, 0.5))
     for count in (1_000, 4_000):
-        tracemalloc.start()
-        try:
-            quadrature.chain_count_curve(model, 2, np.linspace(0.0, math.pi, count),
-                                         tol=1e-4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: quadrature.chain_count_curve(
+            model, 2, np.linspace(0.0, math.pi, count), tol=1e-4))
         assert peak <= 8 * 2 ** 20
 
 
