@@ -13,12 +13,17 @@ so that its results can serve as an independent cross-check.  It offers
 Chain and triangle integrals run through one core that refines a set of
 points (the gaps of a curve, or one gap or anchor) in lockstep, each until
 it converges; per level the points share breakpoints, grouping and panel
-rules.  Kernel evaluation is elementwise, so the rows of many points are
-evaluated together, in batches of rows with equal panel counts and at most
-``MAX_BATCH_POINTS`` points, each kernel at the nodes of its own axis and
-multiplied out on the tensor grid in axis order.  Each point's outer sum
-runs node by node, so values are bit for bit those of a per-point loop.
-Gauss-Legendre rules are computed once per order and process.
+rules.  An integrand is an ordered list of per-axis factors.  An inner
+row's rule and factor values on an axis depend only on the point and the
+outer node's coordinate there, so each axis builds them once per distinct
+pair, named by the outer grid's own per-axis indices, in blocks of equal
+panel counts and at most ``MAX_BATCH_POINTS`` nodes.  Rows are multiplied
+out on the tensor grid in batches of at most ``MAX_BATCH_POINTS`` points,
+in two reused buffers: each factor's product over the axes in axis order,
+the first axis slowest, then ``((F_1 * F_2) * ...) * W`` with the weights
+last, and each row summed on its own.  Each point's outer sum runs node by
+node, so values are bit for bit those of a per-point loop.  Gauss-Legendre
+rules are computed once per order and process.
 """
 
 import functools
@@ -38,9 +43,10 @@ DEFAULT_TORUS_TOL = 1e-6
 _GAUSS_ORDERS = (4, 8, 16, 32, 64, 128)
 _SMOOTH_COUNTS = (32, 64, 128, 256, 512, 1024)
 
-# points of the rows evaluated together in one batch, and inner rows of a
-# curve's gaps stacked for one pass of rule construction: fixed bounds on
-# the memory of their temporaries, not tuning options
+# nodes of one axis's rules built together in one block, and grid points of
+# the rows multiplied out together in one batch; inner rows of a curve's
+# gaps stacked for one pass of rule construction: fixed bounds on the memory
+# of their temporaries, not tuning options
 MAX_BATCH_POINTS = 1 << 15
 MAX_STACKED_ROWS = 1 << 12
 # points of a curve whose outer rules one pass of rule construction builds,
@@ -159,104 +165,176 @@ def _panel_rule(breaks, level):
     return np.repeat(nodes[None, :], rows, axis=0), np.full((rows, count), step)
 
 
-def _outer(per_axis):
-    """Row-wise outer product (G, N) of per-axis arrays (G, n_a), the first
-    axis slowest, multiplied from 1.0 in axis order: bit for bit the product
-    a loop over the axes forms at each point of the full grid."""
-    product = np.ones((per_axis[0].shape[0], 1))
-    for values in per_axis:
-        product = (product[:, :, None] * values[:, None, :]).reshape(len(product), -1)
-    return product
+class _AxisRules:
+    """One axis's panel rules at ``level`` for the rows of ``shifts`` (T, S),
+    with per row the ``columns`` its factors see before the nodes (each an
+    array (T,)).  Rows are kept in blocks of equal panel counts and at most
+    ``MAX_BATCH_POINTS`` nodes (or one row): ``block`` and ``slot`` give each
+    row's block and its position there."""
+
+    def __init__(self, kernel, columns, shifts, level):
+        self.kernel, self.columns, self.level = kernel, columns, level
+        self.breaks, counts = _inner_breaks(_derived_breaks(kernel.breakpoints(), shifts))
+        order = np.argsort(counts, kind="stable")
+        edges = (np.flatnonzero(np.diff(counts[order])) + 1).tolist()
+        self.members, self.counts = [], []
+        for start, end in zip([0, *edges], [*edges, order.size]):
+            count = int(counts[order[start]])
+            step = max(1, MAX_BATCH_POINTS // _rule_size(count, level))
+            for begin in range(start, end, step):
+                self.members.append(order[begin:min(begin + step, end)])
+                self.counts.append(count)
+        self.block, self.slot = np.empty(order.size, dtype=int), np.empty(order.size, dtype=int)
+        for block, rows in enumerate(self.members):
+            self.block[rows], self.slot[rows] = block, np.arange(rows.size)
+
+    def build(self, block, factors):
+        """Nodes and weights (B, n) of the rules in ``block``, and the values
+        of each of ``factors(kernel, *columns, nodes)`` there."""
+        rows = self.members[block]
+        nodes, weights = _panel_rule(self.breaks[rows, :self.counts[block]], self.level)
+        columns = [column[rows, None] for column in self.columns]
+        return nodes, weights, [factor(self.kernel, *columns, nodes) for factor in factors]
 
 
-def _kernel_product(axes, ends, starts=None):
-    """Product (G, N) of the per-axis kernels at the angles ``ends - starts``,
-    each an array (G, n_a) or (G, 1) per axis; each kernel sees only the
-    n_a angles of its own axis, not the N points of the tensor grid."""
-    ends = ends if starts is None else [e - s for e, s in zip(ends, starts)]
-    return _outer([kernel.evaluate(a) for (_, kernel), a in zip(axes, ends)])
+def _multiply_out(tables, slots, out):
+    """Rows ``slots[a]`` of the per-axis tables (T_a, n_a) multiplied out on
+    the tensor grid into ``out`` (G, N), the first axis slowest, in axis
+    order: bit for bit a product from 1.0, as 1.0 * a is a."""
+    if len(tables) == 1:  # mode "clip" writes into out unbuffered
+        return np.take(tables[0], slots[0], axis=0, out=out, mode="clip")
+    product = tables[0][slots[0]]
+    for table, slot in zip(tables[1:-1], slots[1:-1]):
+        product = (product[:, :, None] * table[slot][:, None, :]).reshape(len(product), -1)
+    last = tables[-1][slots[-1]]
+    np.multiply(product[:, :, None], last[:, None, :],
+                out=out.reshape(len(product), -1, last.shape[1]))
+    return out
 
 
-def _columns(points):
-    """The per-axis coordinates (G, 1) of the rows of ``points`` (G, K)."""
-    return [column[:, None] for column in points.T]
-
-
-def _tensor_rules(axes, shifts, level):
-    """Tensor-grid rules for R rows of shifts, ``shifts[a]`` (R, S_a) per axis,
-    in batches of rows with equal panel counts and at most
-    ``MAX_BATCH_POINTS`` points (or one row).  Yields the rows, per-axis
-    nodes (G, n_a) and weights (G, N) of each batch."""
-    per_axis = [_inner_breaks(_derived_breaks(kernel.breakpoints(), s))
-                for (_, kernel), s in zip(axes, shifts)]
-    # rows by panel counts, first axis first; the sort is stable, so each
-    # group keeps its row order
-    keys = np.stack([counts for _, counts in reversed(per_axis)])
-    order = np.lexsort(keys)
+def _grid_batches(rules, rows, factors):
+    """Tensor grids of the grid rows whose rule on axis a is row ``rows[a]``
+    of ``rules[a]``, grouped by their blocks, first axis first, and cut into
+    batches of at most ``MAX_BATCH_POINTS`` points (or one row).  Each block
+    is built once per group that needs it.  Yields per batch the grid rows,
+    per axis the block's nodes (B_a, n_a) and the rows' slots in it, and two
+    reused buffers (G, N): the product of the ``factors`` in their order,
+    and that of the weights."""
+    keys = np.stack([r.block[i] for r, i in zip(rules, rows)])
+    order = np.lexsort(keys[::-1])
     keys = keys[:, order]
     edges = (np.flatnonzero(np.any(keys[:, 1:] != keys[:, :-1], axis=0)) + 1).tolist()
+    groups = []
     for start, end in zip([0, *edges], [*edges, order.size]):
-        shape = keys[::-1, start].tolist()
-        step = max(1, MAX_BATCH_POINTS // math.prod(_rule_size(c, level) for c in shape))
+        blocks = keys[:, start].tolist()
+        size = math.prod(_rule_size(r.counts[b], r.level) for r, b in zip(rules, blocks))
+        groups.append((start, end, blocks, size, max(1, MAX_BATCH_POINTS // size)))
+    capacity = max(min(step, end - start) * size for start, end, _, size, step in groups)
+    first, second = np.empty(capacity), np.empty(capacity)
+    built = [(None, None)] * len(rules)
+    for start, end, blocks, size, step in groups:
+        for axis, block in enumerate(blocks):
+            if built[axis][0] != block:
+                built[axis] = (None, None)  # free the old block before the new is built
+                built[axis] = (block, rules[axis].build(block, factors))
+        nodes, weights, values = zip(*[tables for _, tables in built])
         for begin in range(start, end, step):
-            rows = order[begin:min(begin + step, end)]
-            rules = [_panel_rule(breaks[rows, :count], level)
-                     for (breaks, _), count in zip(per_axis, shape)]
-            yield rows, [nodes for nodes, _ in rules], _outer([w for _, w in rules])
+            batch = order[begin:min(begin + step, end)]
+            slots = [r.slot[i[batch]] for r, i in zip(rules, rows)]
+            grid = first[:batch.size * size].reshape(batch.size, size)
+            spare = second[:grid.size].reshape(grid.shape)
+            _multiply_out([v[0] for v in values], slots, grid)
+            for factor in range(1, len(factors)):
+                grid *= _multiply_out([v[factor] for v in values], slots, spare)
+            yield batch, nodes, slots, grid, _multiply_out(weights, slots, spare)
+        del nodes, weights, values  # nor may these hold it then
 
 
-def _outer_rules(axes, shifts, level):
-    """The one-row rules of the points whose shifts are ``shifts[a]`` (P, S_a)
-    per axis, built for ``MAX_OUTER_POINTS`` points at a time, in the
-    batches of :func:`_tensor_rules`: yields the points' indices, per-axis
-    nodes (G, n_a) and weights (G, N)."""
-    for start in range(0, len(shifts[0]), MAX_OUTER_POINTS):
-        for rows, nodes, weights in _tensor_rules(
-                axes, [s[start:start + MAX_OUTER_POINTS] for s in shifts], level):
-            yield start + rows, nodes, weights
+def _grid_sums(rules, rows, factors):
+    """The weighted grid sums of the products of ``factors`` over the rows of
+    :func:`_grid_batches`, and the points of each: the weights go on last,
+    so each point is ``((F_1 * F_2) * ...) * W``."""
+    sums, sizes = np.empty(rows[0].size), np.empty(rows[0].size, dtype=int)
+    for batch, _, _, grid, weights in _grid_batches(rules, rows, factors):
+        grid *= weights
+        sums[batch] = np.sum(grid, axis=1)
+        sizes[batch] = grid.shape[1]
+    return sums, sizes
 
 
-def _nested_integral(axes, points, outer_shifts, outer_factor, inner_shifts, integrand,
+def _point_rules(axes, points, shifts, level):
+    """Per axis the rules of the points whose shifts are ``shifts[a]``
+    (P, S_a), one row per point, whose factors see the point's coordinate;
+    built for ``MAX_OUTER_POINTS`` points at a time.  Yields the points'
+    indices, their rules and, per axis, each point's row in them."""
+    for start in range(0, len(points), MAX_OUTER_POINTS):
+        block = np.arange(start, min(start + MAX_OUTER_POINTS, len(points)))
+        rules = [_AxisRules(kernel, [points[block, axis]], s[block], level)
+                 for axis, ((_, kernel), s) in enumerate(zip(axes, shifts))]
+        yield block, rules, [np.arange(block.size)] * len(axes)
+
+
+def _nested_integral(axes, points, outer_shifts, outer_factors, inner_shifts, inner_factors,
                      level):
     """Iterated integrals at one level per row of ``points``: the outer grid
-    sum of ``weight * outer_factor(point, x) * inner(x)``, inner(x) the
-    integral over y of ``integrand(point, x, y)`` on panels from the point's
-    ``inner_shifts`` and x's coordinates.  Both take per axis each row's
-    point (G, 1) and nodes, x (G, 1) and y (G, n_a), and return (G, N)
-    values.  The inner rows of consecutive points are stacked up to
-    ``MAX_STACKED_ROWS`` (or one point's rows).  Returns the values and the
-    points evaluated."""
+    sum of ``weight * outer(point, x) * inner(x)``, inner(x) the integral
+    over y of ``inner(point, x, y)`` on panels from the point's
+    ``inner_shifts`` and x's coordinates.  Each is a product over the axes
+    and over its per-axis factors ``factor(kernel, point, x)`` or
+    ``factor(kernel, point, x, y)``, which see one axis's coordinates (T, 1)
+    and nodes (T, n).  The inner rows of consecutive points are stacked up
+    to ``MAX_STACKED_ROWS`` (or one point's rows).  Returns the values and
+    the points evaluated."""
     totals, evaluations, stack, stacked = [0.0] * len(points), [0] * len(points), [], 0
-    for rows, nodes, weights in _outer_rules(axes, outer_shifts, level):
-        factors = outer_factor(_columns(points[rows]), nodes)
-        for row, (point, factor) in enumerate(zip(rows.tolist(), factors)):
-            evaluations[point] = factor.size
-            live = np.flatnonzero((factor != 0.0) & (weights[row] != 0.0))
-            if stack and stacked + live.size > MAX_STACKED_ROWS:
-                _inner_sums(axes, points, inner_shifts, integrand, level, stack, totals,
-                            evaluations)
-                stack, stacked = [], 0
-            index = np.unravel_index(live, [n.shape[1] for n in nodes])
-            stack.append((point, weights[row, live] * factor[live],
-                          [n[row, i] for n, i in zip(nodes, index)]))
-            stacked += live.size
-    _inner_sums(axes, points, inner_shifts, integrand, level, stack, totals, evaluations)
+    for block, rules, rows in _point_rules(axes, points, outer_shifts, level):
+        for batch, nodes, slots, factors, weights in _grid_batches(rules, rows, outer_factors):
+            shape = [n.shape[1] for n in nodes]
+            for row, point in enumerate(block[batch].tolist()):
+                evaluations[point] = factors.shape[1]
+                live = np.flatnonzero((factors[row] != 0.0) & (weights[row] != 0.0))
+                if stack and stacked + live.size > MAX_STACKED_ROWS:
+                    _inner_sums(axes, points, inner_shifts, inner_factors, level, stack,
+                                totals, evaluations)
+                    stack, stacked = [], 0
+                index = np.unravel_index(live, shape)
+                stack.append((point, weights[row, live] * factors[row, live],
+                              [_distinct(n[s[row]], i) for n, s, i in zip(nodes, slots, index)]))
+                stacked += live.size
+    _inner_sums(axes, points, inner_shifts, inner_factors, level, stack, totals, evaluations)
     return totals, evaluations
 
 
-def _inner_sums(axes, points, inner_shifts, integrand, level, stack, totals, evaluations):
+def _distinct(nodes, index):
+    """The nodes of one axis that ``index`` picks, each once in axis order,
+    and the position among them of every pick."""
+    used = np.zeros(nodes.size, dtype=bool)
+    used[index] = True
+    picked = np.flatnonzero(used)
+    position = np.empty(nodes.size, dtype=int)
+    position[picked] = np.arange(picked.size)
+    return nodes[picked], position[index]
+
+
+def _inner_sums(axes, points, inner_shifts, factors, level, stack, totals, evaluations):
     """The inner integrals at the live outer nodes of the points in ``stack``,
-    (point, outer terms, per-axis nodes) each, added up into ``totals``."""
-    owner = np.concatenate([np.full(terms.size, point) for point, terms, _ in stack])
-    if not owner.size:
+    (point, outer terms, per axis the distinct node coordinates and each
+    node's position among them) each, added up into ``totals``.  An inner
+    row's rule and factor values on an axis depend only on the point and
+    the node's coordinate on that axis, so each is built once per distinct
+    pair."""
+    count = sum(terms.size for _, terms, _ in stack)
+    if not count:
         return  # the outer factors vanish at every node: each total is 0
-    x = [np.concatenate(axis) for axis in zip(*[nodes for _, _, nodes in stack])]
-    inner, sizes = np.empty(owner.size), np.empty(owner.size, dtype=int)
-    shifts = [np.column_stack([fixed[owner], xa]) for fixed, xa in zip(inner_shifts, x)]
-    for rows, grid, grid_weights in _tensor_rules(axes, shifts, level):
-        values = integrand(_columns(points[owner[rows]]), [xa[rows, None] for xa in x], grid)
-        inner[rows] = np.sum(grid_weights * values, axis=1)
-        sizes[rows] = grid_weights.shape[1]
+    rules, rows = [], []
+    for axis, ((_, kernel), fixed) in enumerate(zip(axes, inner_shifts)):
+        coordinates, index = zip(*[picks[axis] for _, _, picks in stack])
+        offsets = np.cumsum([0, *[c.size for c in coordinates]])
+        owners = np.repeat([point for point, _, _ in stack], np.diff(offsets))
+        coordinates = np.concatenate(coordinates)
+        rules.append(_AxisRules(kernel, [points[owners, axis], coordinates],
+                                np.column_stack([fixed[owners], coordinates]), level))
+        rows.append(np.concatenate([i + offset for i, offset in zip(index, offsets.tolist())]))
+    inner, sizes = _grid_sums(rules, rows, factors)
     start = 0
     for point, terms, _ in stack:
         end = start + terms.size
@@ -324,37 +402,37 @@ def _chain_integral(axes, k, points, with_exclusion, tol):
     if k == 1:
         # integral over x of Q(x) * Q(gap - x); the only exclusion factor for
         # one intermediary is the direct-link term the callers apply
+        factors = [lambda kernel, gap, x: kernel.evaluate(x),
+                   lambda kernel, gap, x: kernel.evaluate(gap - x)]
+
         def value_at(level, active):
             values, evaluations = np.empty(active.size), np.empty(active.size, dtype=int)
-            for rows, nodes, weights in _outer_rules(axes, [s[active] for s in fixed],
-                                                     level):
-                gaps = _columns(points[active[rows]])
-                product = _kernel_product(axes, nodes) * _kernel_product(axes, gaps, nodes)
-                values[rows] = np.sum(weights * product, axis=1)
-                evaluations[rows] = weights.shape[1]
+            for block, rules, rows in _point_rules(axes, points[active],
+                                                   [s[active] for s in fixed], level):
+                values[block], evaluations[block] = _grid_sums(rules, rows, factors)
             return values.tolist(), evaluations.tolist()
 
         return _converge(value_at, len(points), tol, "one-intermediate chain integral")
 
     # Iterated integral over x, y of Q(x) Q(y-x) Q(gap-y) [1-Q(y)] [1-Q(x-gap)],
-    # the bracketed factors only when exclusions are requested.  The inner
-    # level runs at the same refinement level as the outer one; convergence
-    # is judged on the composed value, so both resolutions double together.
-    def outer_factor(gaps, x):
-        factor = _kernel_product(axes, x)
-        return factor * (1.0 - _kernel_product(axes, x, gaps)) if with_exclusion else factor
-
-    def integrand(gaps, x, y):
-        values = _kernel_product(axes, y, x) * _kernel_product(axes, gaps, y)
-        return values * (1.0 - _kernel_product(axes, y)) if with_exclusion else values
+    # the bracketed factors only when exclusions are requested: they are one
+    # axis's, as exclusions are refused on a torus.  The inner level runs at
+    # the same refinement level as the outer one; convergence is judged on
+    # the composed value, so both resolutions double together.
+    outer_factors = [lambda kernel, gap, x: kernel.evaluate(x)]
+    inner_factors = [lambda kernel, gap, x, y: kernel.evaluate(y - x),
+                     lambda kernel, gap, x, y: kernel.evaluate(gap - y)]
+    if with_exclusion:
+        outer_factors.append(lambda kernel, gap, x: 1.0 - kernel.evaluate(x - gap))
+        inner_factors.append(lambda kernel, gap, x, y: 1.0 - kernel.evaluate(y))
 
     # the composed outer integrand changes slope wherever a moving edge of
     # the inner window crosses a fixed break, so the outer panel edges are
     # the sumset of the fixed breaks with the window edges
     outer = [_derived_breaks(kernel.breakpoints(), s) for (_, kernel), s in zip(axes, fixed)]
     return _converge(lambda level, active: _nested_integral(
-        axes, points[active], [s[active] for s in outer], outer_factor,
-        [s[active] for s in fixed], integrand, level),
+        axes, points[active], [s[active] for s in outer], outer_factors,
+        [s[active] for s in fixed], inner_factors, level),
         len(points), tol, "two-intermediate chain integral")
 
 
@@ -368,8 +446,9 @@ def _triangle_integral(axes, anchors, tol):
     inner = [a[:, None] for a in anchors.T]
     return _converge(lambda level, active: _nested_integral(
         axes, anchors[active], [s[active] for s in outer],
-        lambda anchor, x: _kernel_product(axes, x, anchor), [s[active] for s in inner],
-        lambda anchor, x, y: _kernel_product(axes, y, x) * _kernel_product(axes, y, anchor),
+        [lambda kernel, anchor, x: kernel.evaluate(x - anchor)], [s[active] for s in inner],
+        [lambda kernel, anchor, x, y: kernel.evaluate(y - x),
+         lambda kernel, anchor, x, y: kernel.evaluate(y - anchor)],
         level), len(anchors), tol, "triangle integral")
 
 
@@ -436,8 +515,8 @@ def chain_count_curve(model, k, gaps, with_exclusion=False, tol=None):
     # routines evaluate the same integrals without factorising)
     per_axis = [_chain_integral([axis], k, axis_gaps[:, None], with_exclusion, tol)
                 for axis, axis_gaps in zip(axes, points.T)]
-    direct = (_kernel_product(axes, _columns(points))[:, 0] if with_exclusion
-              else [None] * len(points))
+    # exclusions imply one axis
+    direct = axes[0][1].evaluate(points[:, 0]) if with_exclusion else [None] * len(points)
     results = []
     for point_direct, integrals in zip(direct, zip(*per_axis)):
         terms = [(radius ** k, _checked(integral))

@@ -934,6 +934,13 @@ def test_no_command_imports_scipy(modules_after_every_command):
     assert [m for m in modules_after_every_command if m.split(".")[0] == "scipy"] == []
 
 
+def test_no_command_imports_numpy_ma(modules_after_every_command):
+    # np.unique on floats, or with axis=0, loads numpy.ma (about 0.5 MiB);
+    # the quadrature's distinct rows come from the grid's own indices
+    assert [m for m in modules_after_every_command
+            if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
+
+
 def test_serial_commands_import_no_thread_pool(modules_after_every_command):
     # concurrent.futures, and the logging it brings, load only with a pool
     # of two or more workers

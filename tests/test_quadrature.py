@@ -444,28 +444,82 @@ def test_inner_batches_respect_the_cap(monkeypatch):
                 clustering_result(circle, anchor=1.0).value,
                 chain_count_torus_grid(torus, 2, (0.7, 0.4)))
     cap = 500
-    batches = []
-    nested = quadrature._nested_integral
+    batches, blocks = [], []
+    multiply_out, panel_rule = quadrature._multiply_out, quadrature._panel_rule
 
-    def recording(axes, points, outer_shifts, outer_factor, inner_shifts, integrand,
-                  level):
-        def recorded(point, x, y):  # called once per batch of outer nodes
-            values = integrand(point, x, y)
-            batches.append(values.shape)
-            return values
+    def recorded_batch(tables, slots, out):  # each product of a batch of grid rows
+        batches.append(out.shape)
+        return multiply_out(tables, slots, out)
 
-        return nested(axes, points, outer_shifts, outer_factor, inner_shifts, recorded,
-                      level)
+    def recorded_block(breaks, level):  # each block of one axis's rules
+        nodes, weights = panel_rule(breaks, level)
+        blocks.append(nodes.shape)
+        return nodes, weights
 
     monkeypatch.setattr(quadrature, "MAX_BATCH_POINTS", cap)
-    monkeypatch.setattr(quadrature, "_nested_integral", recording)
+    monkeypatch.setattr(quadrature, "_multiply_out", recorded_batch)
+    monkeypatch.setattr(quadrature, "_panel_rule", recorded_block)
     got = (chain_count_result(circle, 2, 0.7, with_exclusion=True).value,
            clustering_result(circle, anchor=1.0).value,
            chain_count_torus_grid(torus, 2, (0.7, 0.4)))
     assert got == expected
-    assert any(rows > 1 for rows, _ in batches)
-    assert all(rows * size <= cap or rows == 1 for rows, size in batches)
+    for shapes in (batches, blocks):
+        assert any(rows > 1 for rows, _ in shapes)
+        assert all(rows * size <= cap or rows == 1 for rows, size in shapes)
+    # a torus grid row of 6,400 points makes a batch of its own
     assert any(rows == 1 and size > cap for rows, size in batches)
+
+
+@pytest.mark.parametrize("name", sorted(TORUS_KERNELS))
+def test_torus_grid_builds_axis_rules_once_per_coordinate(monkeypatch, name):
+    # an inner row's rule and factors on an axis depend only on its outer
+    # node's coordinate there, of which level 1 has 32 per axis for 1,024
+    # rows; built per row, the windows pair made 992 kernel calls over
+    # 433,608 points and 500 panel rules, the mixed one 1,948 over 940,452
+    # and 978
+    model = TorusModel((6.0, 5.0), TORUS_KERNELS[name])
+    expected = (ref_chain_torus_grid(model, 2, (0.7, 0.4)), ref_clustering_torus_grid(model))
+    points, rules = [], []
+    for cls in {type(factor) for factor in model.kernel.factors}:
+        def counted(kernel, angle, evaluate=cls.evaluate):
+            points.append(np.size(angle))
+            return evaluate(kernel, angle)
+
+        monkeypatch.setattr(cls, "evaluate", counted)
+    panel_rule = quadrature._panel_rule
+
+    def counted_rule(breaks, level):
+        rules.append(level)
+        return panel_rule(breaks, level)
+
+    monkeypatch.setattr(quadrature, "_panel_rule", counted_rule)
+    got = (chain_count_torus_grid(model, 2, (0.7, 0.4)), clustering_torus_grid(model))
+    assert got == expected
+    assert len(points) <= 40
+    assert sum(points) <= 40_000
+    assert len(rules) <= 24
+
+
+def test_torus_grid_pair_peak_memory():
+    # per-axis rule blocks and two reused grid buffers: the windows pair
+    # peaked at 2.49 MiB traced when every batch built its own rules
+    model = TorusModel((6.0, 5.0), TORUS_KERNELS["windows"])
+    peak = traced_peak(lambda: (chain_count_torus_grid(model, 2, (0.7, 0.4)),
+                                clustering_torus_grid(model)))
+    assert peak <= 2 * 2 ** 20
+
+
+@settings(max_examples=10, deadline=None)
+@given(windows=st.lists(st.builds(UniformWindow, p=st.floats(0.05, 1.0),
+                                  half_width=st.floats(0.1, 3.0)), min_size=2, max_size=2),
+       gaps=st.tuples(st.floats(0.0, math.pi), st.floats(0.0, math.pi)),
+       k=st.sampled_from([1, 2]))
+def test_torus_grids_bit_identical_to_reference_property(windows, gaps, k):
+    model = TorusModel((6.0, 5.0), ProductKernel(tuple(windows)))
+    expected = ref_chain_torus_grid(model, k, gaps, tol=1e-4)
+    assert chain_count_torus_grid(model, k, gaps, tol=1e-4) == expected
+    expected = ref_clustering_torus_grid(model, tol=1e-4)
+    assert clustering_torus_grid(model, tol=1e-4) == expected
 
 
 @pytest.mark.parametrize("integral, budget, value", [
@@ -587,50 +641,51 @@ def test_curve_derives_breakpoints_once_per_level(monkeypatch):
 
 
 def test_curve_stacks_inner_rows_up_to_the_cap(monkeypatch):
-    # how many gaps share one pass of inner rule construction, and one batch
-    # of kernel calls, moves no bit; the cosine kernel's 32 or more live
-    # outer nodes per gap need a larger cap to stack several gaps
-    tensor_rules = quadrature._tensor_rules
-    stacks, batches = [], []
+    # how many gaps share one pass of inner rule construction, and one block
+    # of rules and kernel calls, moves no bit; the cosine kernel's 32 or more
+    # live outer nodes per gap need a larger cap to stack several gaps
+    inner_sums = quadrature._inner_sums
+    stacks, blocks = [], []
 
-    def recording(axes, shifts, level):
-        if shifts[0].shape[1] != 3:  # inner rows: 0, the gap and the outer node
-            yield from tensor_rules(axes, shifts, level)
-            return
-        gaps = shifts[0][:, 1]
-        stacks.append((gaps.size, len(set(gaps.tolist()))))
-        for rows, nodes, weights in tensor_rules(axes, shifts, level):
-            batches.append(len(set(gaps[rows].tolist())))
-            yield rows, nodes, weights
+    def recording(axes, points, inner_shifts, factors, level, stack, *totals):
+        gaps = points[[point for point, _, _ in stack], 0]
+        stacks.append((sum(terms.size for _, terms, _ in stack), len(set(gaps.tolist()))))
+
+        def recorded(kernel, gap, x, y):  # once per block of inner rules
+            blocks.append(len(set(gap.ravel().tolist())))
+            return factors[0](kernel, gap, x, y)
+
+        inner_sums(axes, points, inner_shifts, [recorded, *factors[1:]], level, stack,
+                   *totals)
 
     grid = np.linspace(0.0, math.pi, 13)
     for kernel, cap in ((UniformWindow(0.1, 0.5), 40), (SMOOTH, 100)):
         model = CircleModel(20.0, kernel)
         expected = [chain_count_result(model, 2, gap, with_exclusion=True) for gap in grid]
         stacks.clear()
-        batches.clear()
+        blocks.clear()
         monkeypatch.setattr(quadrature, "MAX_STACKED_ROWS", cap)
-        monkeypatch.setattr(quadrature, "_tensor_rules", recording)
+        monkeypatch.setattr(quadrature, "_inner_sums", recording)
         assert quadrature.chain_count_curve(model, 2, grid, with_exclusion=True) == expected
         monkeypatch.undo()
         assert any(gaps > 1 for _, gaps in stacks)
         assert all(rows <= cap or gaps == 1 for rows, gaps in stacks)
-        assert any(gaps > 1 for gaps in batches)  # one batch serves several gaps
+        assert any(gaps > 1 for gaps in blocks)  # one block serves several gaps
 
 
 def test_curve_evaluates_many_gaps_per_kernel_call(monkeypatch):
-    # kernel evaluation is elementwise, so rows of all 97 gaps share batches:
+    # kernel evaluation is elementwise, so rows of all 97 gaps share blocks:
     # 388 calls for k = 1 and 582 for k = 2 when each gap had its own
     model = CircleModel(20.0, UniformWindow(0.1, 0.5))
     grid = np.linspace(0.0, math.pi, 97)
     calls = []
-    kernel_product = quadrature._kernel_product
+    evaluate = UniformWindow.evaluate
 
-    def counted(*args):
-        calls.append(len(args))
-        return kernel_product(*args)
+    def counted(kernel, angle):
+        calls.append(np.size(angle))
+        return evaluate(kernel, angle)
 
-    monkeypatch.setattr(quadrature, "_kernel_product", counted)
+    monkeypatch.setattr(UniformWindow, "evaluate", counted)
     for k in (1, 2):
         quadrature.chain_count_curve(model, k, grid)
     assert len(calls) < 120
