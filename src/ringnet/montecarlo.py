@@ -34,9 +34,13 @@ available to the process.
 What does not depend on the seed is worked out once per (shape, kernel)
 and cached as a read-only sampling plan: the link probability and first
 counter of every active offset block, the counter skips and draw sizes of
-the generator calls, and the per-axis coordinates of every node.  A
-sample keys its Philox stream with its seed and walks the plan.  The plan
-changes no random value and no edge.
+the generator calls, the per-axis coordinates of every node, and each
+call's keep mask: the draws that are candidates, none past the last node
+and, in a self-inverse block, only those whose partner is the higher
+node.  A sample keys its Philox stream with its seed and walks the plan;
+its decisions are the kept draws below their link probability.  Links
+are decoded from them, and mean degrees count them without building a
+link.  The plan changes no random value and no edge.
 
 A separation histogram with ``max_sep`` 0 counts direct links, so a trial
 needs only the values that decide its pinned pairs.  When the plan shows
@@ -50,7 +54,8 @@ its graphs: node i of the batch's graph t is the union node t * n + i.
 Every graph still draws from its own stream, writing its values into its
 row of one buffer per generator call of the plan.  Each call's links of
 the whole union come out as one chunk, measured as it comes or joined,
-and per-graph results are split off by node number.  A graph's random
+and per-graph results are split off by node number, or by the graph's
+run of links where those run in node order.  A graph's random
 values, edges and measurements do not depend on the batch it is in, so
 batching changes no result.  A
 :class:`GraphSample` is the batch of one, its edges sorted once as integer
@@ -290,18 +295,19 @@ def _philox_key_type():
 
 class _Chunk(NamedTuple):
     # one generator call: advance the counter by ``skip``, draw ``blocks``
-    # offset blocks of the plan's ``width`` values each, and link the
+    # offset blocks of the plan's ``width`` values each, and link the kept
     # candidates of every block whose draw is below its link probability.
     # A candidate is a node, and its partner is the node its block's offset
-    # vector leads to; the draws past the last node decide nothing.  In a
+    # vector leads to; the draws past the last node are not kept.  In a
     # self-inverse block (an offset vector equal to its negation) every
     # pair is a candidate twice, and only the candidate whose partner is
-    # the higher node links
+    # the higher node is kept
     skip: int
     blocks: int
     self_inverse: bool
     probs: np.ndarray    # (blocks, 1)
     offsets: np.ndarray  # int32 (axes, blocks): the offset vector of each block
+    keep: np.ndarray     # bool (blocks, width), or (1, width) for every block alike
 
 
 class _SamplingPlan(NamedTuple):
@@ -388,21 +394,35 @@ def _plan(shape: tuple, factors: tuple) -> _SamplingPlan:
     per_call = max(1, MAX_RUN_DRAWS // (4 * stride))
     breaks = np.flatnonzero((np.diff(deltas) != 1) | np.diff(self_inverse)) + 1
     bounds = [0, *breaks.tolist(), deltas.size]
+    # coordinate tables for wrapped addition of an offset vector
+    components = tuple(_read_only(c.astype(np.int32)) for c in
+                       np.unravel_index(np.arange(n), shape))
+    # the candidates of a block that are kept: every node, and no draw
+    # past the last one; in a self-inverse block, the nodes whose partner
+    # is the higher node
+    nodes = _read_only(np.arange(4 * stride)[None, :] < n)
     chunks = []
     position = 0  # block at which the stream stands
     for run_start, run_stop in zip(bounds, bounds[1:]):
         for start in range(run_start, run_stop, per_call):
             stop = min(start + per_call, run_stop)
+            keep = nodes
+            if self_inverse[start]:
+                count = stop - start
+                hits = np.tile(np.arange(n, dtype=np.int32), count)
+                partner = _partners(shape, components, offsets[:, start:stop], hits,
+                                    np.repeat(np.arange(count), n))
+                keep = np.zeros((count, 4 * stride), dtype=bool)
+                keep[:, :n] = (hits < partner).reshape(count, n)
+                keep = _read_only(keep)
             chunks.append(_Chunk(
                 skip=int(blocks[start] - position) * stride,
                 blocks=stop - start,
                 self_inverse=bool(self_inverse[start]),
                 probs=probs[start:stop, None],
-                offsets=offsets[:, start:stop]))
+                offsets=offsets[:, start:stop],
+                keep=keep))
             position = int(blocks[stop - 1]) + 1
-    # coordinate tables for wrapped addition of an offset vector
-    components = tuple(_read_only(c.astype(np.int32)) for c in
-                       np.unravel_index(np.arange(n), shape))
     # a link of offset vector d moves a node's number by d_i - w_i L_i on
     # each axis i of length L_i, in mixed radix, where w_i = 1 if the link
     # wraps round the axis, as it can wherever d_i > 0
@@ -469,14 +489,27 @@ def _philox_streams(seeds: np.ndarray) -> list:
     return streams
 
 
-def _batch_links(plan: _SamplingPlan, seeds: np.ndarray):
-    # the links of the graphs with the given seeds, one chunk per generator
-    # call of the plan: int32 arrays of their low and high union nodes.
-    # Each graph draws from its own Philox stream as a sample alone does,
-    # writing the values of each call into its row of the call's buffer,
-    # and the links of all graphs are found in one pass per call
+def _partners(shape: tuple, components: tuple, offsets: np.ndarray, nodes: np.ndarray,
+              rows: np.ndarray) -> np.ndarray:
+    # the partner of each node of ``nodes``, the node plus the offset vector
+    # ``offsets[:, row]`` of its row wrapped axis by axis, as a flat index
+    # built up from the first axis
+    axes = zip(shape, components, offsets)
+    length, node_axis, delta_axis = next(axes)
+    partner = _wrap(node_axis[nodes] + delta_axis[rows], length)
+    for length, node_axis, delta_axis in axes:
+        partner *= length
+        partner += _wrap(node_axis[nodes] + delta_axis[rows], length)
+    return partner
+
+
+def _decisions(plan: _SamplingPlan, seeds: np.ndarray):
+    # per generator call of the plan, its chunk and which candidates of the
+    # graphs with the given seeds link, (graphs, blocks, width): the kept
+    # ones whose draw is below their block's link probability.  Each graph
+    # draws from its own Philox stream as a sample alone does, writing the
+    # values of each call into its row of the call's buffer
     size, width = seeds.size, plan.width
-    n = math.prod(plan.shape)
     streams = _philox_streams(seeds)
     for chunk in plan.chunks:
         draws = np.empty((size, chunk.blocks * width))
@@ -484,32 +517,27 @@ def _batch_links(plan: _SamplingPlan, seeds: np.ndarray):
             if chunk.skip:
                 bits.advance(chunk.skip)
             generator.random(out=row)
+        decided = draws.reshape(size, chunk.blocks, width) < chunk.probs
+        decided &= chunk.keep
+        yield chunk, decided
+
+
+def _batch_links(plan: _SamplingPlan, seeds: np.ndarray):
+    # the links of the graphs with the given seeds, one chunk per generator
+    # call of the plan: int32 arrays of their low and high union nodes,
+    # found for all graphs in one pass per call
+    size, width = seeds.size, plan.width
+    n = math.prod(plan.shape)
+    for chunk, decided in _decisions(plan, seeds):
         # the draw count of a call stays below 2**31, as its union nodes do
-        linked = np.flatnonzero(draws.reshape(size, chunk.blocks, width)
-                                < chunk.probs).astype(np.int32)
+        linked = np.flatnonzero(decided).astype(np.int32)
         rows = linked // width  # graph * blocks + block
         hits = linked - rows * width
-        if n < width:  # draws past the last node
-            keep = hits < n
-            rows, hits = rows[keep], hits[keep]
         if size > 1:
             graphs = rows // chunk.blocks
             rows -= graphs * chunk.blocks
-        # the partner, node plus offset vector wrapped axis by axis, as a
-        # flat index built up from the first axis
-        axes = zip(plan.shape, plan.components, chunk.offsets)
-        length, node_axis, delta_axis = next(axes)
-        partner = _wrap(node_axis[hits] + delta_axis[rows], length)
-        for length, node_axis, delta_axis in axes:
-            partner *= length
-            partner += _wrap(node_axis[hits] + delta_axis[rows], length)
-        if chunk.self_inverse:
-            keep = hits < partner
-            low, high = hits[keep], partner[keep]
-            if size > 1:
-                graphs = graphs[keep]
-        else:
-            low, high = np.minimum(hits, partner), np.maximum(hits, partner)
+        partner = _partners(plan.shape, plan.components, chunk.offsets, hits, rows)
+        low, high = np.minimum(hits, partner), np.maximum(hits, partner)
         if size > 1:  # node i of graph g is the union node g * n + i
             graphs *= n
             low, high = low + graphs, high + graphs
@@ -702,13 +730,15 @@ def _triangle_counts(n: int, size: int, reach: int, links):
             part = slice(first, first + per_block)
             common = windows[gather[part]].view(rows.dtype)
             common &= windows[dst[part] * width].view(rows.dtype)
-            # a block's bits number far below 2**31, and its per-graph sums
-            # stay exact in the float weights of bincount
+            # a block's bits number far below 2**31
             common = np.bitwise_count(common)
             if size > 1:
-                per_link = common.reshape(-1, span).sum(axis=1, dtype=np.int32)
-                linked += np.bincount(src[part] // n, weights=per_link,
-                                      minlength=size).astype(np.int64)
+                # the links run in node order, so each graph's are one run
+                # of the block, and so are their words
+                totals = np.zeros(common.size + 1, dtype=np.int32)
+                np.cumsum(common, dtype=np.int32, out=totals[1:])
+                ends = np.searchsorted(src[part], np.arange(size + 1) * n)
+                linked += np.diff(totals[ends * span])
             else:
                 linked += int(common.sum(dtype=np.int32))
     degrees = degrees.reshape(size, n)
@@ -939,9 +969,9 @@ def estimate_mean_degree(shape, kernel, trials: int, master_seed: int,
     plan = _sampling_plan(shape, kernel)
     n = math.prod(plan.shape)
 
-    def degrees(seeds):  # each graph's links counted a chunk at a time
-        return 2.0 * sum((np.bincount(low // n, minlength=seeds.size)
-                          for low, _ in _batch_links(plan, seeds)),
+    def degrees(seeds):  # each graph's links counted a call at a time
+        return 2.0 * sum((np.count_nonzero(decided.reshape(seeds.size, -1), axis=1)
+                          for _, decided in _decisions(plan, seeds)),
                          np.zeros(seeds.size, dtype=np.int64)) / n
 
     return _reduce_counts(_run_batches(plan, degrees, trials, master_seed, threads))

@@ -17,13 +17,18 @@ rules.  An integrand is an ordered list of per-axis factors.  An inner
 row's rule and factor values on an axis depend only on the point and the
 outer node's coordinate there, so each axis builds them once per distinct
 pair, named by the outer grid's own per-axis indices, in blocks of equal
-panel counts and at most ``MAX_BATCH_POINTS`` nodes.  Rows are multiplied
-out on the tensor grid in batches of at most ``MAX_BATCH_POINTS`` points,
-in two reused buffers: each factor's product over the axes in axis order,
-the first axis slowest, then ``((F_1 * F_2) * ...) * W`` with the weights
-last, and each row summed on its own.  Each point's outer sum runs node by
-node, so values are bit for bit those of a per-point loop.  Gauss-Legendre
-rules are computed once per order and process.
+panel counts and at most ``MAX_BATCH_POINTS`` nodes.  On a grid of more
+than one axis a row's products vanish outside the columns where every
+factor is nonzero, found once per rule block, so rows are multiplied out
+only on that sub-grid, rows of one sub-grid together, in batches of at
+most ``MAX_BATCH_POINTS`` points, in two reused buffers: each factor's
+product over the axes in axis order, the first axis slowest, then
+``((F_1 * F_2) * ...) * W`` with the weights last.  Each row is written
+into zeros and summed whole on its own: every factor and weight is finite
+and at least 0, so the zeros are the +0.0 the products outside would be.
+Each point's outer sum runs node by node, so values are bit for bit those
+of a per-point loop.  Gauss-Legendre rules are computed once per order
+and process.
 """
 
 import functools
@@ -188,13 +193,28 @@ class _AxisRules:
         for block, rows in enumerate(self.members):
             self.block[rows], self.slot[rows] = block, np.arange(rows.size)
 
-    def build(self, block, factors):
-        """Nodes and weights (B, n) of the rules in ``block``, and the values
-        of each of ``factors(kernel, *columns, nodes)`` there."""
+    def build(self, block, factors, support):
+        """Nodes and weights (B, n) of the rules in ``block``, the values of
+        each of ``factors(kernel, *columns, nodes)`` there, and, if
+        ``support``, per rule the columns outside which some factor is 0
+        (see :func:`_support`)."""
         rows = self.members[block]
         nodes, weights = _panel_rule(self.breaks[rows, :self.counts[block]], self.level)
         columns = [column[rows, None] for column in self.columns]
-        return nodes, weights, [factor(self.kernel, *columns, nodes) for factor in factors]
+        values = [factor(self.kernel, *columns, nodes) for factor in factors]
+        return nodes, weights, values, _support(values) if support else None
+
+
+def _support(tables):
+    """Per row of the factor tables (B, n), the columns [start, stop) from
+    the first to the last where every table is nonzero, (B, 2): the row's
+    products are 0 outside them.  (0, 0) for a row with no such column."""
+    live = np.logical_and.reduce([table != 0.0 for table in tables])
+    spans = np.zeros((live.shape[0], 2), dtype=np.intp)
+    spans[:, 0] = np.argmax(live, axis=1)
+    spans[:, 1] = live.shape[1] - np.argmax(live[:, ::-1], axis=1)
+    spans[~live.any(axis=1)] = 0
+    return spans
 
 
 def _multiply_out(tables, slots, out):
@@ -214,51 +234,118 @@ def _multiply_out(tables, slots, out):
 
 def _grid_batches(rules, rows, factors):
     """Tensor grids of the grid rows whose rule on axis a is row ``rows[a]``
-    of ``rules[a]``, grouped by their blocks, first axis first, and cut into
-    batches of at most ``MAX_BATCH_POINTS`` points (or one row).  Each block
-    is built once per group that needs it.  Yields per batch the grid rows,
-    per axis the block's nodes (B_a, n_a) and the rows' slots in it, and two
-    reused buffers (G, N): the product of the ``factors`` in their order,
-    and that of the weights."""
+    of ``rules[a]``, grouped by their blocks, first axis first.  Each block
+    is built once per group that needs it.  On more than one axis a row's
+    products are 0 outside the columns of each axis where every factor is
+    nonzero, so only that sub-grid is multiplied out: the rows of a group
+    are ordered by their sub-grids, and the runs of :func:`_sub_grids` are
+    cut into batches of at most ``MAX_BATCH_POINTS`` sub-grid points (or
+    one row).  Yields per batch the grid rows, per axis the block's nodes
+    (B_a, n_a), the rows' slots in it and the sub-grid's columns (a slice),
+    and two reused buffers (G, M) over the sub-grid: the product of the
+    ``factors`` in their order, and that of the weights."""
     keys = np.stack([r.block[i] for r, i in zip(rules, rows)])
     order = np.lexsort(keys[::-1])
     keys = keys[:, order]
     edges = (np.flatnonzero(np.any(keys[:, 1:] != keys[:, :-1], axis=0)) + 1).tolist()
-    groups = []
+    groups, capacity = [], 0
     for start, end in zip([0, *edges], [*edges, order.size]):
         blocks = keys[:, start].tolist()
         size = math.prod(_rule_size(r.counts[b], r.level) for r, b in zip(rules, blocks))
-        groups.append((start, end, blocks, size, max(1, MAX_BATCH_POINTS // size)))
-    capacity = max(min(step, end - start) * size for start, end, _, size, step in groups)
+        groups.append((order[start:end], blocks))
+        capacity = max(capacity, min((end - start) * size, max(MAX_BATCH_POINTS, size)))
     first, second = np.empty(capacity), np.empty(capacity)
+    # a grid of one axis takes one gather per point, which cutting saves no
+    # more than finding its support costs
+    support = len(rules) > 1
     built = [(None, None)] * len(rules)
-    for start, end, blocks, size, step in groups:
+    for group, blocks in groups:
         for axis, block in enumerate(blocks):
             if built[axis][0] != block:
                 built[axis] = (None, None)  # free the old block before the new is built
-                built[axis] = (block, rules[axis].build(block, factors))
-        nodes, weights, values = zip(*[tables for _, tables in built])
-        for begin in range(start, end, step):
-            batch = order[begin:min(begin + step, end)]
-            slots = [r.slot[i[batch]] for r, i in zip(rules, rows)]
-            grid = first[:batch.size * size].reshape(batch.size, size)
-            spare = second[:grid.size].reshape(grid.shape)
-            _multiply_out([v[0] for v in values], slots, grid)
-            for factor in range(1, len(factors)):
-                grid *= _multiply_out([v[factor] for v in values], slots, spare)
-            yield batch, nodes, slots, grid, _multiply_out(weights, slots, spare)
-        del nodes, weights, values  # nor may these hold it then
+                built[axis] = (block, rules[axis].build(block, factors, support))
+        nodes, weights, values, spans = zip(*[tables for _, tables in built])
+        slots = [r.slot[i[group]] for r, i in zip(rules, rows)]
+        if support:
+            # per row the [start, stop) of each axis, all 0 for an empty sub-grid
+            bounds = np.concatenate([span[slot] for span, slot in zip(spans, slots)], axis=1)
+            bounds[np.any(bounds[:, 0::2] == bounds[:, 1::2], axis=1)] = 0
+            ranked = np.lexsort(bounds.T[::-1])
+            runs = _sub_grids(bounds[ranked])
+        else:
+            ranked, runs = np.arange(group.size), [(0, group.size, [0], [nodes[0].shape[1]])]
+        for start, end, low, high in runs:
+            columns = [slice(*span) for span in zip(low, high)]
+            points = math.prod(h - l for l, h in zip(low, high))
+            step = max(1, MAX_BATCH_POINTS // max(points, 1))
+            for begin in range(start, end, step):
+                rows_in = ranked[begin:min(begin + step, end)]
+                batch_slots = [slot[rows_in] for slot in slots]
+                grid = first[:rows_in.size * points].reshape(rows_in.size, points)
+                spare = second[:grid.size].reshape(grid.shape)
+                if points:  # else every product of the rows is 0
+                    _multiply_out([v[0][:, c] for v, c in zip(values, columns)],
+                                  batch_slots, grid)
+                    for factor in range(1, len(factors)):
+                        grid *= _multiply_out([v[factor][:, c] for v, c in zip(values, columns)],
+                                              batch_slots, spare)
+                    _multiply_out([w[:, c] for w, c in zip(weights, columns)], batch_slots, spare)
+                yield group[rows_in], nodes, batch_slots, columns, grid, spare
+        del nodes, weights, values, spans  # nor may these hold it then
+
+
+def _sub_grids(bounds):
+    """Runs of the sorted rows of ``bounds`` (R, 2K) that share one sub-grid:
+    (start, end, low, high), the sub-grid's columns [low, high) per axis
+    holding those of each row of the run.  Rows of equal bounds form a run,
+    and neighbouring runs merge while rows times sub-grid points stay
+    within ``MAX_BATCH_POINTS``; empty sub-grids (all bounds 0) sort first
+    and merge with no other."""
+    cuts = (np.flatnonzero(np.any(bounds[1:] != bounds[:-1], axis=1)) + 1).tolist()
+    runs = []
+    for start, end in zip([0, *cuts], [*cuts, len(bounds)]):
+        low, high = bounds[start, 0::2].tolist(), bounds[start, 1::2].tolist()
+        if runs and any(runs[-1][3]):
+            first, _, run_low, run_high = runs[-1]
+            merged = [min(a, b) for a, b in zip(low, run_low)], \
+                [max(a, b) for a, b in zip(high, run_high)]
+            if (end - first) * math.prod(h - l for l, h in zip(*merged)) <= MAX_BATCH_POINTS:
+                runs[-1] = (first, end, *merged)
+                continue
+        runs.append((start, end, low, high))
+    return runs
 
 
 def _grid_sums(rules, rows, factors):
     """The weighted grid sums of the products of ``factors`` over the rows of
     :func:`_grid_batches`, and the points of each: the weights go on last,
-    so each point is ``((F_1 * F_2) * ...) * W``."""
+    so each point is ``((F_1 * F_2) * ...) * W``.  A sub-grid is written
+    into zeros and whole rows are summed, at most ``MAX_BATCH_POINTS``
+    points (or one row) at a time: every factor and weight is finite and at
+    least 0, so each point outside it is +0.0 as its product would be, and
+    the row sums are bit for bit those of the whole grid."""
     sums, sizes = np.empty(rows[0].size), np.empty(rows[0].size, dtype=int)
-    for batch, _, _, grid, weights in _grid_batches(rules, rows, factors):
-        grid *= weights
-        sums[batch] = np.sum(grid, axis=1)
-        sizes[batch] = grid.shape[1]
+    zeros = np.zeros(0)  # zero again after each use
+    for batch, nodes, _, columns, grid, weights in _grid_batches(rules, rows, factors):
+        shape = [n.shape[1] for n in nodes]
+        size = math.prod(shape)
+        sizes[batch] = size
+        if grid.shape[1] == size:
+            grid *= weights
+            sums[batch] = np.sum(grid, axis=1)
+            continue
+        step = max(1, MAX_BATCH_POINTS // size)
+        if zeros.size < min(step, batch.size) * size:
+            zeros = np.zeros(min(step, batch.size) * size)
+        for begin in range(0, batch.size, step):
+            part = slice(begin, begin + step)
+            count = len(batch[part])
+            full = zeros[:count * size].reshape(count, *shape)
+            region = full[(slice(None), *columns)]
+            np.multiply(grid[part].reshape(region.shape), weights[part].reshape(region.shape),
+                        out=region)
+            sums[batch[part]] = np.sum(full.reshape(count, size), axis=1)
+            region[...] = 0.0
     return sums, sizes
 
 
@@ -287,10 +374,12 @@ def _nested_integral(axes, points, outer_shifts, outer_factors, inner_shifts, in
     the points evaluated."""
     totals, evaluations, stack, stacked = [0.0] * len(points), [0] * len(points), [], 0
     for block, rules, rows in _point_rules(axes, points, outer_shifts, level):
-        for batch, nodes, slots, factors, weights in _grid_batches(rules, rows, outer_factors):
-            shape = [n.shape[1] for n in nodes]
+        for batch, nodes, slots, columns, factors, weights in _grid_batches(rules, rows,
+                                                                            outer_factors):
+            size = math.prod(n.shape[1] for n in nodes)
+            shape = [c.stop - c.start for c in columns]
             for row, point in enumerate(block[batch].tolist()):
-                evaluations[point] = factors.shape[1]
+                evaluations[point] = size
                 live = np.flatnonzero((factors[row] != 0.0) & (weights[row] != 0.0))
                 if stack and stacked + live.size > MAX_STACKED_ROWS:
                     _inner_sums(axes, points, inner_shifts, inner_factors, level, stack,
@@ -298,7 +387,8 @@ def _nested_integral(axes, points, outer_shifts, outer_factors, inner_shifts, in
                     stack, stacked = [], 0
                 index = np.unravel_index(live, shape)
                 stack.append((point, weights[row, live] * factors[row, live],
-                              [_distinct(n[s[row]], i) for n, s, i in zip(nodes, slots, index)]))
+                              [_distinct(n[s[row], c], i)
+                               for n, s, c, i in zip(nodes, slots, columns, index)]))
                 stacked += live.size
     _inner_sums(axes, points, inner_shifts, inner_factors, level, stack, totals, evaluations)
     return totals, evaluations

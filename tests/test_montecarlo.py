@@ -910,9 +910,9 @@ def test_batched_estimators_match_per_trial_references(case, trials, per_batch, 
         anchor = data.draw(st.integers(0, 2 * n), label="anchor")
         max_sep = data.draw(st.integers(0, 3), label="max_sep")
     sizes = []
-    original = montecarlo._batch_links
+    original = montecarlo._decisions
 
-    def recording(plan, seeds):
+    def recording(plan, seeds):  # every estimator draws its graphs' decisions here
         sizes.append(seeds.size)
         return original(plan, seeds)
 
@@ -922,7 +922,7 @@ def test_batched_estimators_match_per_trial_references(case, trials, per_batch, 
         budget = 1 if per_batch == 1 else batch_budget(shape, kernel, per_batch, bitset_rows)
         sizes.clear()
         return mock.patch.multiple(montecarlo, MAX_BATCH_DRAWS=budget,
-                                   _batch_links=recording)
+                                   _decisions=recording)
 
     expected_sizes = [per_batch] * (trials // per_batch) + [trials % per_batch] * (
         trials % per_batch > 0)
@@ -1043,6 +1043,87 @@ def test_degree_and_clustering_estimates_join_no_links(monkeypatch):
     for shape, kernel in (BATCH_CASES[2], BANDED_ROW_CASES[1]):
         estimate_mean_degree(shape, kernel, 3, 1)
         estimate_clustering(shape, kernel, 3, 1)
+
+
+# ---------------------------------------------------------------------------
+# keep masks: each candidate pair decided once, and mean degree from decisions
+# ---------------------------------------------------------------------------
+
+KEEP_CASES = [
+    *BATCH_CASES,
+    (127, UniformWindow(0.3, 1.7)),       # odd, draws past the last node
+    (130, UniformWindow(0.5, math.pi)),   # even, not a multiple of 4: both
+    (128, UniformWindow(0.5, math.pi)),   # half-circle block
+    ((12, 10), ProductKernel((UniformWindow(0.7, math.pi), UniformWindow(0.6, math.pi)))),
+]
+# 892,928 unordered candidate pairs of 4,096 nodes
+WIDE_TORUS = ((64, 64), ProductKernel((UniformWindow(0.5, 0.9), UniformWindow(0.4, 1.1))))
+
+
+def candidate_pairs(shape, kernel):
+    """Unordered node pairs of positive link probability, from the kernel
+    on every offset vector of the grid."""
+    shape = tuple(np.atleast_1d(shape))
+    factors = kernel.factors if len(shape) > 1 else (kernel,)
+    probs = np.ones(())
+    for length, factor in zip(shape, factors):
+        probs = np.multiply.outer(probs, np.asarray(
+            factor.evaluate(2.0 * math.pi * np.arange(length) / length)))
+    coords = np.stack(np.unravel_index(np.arange(math.prod(shape)), shape), axis=1)
+    pairs = set()
+    for a, b in zip(*np.triu_indices(len(coords), 1)):
+        if probs[tuple((coords[b] - coords[a]) % shape)] > 0.0:
+            pairs.add((int(a), int(b)))
+    return pairs
+
+
+def kept_candidates(plan):
+    """Per kept candidate of every block: the node, its partner and whether
+    the block is self-inverse."""
+    n = math.prod(plan.shape)
+    coords = np.stack(np.unravel_index(np.arange(n), plan.shape), axis=1)
+    kept = []
+    for chunk in plan.chunks:
+        keep = np.broadcast_to(chunk.keep, (chunk.blocks, plan.width))
+        for block, row in enumerate(keep):
+            nodes = np.flatnonzero(row)
+            assert nodes.max(initial=0) < n
+            partners = np.ravel_multi_index(
+                ((coords[nodes] + chunk.offsets[:, block]) % plan.shape).T, plan.shape)
+            kept += [(a, b, chunk.self_inverse) for a, b in zip(nodes.tolist(),
+                                                                 partners.tolist())]
+    return kept
+
+
+@pytest.mark.parametrize("shape, kernel", KEEP_CASES)
+def test_kept_candidates_are_the_candidate_pairs(shape, kernel):
+    kept = kept_candidates(montecarlo._sampling_plan(shape, kernel))
+    pairs = [(min(a, b), max(a, b)) for a, b, _ in kept]
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == candidate_pairs(shape, kernel)
+    assert all(a < b for a, b, self_inverse in kept if self_inverse)
+
+
+def test_kept_candidates_of_the_wide_torus():
+    plan = montecarlo._sampling_plan(*WIDE_TORUS)
+    kept = kept_candidates(plan)
+    assert len(kept) == 892_928
+    assert len({(min(a, b), max(a, b)) for a, b, _ in kept}) == 892_928
+    assert all(a < b for a, b, self_inverse in kept if self_inverse)
+
+
+@pytest.mark.parametrize("shape, kernel", KEEP_CASES)
+def test_mean_degree_counts_decisions_without_links(monkeypatch, shape, kernel):
+    def built(plan, seeds):
+        raise AssertionError("links were built")
+
+    trials, seed = 5, 20260822
+    expected = reference_estimate([
+        2.0 * sample_graph(shape, kernel, trial_seed(seed, t)).edges.shape[0]
+        / math.prod(np.atleast_1d(shape)) for t in range(trials)])
+    monkeypatch.setattr(montecarlo, "_batch_links", built)
+    assert estimate_mean_degree(shape, kernel, trials, seed) == expected
+    assert estimate_mean_degree(shape, kernel, trials, seed, threads=2) == expected
 
 
 # ---------------------------------------------------------------------------

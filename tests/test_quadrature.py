@@ -1,6 +1,7 @@
 """Numerical integration and exact discrete summation oracles."""
 
 import collections
+import functools
 import math
 
 import numpy as np
@@ -227,6 +228,7 @@ def test_chain_quad_rejects_bad_order():
 # same summation order, so the two must agree bit for bit.
 
 _REF_ORDERS = (4, 8, 16, 32, 64, 128, 256, 512)
+_ref_leggauss = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 _REF_COUNTS = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 
 
@@ -237,6 +239,14 @@ def _ref_derived(base, shifts):
 
 
 def _ref_rule(kernel, shifts, level):
+    return _ref_cached_rule(kernel, tuple(shifts), level)
+
+
+# the outer nodes of a grid share their coordinate on each axis with many
+# others, and so their inner rules; each distinct rule is built once.  The
+# arrays are only read
+@functools.lru_cache(maxsize=1024)
+def _ref_cached_rule(kernel, shifts, level):
     base = list(kernel.breakpoints())
     breaks = []
     if base:
@@ -249,8 +259,7 @@ def _ref_rule(kernel, shifts, level):
         count = _REF_COUNTS[min(level, len(_REF_COUNTS) - 1)]
         step = 2.0 * math.pi / count
         return -math.pi + step * (np.arange(count) + 0.5), np.full(count, step)
-    base_x, base_w = np.polynomial.legendre.leggauss(
-        _REF_ORDERS[min(level, len(_REF_ORDERS) - 1)])
+    base_x, base_w = _ref_leggauss(_REF_ORDERS[min(level, len(_REF_ORDERS) - 1)])
     edges = np.array([-math.pi, *breaks, math.pi])
     nodes, weights = [], []
     for left, right in zip(edges[:-1], edges[1:]):
@@ -507,6 +516,52 @@ def test_torus_grid_pair_peak_memory():
     peak = traced_peak(lambda: (chain_count_torus_grid(model, 2, (0.7, 0.4)),
                                 clustering_torus_grid(model)))
     assert peak <= 2 * 2 ** 20
+
+
+def test_torus_grid_pair_multiplies_out_only_the_support(monkeypatch):
+    # each window is nonzero on under a third of its axis: multiplying out
+    # whole grids formed 23,478,176 points for the pair
+    model = TorusModel((6.0, 5.0), TORUS_KERNELS["windows"])
+    expected = (ref_chain_torus_grid(model, 2, (0.7, 0.4)), ref_clustering_torus_grid(model))
+    formed = []
+    multiply_out = quadrature._multiply_out
+
+    def counted(tables, slots, out):
+        formed.append(out.size)
+        return multiply_out(tables, slots, out)
+
+    monkeypatch.setattr(quadrature, "_multiply_out", counted)
+    assert (chain_count_torus_grid(model, 2, (0.7, 0.4)), clustering_torus_grid(model)) == expected
+    assert sum(formed) <= 5_000_000
+
+
+def test_support_spans_of_factor_tables():
+    tables = [np.array([[0.0, 1.0, 2.0, 0.0, 3.0, 0.0],
+                        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                        [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]]),
+              np.array([[5.0, 5.0, 5.0, 5.0, 5.0, 0.0],
+                        [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                        [0.5, 0.5, 0.5, 0.5, 0.5, 0.5]])]
+    assert quadrature._support(tables).tolist() == [[1, 5], [0, 0], [0, 6]]
+
+
+def test_torus_grid_beyond_reach_is_exactly_zero():
+    # no chain reaches the gap: every batch's support is empty
+    model = TorusModel((6.0, 5.0), ProductKernel((UniformWindow(0.5, 0.3),
+                                                  UniformWindow(0.4, 0.3))))
+    for k in (1, 2):
+        value = chain_count_torus_grid(model, k, (2.5, 2.5), tol=1e-4)
+        assert value == ref_chain_torus_grid(model, k, (2.5, 2.5), tol=1e-4)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def test_torus_grid_of_factors_without_zeros():
+    # a cosine factor is nonzero everywhere: the support is the whole grid
+    # (nested grids with one such axis: the "mixed" kernel above)
+    model = TorusModel((6.0, 5.0), ProductKernel((CosineSeries((0.3, 0.1)),
+                                                  CosineSeries((0.25, 0.05)))))
+    assert chain_count_torus_grid(model, 1, (0.7, 0.4)) == \
+        ref_chain_torus_grid(model, 1, (0.7, 0.4))
 
 
 @settings(max_examples=10, deadline=None)
