@@ -315,14 +315,14 @@ def _series_for_kernel(kernel, terms):
 
 
 def _mc_settings(config):
-    """The sampled node count round(2 pi R) (a tuple of them on a torus),
-    the trial count, the master seed and the thread count of mode ``mc``."""
-    nodes = config["mc"]["nodes"]
-    if min(nodes if isinstance(nodes, list) else [nodes]) < 3:
+    """The sampled grid shape, one node count round(2 pi R) per axis, the
+    trial count, the master seed and the thread count of mode ``mc``."""
+    nodes = config["mc"]["nodes"]  # an int on a circle, a list on a torus
+    shape = tuple(nodes) if isinstance(nodes, list) else (nodes,)
+    if min(shape) < 3:
         raise ConfigError("ring sampling needs at least 3 nodes per axis, "
                           "round(2*pi*R): every radius must be at least 0.4")
-    return (tuple(nodes) if isinstance(nodes, list) else nodes,
-            _positive_int(config, "mc", "trials"), _master_seed(config), _threads(config))
+    return shape, _positive_int(config, "mc", "trials"), _master_seed(config), _threads(config)
 
 
 # every record holds its keys in the order of its CSV columns
@@ -349,10 +349,10 @@ def cmd_clustering(config):
     modes, terms, correction_order, tolerance = _analytic_settings(
         config, "clustering", CLUSTERING_MODES, ["closed", "leading", "quadrature"], None)
     tail_terms = _positive_int(config, "computation", "tail_terms", 1_000_000)
-    if "closed" in modes and not (isinstance(model, CircleModel)
-                                  and isinstance(model.kernel, UniformWindow)):
+    axes = model_axes(model)
+    if "closed" in modes and not (len(axes) == 1 and isinstance(axes[0][1], UniformWindow)):
         raise ConfigError("mode 'closed' needs a circle model with a uniform window kernel")
-    if "full" in modes and not isinstance(model, CircleModel):
+    if "full" in modes and len(axes) != 1:
         raise ConfigError("full mode does not factorise over torus axes")
     with warnings.catch_warnings():
         # the zero case becomes a hard config error right here
@@ -365,14 +365,15 @@ def cmd_clustering(config):
     records = []
     for mode in modes:
         if mode == "closed":
-            estimate = fourier.clustering_uniform(model.kernel.p, model.kernel.half_width,
+            window = axes[0][1]
+            estimate = fourier.clustering_uniform(window.p, window.half_width,
                                                   tail_terms=tail_terms)
             records.append(_clustering_record(mode, estimate.value,
                                               estimate.error_bound))
         elif mode in ("leading", "full"):
             value = 1.0
             bound = 0.0
-            for radius, kernel in model_axes(model):
+            for radius, kernel in axes:
                 value *= fourier.clustering_from_series(
                     _series_for_kernel(kernel, terms), radius,
                     axis_mean_degree(radius, kernel), mode=mode,
@@ -384,8 +385,8 @@ def cmd_clustering(config):
             records.append(_clustering_record(mode, result.value,
                                               result.error_estimate))
         else:
-            nodes, trials, seed, threads = sampling
-            estimate = montecarlo.estimate_clustering(nodes, model.kernel, trials, seed,
+            shape, trials, seed, threads = sampling
+            estimate = montecarlo.estimate_clustering(shape, model.kernel, trials, seed,
                                                       threads=threads)
             records.append(_clustering_record(mode, estimate.mean,
                                               estimate.std_error,
@@ -415,7 +416,7 @@ def _analytic_records(model, series, order, gaps, direct, mode, terms,
     """One chain order's rows of a series or quadrature mode, each route
     called once for the whole grid; ``direct`` is the kernel at each gap,
     ``brackets`` each order's power sums."""
-    kernel, radius = model.kernel, model.radius
+    ((radius, kernel),) = model_axes(model)
     errors = [fourier.chain_tail_bound(kernel, radius, order, terms)
               if order and mode != "quadrature" else 0.0] * gaps.size
     if order == 0:
@@ -439,8 +440,10 @@ def _analytic_records(model, series, order, gaps, direct, mode, terms,
 
 def cmd_separation(config):
     model = _build_model(config)
-    if not isinstance(model, CircleModel):
+    axes = model_axes(model)
+    if len(axes) != 1:
         raise ConfigError("separation curves are defined on circle models")
+    ((_, kernel),) = axes
     computation = config["computation"]
     modes, terms, correction_order, tolerance = _analytic_settings(
         config, "separation", SEPARATION_MODES, ["leading"], quadrature.DEFAULT_TOL)
@@ -452,16 +455,16 @@ def cmd_separation(config):
     # mode mc's settings and offsets are checked before any mode runs
     sampling = _separation_sampling(config, grid) if "mc" in modes else None
     gaps = np.asarray(grid)
-    direct = model.kernel.evaluate(gaps)
+    direct = kernel.evaluate(gaps)
     records = []
     series = brackets = None
     for mode in modes:
         if mode == "mc":
-            records.extend(_separation_mc(model, orders, *sampling))
+            records.extend(_separation_mc(kernel, orders, *sampling))
             continue
         if mode != "quadrature" and series is None:
             # one series and its power sums serve every order of both modes
-            series = _series_for_kernel(model.kernel, terms)
+            series = _series_for_kernel(kernel, terms)
             positive = [order for order in orders if order]
             brackets = dict(zip(positive, fourier.leading_brackets(series, positive, gaps)))
         for order in orders:
@@ -472,7 +475,7 @@ def cmd_separation(config):
 
 def _separation_sampling(config, grid):
     """Mode mc's settings and the node offsets its grid gaps map to."""
-    nodes, trials, seed, threads = _mc_settings(config)
+    (nodes,), trials, seed, threads = _mc_settings(config)
     offsets = []
     for gap in grid:
         offset = round(gap * nodes / (2.0 * math.pi))
@@ -484,10 +487,10 @@ def _separation_sampling(config, grid):
     return nodes, offsets, trials, seed, threads
 
 
-def _separation_mc(model, orders, nodes, offsets, trials, seed, threads):
+def _separation_mc(kernel, orders, nodes, offsets, trials, seed, threads):
     max_sep = max(orders, default=0)
     histograms = montecarlo.estimate_separation_histograms(
-        nodes, model.kernel, offsets, max_sep, trials, seed, threads=threads)
+        nodes, kernel, offsets, max_sep, trials, seed, threads=threads)
     measured = [(2.0 * math.pi * offset / nodes, histogram.probabilities())
                 for offset, histogram in zip(offsets, histograms)]
     records = []

@@ -342,7 +342,8 @@ class TorusModel:
 
 
 def model_axes(model) -> list:
-    """Per-axis (radius, kernel) pairs of a circle or torus model."""
+    """Per-axis (radius, kernel) pairs of a circle or torus model, a circle
+    being the one-axis case: every route reads a model through these."""
     if isinstance(model, CircleModel):
         return [(model.radius, model.kernel)]
     if isinstance(model, TorusModel):

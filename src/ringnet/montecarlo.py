@@ -441,14 +441,10 @@ def _cached_plan(shape: tuple, kernel) -> _SamplingPlan:
     # a refused or invalid request raises, and lru_cache stores no result
     _require_valid(kernel)
     _require_grid(shape)
-    if len(shape) == 1:
-        if isinstance(kernel, ProductKernel):
-            raise ValueError("a ring sample needs a one-dimensional kernel")
-        return _plan(shape, (kernel,))
-    if not isinstance(kernel, ProductKernel) or len(kernel.factors) != len(shape):
-        raise ValueError("a torus sample needs a product kernel with one "
-                         "factor per grid axis")
-    return _plan(shape, kernel.factors)
+    factors = kernel.factors if isinstance(kernel, ProductKernel) else (kernel,)
+    if len(factors) != len(shape):
+        raise ValueError("a sample needs a kernel with one factor per grid axis")
+    return _plan(shape, factors)
 
 
 _PLAN_LOCK = threading.Lock()
@@ -619,7 +615,9 @@ def sample_graph(shape, kernel, seed: int) -> GraphSample:
     """Draw one random graph; identical arguments give identical graphs.
 
     ``shape`` is a node count for the ring or a per-axis count sequence for
-    a torus grid paired with a product kernel.  The seed-independent part
+    a torus grid, and the kernel's factors (a product kernel's own, or the
+    kernel itself) must number its axes: ``(n,)`` with a one-factor product
+    kernel is the ring of ``n`` with that factor.  The seed-independent part
     of the work, the sampling plan, is built once per (shape, kernel).
     """
     plan = _sampling_plan(shape, kernel)

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (CostBudgetError, TorusModel, TWO_PI, axis_mean_degree,
-                      mean_degree, model_axes, wrap_angle)
+from .kernels import (CostBudgetError, TWO_PI, axis_mean_degree, mean_degree,
+                      model_axes, wrap_angle)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_TORUS_TOL = 1e-6
@@ -238,7 +238,7 @@ def _grid_batches(rules, rows, factors):
     is built once per group that needs it.  On more than one axis a row's
     products are 0 outside the columns of each axis where every factor is
     nonzero, so only that sub-grid is multiplied out: the rows of a group
-    are ordered by their sub-grids, and the runs of :func:`_sub_grids` are
+    are ordered by their sub-grids, and each run of rows of one sub-grid is
     cut into batches of at most ``MAX_BATCH_POINTS`` sub-grid points (or
     one row).  Yields per batch the grid rows, per axis the block's nodes
     (B_a, n_a), the rows' slots in it and the sub-grid's columns (a slice),
@@ -296,24 +296,11 @@ def _grid_batches(rules, rows, factors):
 
 def _sub_grids(bounds):
     """Runs of the sorted rows of ``bounds`` (R, 2K) that share one sub-grid:
-    (start, end, low, high), the sub-grid's columns [low, high) per axis
-    holding those of each row of the run.  Rows of equal bounds form a run,
-    and neighbouring runs merge while rows times sub-grid points stay
-    within ``MAX_BATCH_POINTS``; empty sub-grids (all bounds 0) sort first
-    and merge with no other."""
+    (start, end, low, high), the sub-grid's columns [low, high) per axis.
+    Empty sub-grids (all bounds 0) sort first."""
     cuts = (np.flatnonzero(np.any(bounds[1:] != bounds[:-1], axis=1)) + 1).tolist()
-    runs = []
-    for start, end in zip([0, *cuts], [*cuts, len(bounds)]):
-        low, high = bounds[start, 0::2].tolist(), bounds[start, 1::2].tolist()
-        if runs and any(runs[-1][3]):
-            first, _, run_low, run_high = runs[-1]
-            merged = [min(a, b) for a, b in zip(low, run_low)], \
-                [max(a, b) for a, b in zip(high, run_high)]
-            if (end - first) * math.prod(h - l for l, h in zip(*merged)) <= MAX_BATCH_POINTS:
-                runs[-1] = (first, end, *merged)
-                continue
-        runs.append((start, end, low, high))
-    return runs
+    return [(start, end, bounds[start, 0::2].tolist(), bounds[start, 1::2].tolist())
+            for start, end in zip([0, *cuts], [*cuts, len(bounds)])]
 
 
 def _grid_sums(rules, rows, factors):
@@ -578,9 +565,11 @@ def chain_count_result(model, k, gap, with_exclusion=False, tol=None):
 def chain_count_curve(model, k, gaps, with_exclusion=False, tol=None):
     """Expected k-intermediary chain counts between nodes at each of ``gaps``.
 
-    ``model`` is a CircleModel or a TorusModel, ``k`` the number of
-    intermediaries along the chain (1 or 2) and each gap the angular
-    separation of the two endpoint nodes, a per-axis sequence on a torus.
+    ``model`` is a CircleModel or a TorusModel, read as its (radius,
+    kernel) axes, so a torus of one radius is its circle; ``k`` is the
+    number of intermediaries along the chain (1 or 2) and each gap the
+    angular separation of the two endpoint nodes, a per-axis sequence on a
+    torus.
     ``with_exclusion`` includes the non-link factors that mark the chain as
     the shortest connection: no direct link between the endpoints and, for
     two intermediaries, no skip links past either one.  ``tol`` is the
@@ -653,28 +642,28 @@ def clustering_result(model, tol=None, anchor=0.0):
 # ---------------------------------------------------------------------------
 
 def clustering_torus_grid(model, tol=DEFAULT_TORUS_TOL):
-    """Clustering coefficient on a torus without factorising the integrand:
-    the 2K-dimensional triangle integral on nested tensor grids over the
-    triangle corners, divided by the squared mean degree.  The cross-check
-    for :func:`clustering_result`."""
-    if not isinstance(model, TorusModel):
-        raise TypeError("clustering_torus_grid expects a torus model")
+    """Clustering coefficient without factorising the integrand: the
+    2K-dimensional triangle integral on nested tensor grids over the
+    triangle corners of a model of K axes, divided by the squared mean
+    degree.  The cross-check for :func:`clustering_result`, which it equals
+    bit for bit on one axis (a circle) at the same ``tol``."""
     degree = mean_degree(model)
     if degree == 0.0:
         raise ValueError("mean degree is zero; clustering is undefined")
-    (integral,) = _triangle_integral(model_axes(model), np.zeros((1, model.dimension)), tol)
-    return float(np.prod(model.radii)) ** 2 * _checked(integral).value / degree ** 2
+    axes = model_axes(model)
+    (integral,) = _triangle_integral(axes, np.zeros((1, len(axes))), tol)
+    return float(np.prod([r for r, _ in axes])) ** 2 * _checked(integral).value / degree ** 2
 
 
 def chain_count_torus_grid(model, k, gaps, tol=DEFAULT_TORUS_TOL):
-    """Reduced chain count on a torus by unfactorised tensor-grid quadrature:
+    """Reduced chain count by unfactorised tensor-grid quadrature:
     :func:`chain_count_result` with ``with_exclusion=False``, on full
-    K-dimensional grids, as its cross-check."""
-    if not isinstance(model, TorusModel):
-        raise TypeError("chain_count_torus_grid expects a torus model")
+    K-dimensional grids over a model of K axes with ``gaps`` one gap per
+    axis, as its cross-check.  On one axis (a circle) the two are equal
+    bit for bit at the same ``tol``."""
     axes, points, tol = _chain_setup(model, k, [gaps], tol)
     (integral,) = _chain_integral(axes, k, points, False, tol)
-    return float(np.prod(model.radii)) ** k * _checked(integral).value
+    return float(np.prod([r for r, _ in axes])) ** k * _checked(integral).value
 
 
 # ---------------------------------------------------------------------------

@@ -82,12 +82,15 @@ def test_demos_and_quickstart_import_public_names():
         assert sorted(imported - set(ringnet.__all__)) == [], where
 
 
+def _tree(module):
+    return ast.parse((Path(ringnet.__file__).parent / f"{module}.py").read_text())
+
+
 def _imported_modules(module):
     """The ringnet modules that ``module`` imports anywhere in its source,
     function bodies included, in relative or absolute form."""
-    tree = ast.parse((Path(ringnet.__file__).parent / f"{module}.py").read_text())
     found = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -119,3 +122,39 @@ def test_routes_do_not_import_each_other(module):
     # which itself imports no ringnet module at all
     assert "kernels" in imported or module == "kernels"
     assert imported & FORBIDDEN_IMPORTS[module] == set()
+
+
+def _isinstance_classes(module):
+    """The class names that each ``isinstance`` call in ``module`` names."""
+    found = []
+    for node in ast.walk(_tree(module)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            classes = node.args[1]
+            items = classes.elts if isinstance(classes, ast.Tuple) else [classes]
+            found.append({getattr(item, "id", getattr(item, "attr", None)) for item in items})
+    return found
+
+
+def _attributes_read(module):
+    return {node.attr for node in ast.walk(_tree(module)) if isinstance(node, ast.Attribute)}
+
+
+MODULES = sorted(path.stem for path in Path(ringnet.__file__).parent.glob("*.py"))
+
+
+def test_only_kernels_tells_a_circle_from_a_torus():
+    # every other module reads a model as its (radius, kernel) axes, so a
+    # torus of one radius runs wherever its circle does; the one product
+    # kernel check is the sampler's rule that a kernel's factors (its own,
+    # or the kernel itself) number the grid's axes
+    product_checks = []
+    for module in MODULES:
+        if module == "kernels":
+            continue
+        for classes in _isinstance_classes(module):
+            assert classes & {"CircleModel", "TorusModel"} == set(), module
+            if "ProductKernel" in classes:
+                product_checks.append(module)
+        assert _attributes_read(module) & {"radius", "radii"} == set(), module
+    assert product_checks == ["montecarlo"]

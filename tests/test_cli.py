@@ -1111,6 +1111,33 @@ def test_sampled_nodes_follow_the_radius(tmp_path, capsys):
     assert json.loads(out)["records"]["nodes"] == [38, 31]
 
 
+ONE_AXIS_TORUS = {"space": {"type": "torus", "radii": [20.0]},
+                  "kernel": {"type": "product", "factors": [CIRCLE_WINDOW]}}
+
+
+def _data_rows(text):
+    # every line after the config digest, which names the document
+    return text.split("# config-digest: ", 1)[1].split("\n", 1)[1]
+
+
+@pytest.mark.parametrize("command, modes", [
+    ("clustering", "closed,leading,full,quadrature,mc"),
+    ("separation", "leading,full,quadrature,mc"),
+])
+def test_one_axis_torus_gives_its_circles_rows(tmp_path, capsys, command, modes):
+    # a torus of one radius is its circle in every mode; sampling it used
+    # to raise "a ring sample needs a one-dimensional kernel" with exit 1
+    settings = {"mc": {"trials": 4}, "computation": {"gap_points": 5}}
+    rows = []
+    for document in (CIRCLE, ONE_AXIS_TORUS):
+        config = write_config(tmp_path, {**document, **settings})
+        code, out = run_cli(capsys, command, "--config", config, "--modes", modes)
+        assert code == EXIT_OK
+        rows.append(_data_rows(out))
+    assert rows[0] == rows[1]
+    assert len(rows[0].splitlines()) > len(modes.split(","))
+
+
 @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
 @pytest.mark.parametrize("document", [
     {"space": 3, "kernel": CIRCLE_WINDOW},

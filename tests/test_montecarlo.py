@@ -574,6 +574,46 @@ def test_every_sampled_space_refuses_a_bad_shape(call, shape):
         call(shape, kernel)
 
 
+def _sample_fields(shape, kernel):
+    # a sample's edges are an array, so its fields are compared
+    sample = sample_graph(shape, kernel, 5)
+    return sample.shape, sample.seed, sample.edges.tolist()
+
+
+SAMPLED_CALLS = [
+    _sample_fields,
+    lambda shape, kernel: estimate_mean_degree(shape, kernel, 20, 5),
+    lambda shape, kernel: estimate_clustering(shape, kernel, 20, 5),
+    lambda shape, kernel: estimate_chain_counts(shape, kernel, 9, (1, 2), 20, 5),
+    lambda shape, kernel: estimate_separation_histograms(shape, kernel, (3, 40), 2, 20, 5),
+    lambda shape, kernel: estimate_separation_histograms(shape, kernel, (3, 40), 0, 20, 5),
+]
+SAMPLED_IDS = ["sample_graph", "mean_degree", "clustering", "chain_counts",
+               "separation", "direct_links"]
+
+
+@pytest.mark.parametrize("n", [126, 127])
+@pytest.mark.parametrize("call", SAMPLED_CALLS, ids=SAMPLED_IDS)
+def test_one_factor_product_kernel_on_one_axis_is_the_ring(call, n):
+    window = UniformWindow(0.3, 0.9)
+    assert call((n,), ProductKernel((window,))) == call(n, window)
+
+
+@pytest.mark.parametrize("shape, kernel", [
+    ((126,), ProductKernel((UniformWindow(0.3, 0.9),) * 2)),
+    ((12, 10), UniformWindow(0.3, 0.9)),
+    ((12, 10), ProductKernel((UniformWindow(0.3, 0.9),))),
+    ((4, 4, 5), ProductKernel((UniformWindow(0.3, 0.9),) * 2)),
+], ids=["ring-two-factors", "torus-window", "torus-one-factor", "three-axes-two-factors"])
+@pytest.mark.parametrize("call", SAMPLED_CALLS, ids=SAMPLED_IDS)
+def test_kernel_factors_must_number_the_grid_axes(monkeypatch, call, shape, kernel):
+    streams = counting_philox_streams(monkeypatch)
+    with pytest.raises(ValueError, match="^a sample needs a kernel with one factor "
+                                         "per grid axis$"):
+        call(shape, kernel)
+    assert streams == []
+
+
 # a node count whose per-node arrays the operating system refuses outright:
 # any check that came after an allocation of size n would fail with
 # MemoryError instead of the budget error

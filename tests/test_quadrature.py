@@ -409,6 +409,20 @@ def test_torus_grids_bit_identical_to_per_point_reference(name):
     assert clustering_torus_grid(model) == ref_clustering_torus_grid(model)
 
 
+@pytest.mark.parametrize("name", sorted(CIRCLE_KERNELS))
+@pytest.mark.parametrize("space", ["circle", "torus"])
+def test_grids_on_one_axis_equal_the_factorised_route(name, space):
+    # a circle, or a torus of one radius, is the grids' one-axis case
+    kernel = CIRCLE_KERNELS[name]
+    model = (CircleModel(12.0, kernel) if space == "circle"
+             else TorusModel((12.0,), ProductKernel((kernel,))))
+    for k in (1, 2):
+        for gap in (0.0, 0.7, 2.0):
+            assert chain_count_torus_grid(model, k, (gap,)) == \
+                chain_count_result(model, k, gap, tol=1e-6).value
+    assert clustering_torus_grid(model) == clustering_result(model, tol=1e-6).value
+
+
 @settings(max_examples=30, deadline=None)
 @given(p=st.floats(0.01, 1.0), half_width=st.floats(0.05, math.pi),
        gap=st.floats(0.0, math.pi), anchor=st.floats(-math.pi, math.pi),
